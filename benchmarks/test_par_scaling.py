@@ -1,10 +1,13 @@
-"""Parallel-runner scaling: wall-clock vs. backend choice, plus cache replay.
+"""Parallel-runner scaling: wall-clock per execution path, plus cache replay.
 
 Emits ``BENCH_par.json`` at the repo root — the scaling data point the
 parallel runner promises: the full fault-scenario campaign at two seeds
-run serially, fanned across the spawn pool at 2 and 4 jobs, run under
-``--backend auto`` (the cost model decides whether a pool can pay for its
-interpreter boots on this host), then replayed from a warm result cache.
+run serially, fanned across the spawn pool at 2 and 4 jobs (timed through
+:func:`repro.par.executors.run_spawn` directly), run through the runner's
+own choice at ``jobs=4`` (``auto``: the cost model decides whether a pool
+can pay for its interpreter boots on this host), then replayed from a
+warm result cache.  One untimed pass of the same cells runs first, so the
+serial row is not also paying the process's import and cache warm-up.
 Pool speedup depends on the machine's core count, so the spawn rows carry
 honest timings without assertions; ``auto`` is the row with a contract —
 it must never be meaningfully slower than serial, because on hosts where
@@ -18,7 +21,8 @@ from time import perf_counter
 from repro.analysis.report import format_table
 from repro.experiments.faults_exp import campaign_items
 from repro.faults import SCENARIOS
-from repro.par import ParallelRunner, ResultCache
+from repro.par import ParallelRunner, ResultCache, merge_results
+from repro.par.executors import run_spawn
 
 from benchmarks.conftest import report
 
@@ -38,29 +42,45 @@ def _cells():
     return campaign_items(SEEDS, SCENARIOS)
 
 
-def _timed_run(jobs, cache=None, backend="auto"):
-    runner = ParallelRunner(jobs=jobs, cache=cache, backend=backend)
+def _timed_run(jobs, cache=None):
+    runner = ParallelRunner(jobs=jobs, cache=cache)
     start = perf_counter()
     payloads = runner.run(_cells())
     return perf_counter() - start, payloads, runner
 
 
+def _timed_spawn(jobs):
+    """The spawn pool at ``jobs`` workers, whatever the runner would pick."""
+    cells = _cells()
+    start = perf_counter()
+    events = list(run_spawn([cell.spec() for cell in cells], jobs))
+    wall_s = perf_counter() - start
+    assert all(event["ok"] for event in events)
+    payloads = merge_results(
+        [(event["cell"]["index"], event["cell"]["payload"])
+         for event in events], len(cells))
+    return wall_s, payloads
+
+
 def test_bench_par_scaling_and_emit_json(tmp_path):
+    # untimed warm-up: without it the first (serial) row also pays lazy
+    # imports and cold caches, and the auto row after it looks faster than
+    # the same inline path really is
+    ParallelRunner(jobs=1).run(_cells())
     # the serial baseline also warms the in-process cost model, so the
     # auto run below decides from a measured per-cell estimate — exactly
     # what a second invocation on a real host would see
-    serial_s, serial_payloads, serial_runner = _timed_run(
-        jobs=1, backend="inline")
-    jobs2_s, jobs2_payloads, _ = _timed_run(jobs=2, backend="spawn")
-    jobs4_s, jobs4_payloads, _ = _timed_run(jobs=4, backend="spawn")
-    auto_s, auto_payloads, auto_runner = _timed_run(jobs=4, backend="auto")
+    serial_s, serial_payloads, serial_runner = _timed_run(jobs=1)
+    jobs2_s, jobs2_payloads = _timed_spawn(jobs=2)
+    jobs4_s, jobs4_payloads = _timed_spawn(jobs=4)
+    auto_s, auto_payloads, auto_runner = _timed_run(jobs=4)
 
     # the core guarantee: fan-out never changes a result
     assert jobs2_payloads == serial_payloads
     assert jobs4_payloads == serial_payloads
     assert auto_payloads == serial_payloads
 
-    # the bugfix contract: whatever backend auto resolves to, the run pays
+    # the bugfix contract: whatever path auto resolves to, the run pays
     # (almost) nothing beyond the cells' own cost.  On a 1-core host that
     # means auto refused the pool; on multicore the pool overlaps cells and
     # the overhead goes *negative*.  The old behaviour — spawn on a host
@@ -69,7 +89,7 @@ def test_bench_par_scaling_and_emit_json(tmp_path):
     auto_overhead_s = auto_s - auto_runner.stats.cell_wall_s
     assert auto_overhead_s <= AUTO_OVERHEAD_FRAC * auto_s + \
         AUTO_OVERHEAD_FLOOR_S, (
-        "auto backend ({}) paid {:.2f}s scheduling overhead on a "
+        "auto path ({}) paid {:.2f}s scheduling overhead on a "
         "{:.2f}s run".format(auto_runner.stats.backend, auto_overhead_s,
                              auto_s))
 

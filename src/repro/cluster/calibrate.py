@@ -60,15 +60,14 @@ def calibration_items(topology, by_node, seed, horizon_s, epoch_ms):
 
 
 def calibrate(topology, by_node, seed, horizon_s, epoch_ms, jobs=1,
-              cache=None, obs_metrics=False, backend="auto"):
+              cache=None, obs_metrics=False):
     """Run calibration across workers; returns ``(payloads, runner)``.
 
-    Payloads arrive in topology order regardless of jobs or backend (the
-    merge is by work-list index), so everything derived from them is
-    deterministic.
+    Payloads arrive in topology order regardless of jobs or execution
+    path (the merge is by work-list index), so everything derived from
+    them is deterministic.
     """
-    runner = ParallelRunner(jobs=jobs, cache=cache, obs_metrics=obs_metrics,
-                            backend=backend)
+    runner = ParallelRunner(jobs=jobs, cache=cache, obs_metrics=obs_metrics)
     payloads = runner.run(
         calibration_items(topology, by_node, seed, horizon_s, epoch_ms))
     return payloads, runner

@@ -195,7 +195,7 @@ def run_cluster(args=None):
     bench = getattr(args, "bench", None) if args is not None else None
     result, runner = _run(
         nodes=nodes if nodes else DEFAULT_NODES,
-        jobs=jobs, cache=cache, backend=_backend(args),
+        jobs=jobs, cache=cache,
         obs_metrics=obs_runtime.is_active() and jobs > 1,
     )
     print(format_table(
@@ -236,12 +236,7 @@ def _result_cache(args):
         return None
     from repro.par import ResultCache
 
-    return ResultCache(args.cache,
-                       remote=getattr(args, "cache_remote", None))
-
-
-def _backend(args):
-    return getattr(args, "backend", "auto") if args is not None else "auto"
+    return ResultCache(args.cache)
 
 
 def _print_par_stats(runner, jobs, cache):
@@ -279,6 +274,8 @@ def _print_campaign_table(campaign):
 
 
 def run_faults(args=None):
+    """The fault campaign; returns 1 when any scenario misses its
+    expectation (the nightly soak's failure signal), else 0."""
     from repro.experiments.faults_exp import (
         campaign_summary_lines,
         run_faults_parallel,
@@ -292,7 +289,7 @@ def run_faults(args=None):
     else:
         seeds = [0]
     campaigns, runner = run_faults_parallel(
-        seeds, jobs=jobs, cache=cache, backend=_backend(args),
+        seeds, jobs=jobs, cache=cache,
         obs_metrics=obs_runtime.is_active() and jobs > 1,
     )
     if len(campaigns) == 1:
@@ -302,6 +299,7 @@ def run_faults(args=None):
             for line in campaign_summary_lines(campaign):
                 print(line)
     _print_par_stats(runner, jobs, cache)
+    return 0 if all(campaign.ok for campaign in campaigns) else 1
 
 
 def run_sweep(args=None):
@@ -313,7 +311,6 @@ def run_sweep(args=None):
     try:
         payloads, runner = _run(
             only.split(",") if only else None, jobs=jobs, cache=cache,
-            backend=_backend(args),
             obs_metrics=obs_runtime.is_active() and jobs > 1,
         )
     except ValueError as exc:
@@ -383,24 +380,13 @@ def main(argv=None):
                              "violation is recorded; feed the dumps to the "
                              "'explain' subcommand")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="fan independent cells across N processes "
-                             "(faults, sweep); output is byte-identical to "
-                             "a serial run")
+                        help="fan independent cells across up to N "
+                             "processes (faults, sweep, cluster); output is "
+                             "byte-identical to a serial run")
     parser.add_argument("--cache", metavar="DIR",
                         help="content-addressed result cache for parallel "
-                             "cells (faults, sweep); invalidated by any "
-                             "repro source change")
-    parser.add_argument("--cache-remote", metavar="DIR|URL",
-                        help="read-through remote cache tier: a directory "
-                             "or http(s)/file URL serving the same layout; "
-                             "remote hits are written back into --cache")
-    parser.add_argument("--backend",
-                        choices=["auto", "inline", "thread", "spawn",
-                                 "socket"],
-                        default="auto",
-                        help="execution backend for parallel cells "
-                             "(default auto: cost-model selection between "
-                             "inline and a spawn pool)")
+                             "cells (faults, sweep, cluster); invalidated by "
+                             "any repro source change")
     parser.add_argument("--seeds", type=int, default=None, metavar="N",
                         help="faults soak mode: run N seeds drawn from "
                              "--entropy")
@@ -460,6 +446,7 @@ def main(argv=None):
             flight=args.flight is not None,
             flight_dir=args.flight,
         )
+    status = 0
     try:
         for name in names:
             obs_runtime.set_label_prefix(name)
@@ -467,7 +454,9 @@ def main(argv=None):
             print("# {}".format(name))
             print("#" * 72)
             if name in NEEDS_ARGS:
-                EXPERIMENTS[name](args)
+                # a subcommand returning a truthy status (faults: a
+                # scenario missed its expectation) fails the invocation
+                status = EXPERIMENTS[name](args) or status
             else:
                 EXPERIMENTS[name]()
             print()
@@ -475,7 +464,7 @@ def main(argv=None):
             _export_observability(args)
     finally:
         obs_runtime.reset()
-    return 0
+    return status
 
 
 def _export_observability(args):

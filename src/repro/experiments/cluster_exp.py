@@ -86,8 +86,7 @@ class ClusterExperimentResult:
 
 def run_cluster(seed=11, nodes=DEFAULT_NODES, horizon_s=DEFAULT_HORIZON_S,
                 cap_fraction=0.70, peak_users=None,
-                epoch_ms=250, jobs=1, cache=None, obs_metrics=False,
-                backend="auto"):
+                epoch_ms=250, jobs=1, cache=None, obs_metrics=False):
     """The full campaign; returns ``(result, runner)``.
 
     ``peak_users`` defaults to the canonical 2.4M scaled by topology size
@@ -116,7 +115,7 @@ def run_cluster(seed=11, nodes=DEFAULT_NODES, horizon_s=DEFAULT_HORIZON_S,
 
     payloads, runner = calibrate(topology, by_node, seed, horizon_s,
                                  epoch_ms, jobs=jobs, cache=cache,
-                                 obs_metrics=obs_metrics, backend=backend)
+                                 obs_metrics=obs_metrics)
     uncapped_peak = cluster_peak_w(payloads)
     budget = cap_fraction * uncapped_peak
 

@@ -2,16 +2,14 @@
 
 Every multi-run workload in this repo — fault soaks, powercap sweeps, the
 figure experiments, cluster calibration — is a list of independent,
-bit-reproducible (experiment, seed, config) cells.  This package fans
-such a work-list across a pluggable executor backend (``inline`` /
-``thread`` / ``spawn`` / ``socket`` — see :mod:`repro.par.executors`)
-with work-stealing scheduling, and merges the results by shard key, so
+bit-reproducible (experiment, seed, config) cells.  This package runs
+such a work-list either inline or on a pool of spawn-started workers
+(see :mod:`repro.par.executors`) and merges the results by shard key, so
 parallel output is byte-identical to the serial run; a content-addressed
 cache keyed on (experiment, seed, config hash, code fingerprint) lets
-re-runs and resumed soaks skip completed cells, optionally read-through
-from a shared remote tier.  The default backend is ``auto``: a persisted
-cost model decides whether a pool's spawn boots would beat just running
-inline.
+re-runs and resumed soaks skip completed cells.  Callers only say how
+many jobs they allow: a persisted cost model decides whether a pool's
+spawn boots would beat just running inline.
 
 Typical use::
 
@@ -25,14 +23,13 @@ Typical use::
 
 from repro.par.cache import MISS, ResultCache, code_fingerprint, config_hash
 from repro.par.cost import CostModel, shared_model
-from repro.par.executors import BACKENDS, choose_backend, make_executor
+from repro.par.executors import choose_backend
 from repro.par.metrics import merge_snapshots
 from repro.par.runner import ParallelRunner, RunStats, effective_jobs
 from repro.par.shard import WorkItem, merge_results, work_list
 from repro.par.worker import CellError, resolve_runner, run_cell, run_shard
 
 __all__ = [
-    "BACKENDS",
     "CellError",
     "CostModel",
     "MISS",
@@ -44,7 +41,6 @@ __all__ = [
     "code_fingerprint",
     "config_hash",
     "effective_jobs",
-    "make_executor",
     "merge_results",
     "merge_snapshots",
     "resolve_runner",

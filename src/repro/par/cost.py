@@ -1,13 +1,14 @@
-"""Persisted per-experiment cell-cost estimates for backend selection.
+"""Persisted per-experiment cell-cost estimates for choosing inline/spawn.
 
 The parallel-slower-than-serial regression (BENCH_par.json) happens when
 the runner pays worker interpreter boots for a workload too cheap to
 amortise them.  Fixing that needs a *measured* notion of what one cell
 costs — so every run feeds each finished cell's ``wall_s`` into an
-exponentially weighted mean per experiment name, and ``auto`` backend
-selection compares the projected parallel saving against the spawn-boot
-bill before committing to a pool (the same measured-cost-driven
-scheduling posture as WattsApp's power predictor).
+exponentially weighted mean per experiment name, and
+:func:`~repro.par.executors.choose_backend` compares the projected
+parallel saving against the spawn-boot bill before committing to a pool
+(the same measured-cost-driven scheduling posture as WattsApp's power
+predictor).
 
 Estimates persist beside the result cache (``<cache>/cost_model.json``)
 so the *first* cell of a resumed soak already knows what cells cost;
@@ -18,7 +19,8 @@ advisory: losing it only means one conservative first decision.
 
 import json
 import os
-import tempfile
+
+from repro.par.cache import write_atomic
 
 #: the file written next to the cache's experiment directories
 COST_FILE = "cost_model.json"
@@ -87,27 +89,9 @@ class CostModel:
         """Atomically persist (no-op for in-memory or unchanged models)."""
         if self.path is None or not self._dirty:
             return
-        doc = {"experiments": {
-            name: {"mean_s": self._mean_s[name], "count": self._count[name]}
-            for name in sorted(self._mean_s)
-        }}
-        parent = os.path.dirname(self.path) or "."
-        os.makedirs(parent, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(doc, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        doc = {"experiments": self.snapshot()}
+        write_atomic(self.path,
+                     json.dumps(doc, indent=2, sort_keys=True) + "\n")
         self._dirty = False
 
     def snapshot(self):

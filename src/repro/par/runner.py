@@ -1,18 +1,17 @@
-"""The parallel experiment runner over pluggable executor backends.
+"""The parallel experiment runner: inline, or a spawn pool.
 
 ``ParallelRunner.run(items)`` fans a work-list of independent simulation
-cells across an :mod:`executor backend <repro.par.executors>` and returns
-their payloads *in work-list order* — the merge sorts by shard key, never
-completion order, so with deterministic cells the output is byte-identical
-to a serial run whatever the backend.
+cells across one of the two :mod:`execution paths <repro.par.executors>`
+and returns their payloads *in work-list order* — the merge sorts by
+shard key, never completion order, so with deterministic cells the
+output is byte-identical to a serial run whichever path ran.
 
-The default backend is ``auto``: inline (no pool, zero overhead) unless
-the host has spare cores *and* the persisted cost model projects that the
-parallel saving clears the spawn-boot bill — the measured-cost answer to
-BENCH_par.json's parallel-slower-than-serial regression.  Scheduling is
-work-stealing everywhere (workers pull cells one at a time from a shared
-queue), so a skewed cell no longer strands the fast workers the old
-round-robin shard plan pinned behind it.
+The path is chosen per run by measurement, not by the caller: inline (no
+pool, zero overhead) unless the host has spare cores *and* the persisted
+cost model projects that the parallel saving clears the spawn-boot bill.
+That is the measured-cost fix for the parallel-slower-than-serial
+regression BENCH_par.json recorded.  The pool hands each idle worker the
+next unstarted cell, so a skewed cell never strands the workers behind it.
 
 A :class:`~repro.par.cache.ResultCache` short-circuits completed cells
 before anything is dispatched, and fresh results are *streamed* back:
@@ -28,7 +27,7 @@ from time import perf_counter
 
 from repro.par.cache import MISS
 from repro.par.cost import shared_model
-from repro.par.executors import BACKENDS, choose_backend, make_executor
+from repro.par.executors import choose_backend, run_inline, run_spawn
 from repro.par.metrics import merge_snapshots
 from repro.par.shard import merge_results
 from repro.par.worker import CellError
@@ -67,7 +66,7 @@ class RunStats:
     executed: int = 0
     failed: int = 0
     jobs: int = 1
-    backend: str = "inline"      # the backend that actually ran (post-auto)
+    backend: str = "inline"      # the path that ran: "inline" or "spawn"
     wall_s: float = 0.0
     cell_wall_s: float = 0.0     # summed per-cell time (the serial cost)
     cache: dict = field(default_factory=dict)
@@ -85,19 +84,14 @@ class RunStats:
 
 
 class ParallelRunner:
-    """Fan a work-list across an executor backend; merge deterministically."""
+    """Fan a work-list inline or over a spawn pool; merge by index."""
 
-    def __init__(self, jobs=1, cache=None, obs_metrics=False,
-                 backend="auto"):
+    def __init__(self, jobs=1, cache=None, obs_metrics=False):
         if jobs < 1:
             raise ValueError("jobs must be >= 1, got {}".format(jobs))
-        if backend != "auto" and backend not in BACKENDS:
-            raise ValueError("unknown backend {!r} (available: {})".format(
-                backend, ", ".join(sorted(BACKENDS) + ["auto"])))
         self.jobs = jobs
         self.cache = cache
         self.obs_metrics = obs_metrics
-        self.backend = backend
         self.stats = RunStats(jobs=jobs)
         #: merged per-worker ``repro.obs`` metrics (subprocess runs only;
         #: in-process cells register with the parent's runtime directly)
@@ -128,22 +122,18 @@ class ParallelRunner:
         self.stats.executed = len(todo)
 
         cost = shared_model(self.cache)
-        backend = self.backend
-        if backend == "auto":
-            estimate = (cost.estimate(todo[0].experiment)
-                        if todo else None)
-            backend = choose_backend(len(todo), self.jobs,
-                                     est_cell_s=estimate)
+        estimate = cost.estimate(todo[0].experiment) if todo else None
+        backend = choose_backend(len(todo), self.jobs, est_cell_s=estimate)
         self.stats.backend = backend
 
         failures = []
         by_index = {item.index: item for item in todo}
         metric_snaps = {}
         if todo:
-            executor = make_executor(backend,
-                                     jobs=min(self.jobs, len(todo)),
-                                     obs_metrics=self.obs_metrics)
-            for event in executor.run([item.spec() for item in todo]):
+            specs = [item.spec() for item in todo]
+            events = (run_spawn(specs, self.jobs, self.obs_metrics)
+                      if backend == "spawn" else run_inline(specs))
+            for event in events:
                 if not event["ok"]:
                     failures.append((event["index"], event["error"]))
                     continue

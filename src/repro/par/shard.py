@@ -1,13 +1,12 @@
 """Work items and the deterministic merge.
 
 A parallel run is a flat list of :class:`WorkItem` cells — one independent
-(experiment, seed, config) simulation each.  Scheduling is the executor
-backends' business (workers *pull* cells from a shared queue — see
-:mod:`repro.par.executors` — which replaced the old round-robin shard
-plan); the *merge* is where determinism lives: results are reassembled by
-each item's ``index`` (its position in the original work-list, the shard
-key), never by completion order, so a parallel run is byte-identical to
-the serial one no matter how any backend interleaves.
+(experiment, seed, config) simulation each.  Scheduling is the business
+of :mod:`repro.par.executors` (a spawn pool hands an idle worker the next
+unstarted cell); the *merge* is where determinism lives: results are
+reassembled by each item's ``index`` (its position in the original
+work-list, the shard key), never by completion order, so a parallel run
+is byte-identical to the serial one however the pool interleaves.
 """
 
 import json
@@ -19,15 +18,15 @@ class WorkItem:
     """One independent simulation cell.
 
     ``runner`` names a module-level function as ``"package.module:func"``;
-    pool and socket workers import it by name, so nothing but primitives
-    ever crosses the process boundary.  The function is called as
+    pool workers import it by name, so nothing but primitives ever
+    crosses the process boundary.  The function is called as
     ``func(seed, config)`` and must return a JSON-serialisable payload
     (that is also what the result cache stores).
 
     ``config`` must be *strict* JSON — NaN/Infinity values serialise as
-    repr-dependent non-RFC tokens that would silently fork cache keys and
-    confuse remote workers, so they are rejected here, at construction,
-    with the cell identity in the error.
+    repr-dependent non-RFC tokens that would silently fork cache keys, so
+    they are rejected here, at construction, with the cell identity in
+    the error.
     """
 
     experiment: str          # campaign name ("faults", "sweep", ...)
@@ -70,7 +69,7 @@ def merge_results(indexed_payloads, n_items):
     """Order payloads by shard key; completion order never leaks through.
 
     ``indexed_payloads`` is an iterable of ``(index, payload)`` in *any*
-    order (whatever steal order the backend's workers produced).  Raises
+    order (whatever completion order the pool's workers produced).  Raises
     if a cell is missing or duplicated — a partial merge silently
     reordering would defeat the bit-identity guarantee.
     """

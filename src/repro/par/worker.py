@@ -1,16 +1,16 @@
 """The spawn-safe worker side of the parallel runner.
 
 Workers are started with the ``spawn`` method — a fresh interpreter, no
-inherited simulator state — so the protocol is deliberately narrow: a shard
-crosses the boundary as a list of primitive cell specs, the worker imports
-each cell's runner by dotted name, boots its own :class:`Simulator` inside
-that runner, and ships back JSON-able payloads.  Nothing live (simulators,
+inherited simulator state — so the protocol is deliberately narrow: one
+primitive cell spec crosses the boundary at a time, the worker imports the
+cell's runner by dotted name, boots its own :class:`Simulator` inside that
+runner, and ships back a JSON-able payload.  Nothing live (simulators,
 kernels, RNG registries) is ever pickled.
 
 When the parent asks for metrics, the worker arms the process-global
 observability runtime (``repro.obs.runtime``) exactly the way the CLI's
-``--metrics`` flag does, then drains its sessions after every shard and
-returns the merged snapshot alongside the results — that is how per-worker
+``--metrics`` flag does, then drains its sessions after every cell and
+returns the merged snapshot alongside the result — that is how per-worker
 ``repro.obs`` metrics reach the parent's aggregate.
 """
 
@@ -26,12 +26,11 @@ class CellError(RuntimeError):
     """A cell's runner raised; carries the cell identity for triage."""
 
 
-#: True only in a pool child whose :func:`worker_init` armed metrics.  The
-#: parent's serial path (jobs=1 / single shard) calls :func:`run_shard`
-#: in-process, where draining would destroy sessions the CLI's ``--trace``/
-#: ``--metrics`` export still needs — so the drain keys off this flag, never
-#: off ``obs_runtime.is_active()`` (which is also true in an observing
-#: parent).
+#: True only in a pool child whose :func:`worker_init` armed metrics.  An
+#: in-process caller of :func:`run_shard` must not drain: that would
+#: destroy sessions the CLI's ``--trace``/``--metrics`` export still needs
+#: — so the drain keys off this flag, never off ``obs_runtime.is_active()``
+#: (which is also true in an observing parent).
 _drain_metrics = False
 
 
@@ -67,23 +66,22 @@ def run_cell(spec):
     }
 
 
-def run_shard(cell_specs):
-    """Run a whole shard in order; the pool's unit of dispatch.
+def run_shard(spec):
+    """Run one cell spec; the pool's unit of dispatch.
 
-    Returns ``{"cells": [...], "metrics": merged-snapshot-or-None}``.  The
+    Returns ``{"cell": {...}, "metrics": merged-snapshot-or-None}``.  The
     metrics half is only populated in a pool child whose
     :func:`worker_init` armed metrics; the sessions are drained so the next
-    shard this worker picks up starts from zero.  In-process callers (the
-    runner's serial path) always get ``metrics=None`` and their runtime is
-    left untouched.
+    cell this worker picks up starts from zero.  In-process callers always
+    get ``metrics=None`` and their runtime is left untouched.
     """
-    cells = [run_cell(spec) for spec in cell_specs]
+    cell = run_cell(spec)
     metrics = None
     if _drain_metrics:
         drained = obs_runtime.drain_sessions()
         if drained:
             metrics = metrics_snapshot(drained)["merged"]
-    return {"cells": cells, "metrics": metrics}
+    return {"cell": cell, "metrics": metrics}
 
 
 def worker_init(sys_path_entries, obs_metrics):

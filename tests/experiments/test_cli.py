@@ -61,6 +61,45 @@ def test_sweep_unknown_only_cell_is_clean_cli_error(capsys):
         main(["sweep", "--only", "bogus"])
 
 
+def _forced_campaign(monkeypatch, miss):
+    """Replace each scenario run with an instant outcome that matches its
+    expectation, except the scenario named ``miss``.  Callers pass
+    ``--cache`` so these fake cell costs land in a throwaway cost model,
+    not the process-wide one later runs choose their path from."""
+    from repro.experiments import faults_exp
+
+    def run_scenario(scn, seed=0, **_kwargs):
+        matches = scn.name != miss
+        return faults_exp.ScenarioOutcome(
+            name=scn.name, workload=scn.workload, expect=scn.expect,
+            injections=1, violations=0, checks=1,
+            outcome=scn.expect if matches else "forced-miss",
+            matches=matches)
+
+    monkeypatch.setattr(faults_exp, "run_scenario", run_scenario)
+
+
+def test_faults_exits_1_when_a_scenario_mismatches(monkeypatch, capsys,
+                                                  tmp_path):
+    """The nightly soak's failure signal is the exit status."""
+    _forced_campaign(monkeypatch, miss="ipi-drop")
+    cache = ["--cache", str(tmp_path)]
+    assert main(["faults"] + cache) == 1
+    out = capsys.readouterr().out
+    assert "ipi-drop" in out and "MISMATCH" in out
+    assert "campaign FAILED: 13/14" in out
+
+    assert main(["faults", "--seeds", "2"] + cache) == 1
+    assert capsys.readouterr().out.count("MISMATCH ipi-drop") == 2
+
+
+def test_faults_exits_0_when_every_scenario_matches(monkeypatch, capsys,
+                                                    tmp_path):
+    _forced_campaign(monkeypatch, miss=None)
+    assert main(["faults", "--cache", str(tmp_path)]) == 0
+    assert "campaign ok: 14/14" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("name", sorted(DRIVER_MODULES))
 def test_driver_module_imports(name):
     """Every registered subcommand's driver imports cleanly."""

@@ -1,11 +1,13 @@
-"""The backend differential matrix: every backend, byte for byte.
+"""The execution-path differential matrix: both paths, byte for byte.
 
-{inline, thread, spawn, socket} × {faults, sweep, cluster-calibration}:
-each backend's merged payloads must hash (sha256 over canonical JSON)
-identically to the serial baseline's — the correctness gate the executor
-refactor must clear before any wall-clock claim counts.  Serial baselines
-are computed once per workload (module-scoped fixtures); workloads are
-small on purpose, the scale lives in benchmarks and CI smokes.
+{inline, spawn} × {faults, sweep, cluster-calibration}: each path's
+merged payloads must hash (sha256 over canonical JSON) identically to the
+serial baseline's — the correctness gate any runner change must clear
+before a wall-clock claim counts.  The path is forced by patching the
+runner's ``choose_backend`` (the ``force_backend`` fixture).  Serial
+baselines are computed once per workload (module-scoped fixtures);
+workloads are small on purpose, the scale lives in benchmarks and CI
+smokes.
 """
 
 import hashlib
@@ -17,9 +19,8 @@ from repro.cluster import USERS_PER_INSTANCE, ClusterTopology, WorkloadSpec
 from repro.cluster.calibrate import calibration_items
 from repro.experiments.sweep import sweep_items
 from repro.par import ParallelRunner, work_list
-from repro.par.executors import BACKENDS
 
-MATRIX_BACKENDS = sorted(BACKENDS)
+MATRIX_BACKENDS = ["inline", "spawn"]
 
 
 def payload_sha(payloads):
@@ -64,27 +65,28 @@ WORKLOADS = {
 
 @pytest.fixture(scope="module")
 def serial_sha():
-    """Serial-baseline hash per workload, computed once."""
+    """Serial-baseline hash per workload (jobs=1 is always inline)."""
     return {
-        name: payload_sha(
-            ParallelRunner(jobs=1, backend="inline").run(build()))
+        name: payload_sha(ParallelRunner(jobs=1).run(build()))
         for name, build in WORKLOADS.items()
     }
 
 
 @pytest.mark.parametrize("backend", MATRIX_BACKENDS)
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_backend_matrix_bit_identity(backend, workload, serial_sha):
-    runner = ParallelRunner(jobs=2, backend=backend)
+def test_backend_matrix_bit_identity(backend, workload, serial_sha,
+                                     force_backend):
+    force_backend(backend)
+    runner = ParallelRunner(jobs=2)
     payloads = runner.run(WORKLOADS[workload]())
     assert payload_sha(payloads) == serial_sha[workload], (
-        "{} backend diverged from serial on {}".format(backend, workload))
+        "{} path diverged from serial on {}".format(backend, workload))
     assert runner.stats.backend == backend
 
 
 def test_auto_backend_bit_identity(serial_sha):
-    """Whatever auto resolves to on this host, the bytes must match."""
-    runner = ParallelRunner(jobs=2, backend="auto")
+    """Whatever the runner chooses on this host, the bytes must match."""
+    runner = ParallelRunner(jobs=2)
     payloads = runner.run(WORKLOADS["faults"]())
     assert payload_sha(payloads) == serial_sha["faults"]
     assert runner.stats.backend in MATRIX_BACKENDS

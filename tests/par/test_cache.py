@@ -30,8 +30,7 @@ def test_put_get_roundtrip(tmp_path):
     payload = {"value": 42, "nested": [1, 2, {"x": "y"}]}
     cache.put(_item(), payload)
     assert cache.get(_item()) == payload
-    assert cache.stats() == {"hits": 1, "remote_hits": 0, "misses": 0,
-                             "writes": 1}
+    assert cache.stats() == {"hits": 1, "misses": 0, "writes": 1}
 
 
 def test_get_miss_counts(tmp_path):
@@ -45,8 +44,7 @@ def test_cached_none_payload_is_a_hit(tmp_path):
     cache = ResultCache(str(tmp_path))
     cache.put(_item(), None)
     assert cache.get(_item()) is None
-    assert cache.stats() == {"hits": 1, "remote_hits": 0, "misses": 0,
-                             "writes": 1}
+    assert cache.stats() == {"hits": 1, "misses": 0, "writes": 1}
 
 
 def test_entry_without_payload_key_is_a_miss(tmp_path):
@@ -121,50 +119,3 @@ def test_entries_respect_the_umask(tmp_path):
         assert mode == 0o644, oct(mode)
     finally:
         os.umask(old_umask)
-
-
-def test_remote_tier_read_through_and_write_back(tmp_path):
-    """A local miss consults the remote directory; the hit is written
-    back locally (atomically) so the next get is a plain local hit."""
-    remote_root = tmp_path / "shared"
-    warm = ResultCache(str(remote_root))
-    warm.put(_item(), {"v": "remote"})
-
-    cache = ResultCache(str(tmp_path / "local"), remote=str(remote_root))
-    assert cache.get(_item()) == {"v": "remote"}
-    assert cache.stats()["remote_hits"] == 1
-    assert cache.stats()["hits"] == 0
-    # written back: the entry now exists locally, identity preserved
-    with open(cache.path_for(_item())) as handle:
-        entry = json.load(handle)
-    assert entry["payload"] == {"v": "remote"}
-
-    again = ResultCache(str(tmp_path / "local"), remote=str(remote_root))
-    assert again.get(_item()) == {"v": "remote"}
-    assert again.stats() == {"hits": 1, "remote_hits": 0, "misses": 0,
-                             "writes": 0}
-
-
-def test_remote_tier_file_url(tmp_path):
-    remote_root = tmp_path / "shared"
-    warm = ResultCache(str(remote_root))
-    warm.put(_item(), {"v": 7})
-    cache = ResultCache(str(tmp_path / "local"),
-                        remote="file://" + str(remote_root))
-    assert cache.get(_item()) == {"v": 7}
-    assert cache.stats()["remote_hits"] == 1
-
-
-def test_remote_misses_and_failures_read_as_miss(tmp_path):
-    absent = ResultCache(str(tmp_path / "local"),
-                         remote=str(tmp_path / "nowhere"))
-    assert absent.get(_item()) is MISS
-    assert absent.stats()["misses"] == 1
-
-    torn_root = tmp_path / "torn"
-    warm = ResultCache(str(torn_root))
-    warm.put(_item(), {"v": 1})
-    with open(warm.path_for(_item()), "w") as handle:
-        handle.write("{not json")
-    torn = ResultCache(str(tmp_path / "local2"), remote=str(torn_root))
-    assert torn.get(_item()) is MISS

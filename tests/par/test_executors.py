@@ -1,6 +1,6 @@
-"""Unit tests for the executor backends, the cost model, and auto selection.
+"""Unit tests for the two execution paths, the cost model, and auto selection.
 
-The full-simulation byte-identity proof across every backend lives in
+The full-simulation byte-identity proof across both paths lives in
 ``tests/par/test_backend_matrix.py``; these tests pin the mechanics with
 the tiny spawn-safe cells from :mod:`repro.par.testing`.
 """
@@ -15,14 +15,12 @@ from repro.par import (
     ParallelRunner,
     ResultCache,
     choose_backend,
-    make_executor,
     work_list,
 )
 from repro.par.cost import COST_FILE
-from repro.par.executors import BACKENDS, SPAWN_BOOT_S
-from repro.par.executors.socket import parse_addr
+from repro.par.executors import SPAWN_BOOT_S, run_inline, run_spawn
 
-ALL_BACKENDS = sorted(BACKENDS)
+BACKENDS = ["inline", "spawn"]
 
 
 def _square_items(n, offset=7):
@@ -30,31 +28,30 @@ def _square_items(n, offset=7):
                      [(seed, {"offset": offset}) for seed in range(n)])
 
 
-# ---------------------------------------------------------------- backends
-
-def test_backend_registry_is_complete():
-    assert ALL_BACKENDS == ["inline", "socket", "spawn", "thread"]
-    with pytest.raises(ValueError, match="unknown backend"):
-        make_executor("fork")
-    with pytest.raises(ValueError, match="unknown backend"):
-        ParallelRunner(jobs=1, backend="fork")
+def _events(backend, specs):
+    """Drive one execution path's generator directly."""
+    if backend == "spawn":
+        return list(run_spawn(specs, jobs=2))
+    return list(run_inline(specs))
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
-def test_every_backend_equals_serial(backend):
+# ------------------------------------------------------------ the two paths
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_every_backend_equals_serial(backend, force_backend):
     items = _square_items(6)
-    serial = ParallelRunner(jobs=1, backend="inline").run(items)
-    runner = ParallelRunner(jobs=2, backend=backend)
+    serial = ParallelRunner(jobs=1).run(items)
+    force_backend(backend)
+    runner = ParallelRunner(jobs=2)
     assert runner.run(items) == serial
     assert runner.stats.backend == backend
     assert runner.stats.executed == 6
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_every_backend_streams_events(backend):
-    executor = make_executor(backend, jobs=2)
     specs = [item.spec() for item in _square_items(4)]
-    events = list(executor.run(specs))
+    events = _events(backend, specs)
     assert len(events) == 4
     assert all(event["ok"] for event in events)
     assert sorted(e["cell"]["index"] for e in events) == [0, 1, 2, 3]
@@ -63,12 +60,11 @@ def test_every_backend_streams_events(backend):
     assert values == {i: i * i + 7 for i in range(4)}
 
 
-@pytest.mark.parametrize("backend", ALL_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_every_backend_reports_failures_as_events(backend):
     items = work_list("demo", "repro.par.testing:mixed_cell",
                       [(seed, {"boom_seeds": [1]}) for seed in range(3)])
-    executor = make_executor(backend, jobs=2)
-    events = list(executor.run([item.spec() for item in items]))
+    events = _events(backend, [item.spec() for item in items])
     failed = [e for e in events if not e["ok"]]
     assert len(failed) == 1
     assert failed[0]["index"] == 1
@@ -77,28 +73,8 @@ def test_every_backend_reports_failures_as_events(backend):
 
 
 def test_executors_run_nothing_on_empty_lists():
-    for backend in ALL_BACKENDS:
-        assert list(make_executor(backend, jobs=2).run([])) == []
-
-
-def test_socket_parse_addr():
-    assert parse_addr("127.0.0.1:80") == ("127.0.0.1", 80)
-    assert parse_addr("[::1]:80") == ("[::1]", 80)
-    with pytest.raises(ValueError):
-        parse_addr("no-port")
-
-
-def test_socket_backend_runs_cells_across_worker_processes():
-    """Local subprocess workers over the line-JSON protocol; payloads
-    identical to serial, metrics snapshots cross the wire."""
-    items = work_list("demo", "repro.par.testing:sim_cell",
-                      [(seed, {"horizon_ns": 50_000}) for seed in range(3)])
-    serial = ParallelRunner(jobs=1, backend="inline").run(items)
-    runner = ParallelRunner(jobs=2, backend="socket", obs_metrics=True)
-    assert runner.run(items) == serial
-    snap = runner.obs_snapshot
-    assert snap is not None
-    assert snap["counters"]["par.testing.pings"] == 3 * 51
+    for backend in BACKENDS:
+        assert _events(backend, []) == []
 
 
 # -------------------------------------------------------------- cost model
@@ -125,6 +101,22 @@ def test_cost_model_round_trips_through_its_file(tmp_path):
     with open(path, "w") as handle:
         handle.write("{torn")
     assert CostModel(path).estimate("sweep") is None
+
+
+def test_cost_file_respects_the_umask(tmp_path):
+    """cost_model.json goes through the cache's atomic writer, so it is
+    readable to every user of a shared cache directory, like the
+    entries beside it."""
+    old_umask = os.umask(0o022)
+    try:
+        model = CostModel(str(tmp_path / COST_FILE))
+        model.observe("faults", 1.0)
+        model.save()
+        mode = os.stat(model.path).st_mode & 0o777
+        assert mode == 0o644, oct(mode)
+        assert os.listdir(str(tmp_path)) == [COST_FILE]   # no temp left
+    finally:
+        os.umask(old_umask)
 
 
 def test_runner_persists_costs_beside_the_cache(tmp_path):
@@ -163,20 +155,20 @@ def test_auto_is_spawn_only_when_the_saving_clears_the_boot_bill():
 
 
 def test_auto_never_picks_thread():
+    """The only answers are the two paths that exist."""
     for n, jobs, cores, est in ((100, 8, 8, 0.001), (2, 2, 2, 100.0)):
         assert choose_backend(n, jobs, cores, est) in ("inline", "spawn")
 
 
 def test_runner_auto_resolves_per_run(tmp_path):
-    """auto picks inline on this host when the cost model says cells are
-    cheap; the stats record the *resolved* backend."""
+    """The runner picks inline when the cost model says cells are cheap;
+    the stats record the path that ran."""
     cache = ResultCache(str(tmp_path))
-    runner = ParallelRunner(jobs=2, cache=cache, backend="auto")
+    runner = ParallelRunner(jobs=2, cache=cache)
     runner.run(_square_items(4))
     assert runner.stats.backend in ("inline", "spawn")
     # second run has a measured (tiny) cost estimate: inline wherever the
     # first run landed
-    second = ParallelRunner(jobs=2, cache=ResultCache(str(tmp_path)),
-                            backend="auto")
+    second = ParallelRunner(jobs=2, cache=ResultCache(str(tmp_path)))
     second.run(_square_items(8, offset=9))
     assert second.stats.backend == "inline"

@@ -68,18 +68,18 @@ def test_parallel_equals_serial():
     assert parallel == serial
 
 
-def test_merge_ignores_completion_order():
+def test_merge_ignores_completion_order(force_spawn):
     """Cells sleep in *reverse* index order, so completion order inverts the
-    work-list; the merge must still return index order.  The thread
-    backend genuinely completes out of order (sleep releases the GIL)."""
+    work-list; the merge must still return index order.  Pool workers
+    genuinely complete out of order."""
     items = work_list(
         "demo", "repro.par.testing:sleep_cell",
         [(seed, {"s": 0.15 - 0.04 * seed}) for seed in range(4)],
     )
-    runner = ParallelRunner(jobs=4, backend="thread")
+    runner = ParallelRunner(jobs=4)
     payloads = runner.run(items)
     assert [p["seed"] for p in payloads] == [0, 1, 2, 3]
-    assert runner.stats.backend == "thread"
+    assert runner.stats.backend == "spawn"
 
 
 def test_cache_skips_completed_cells(tmp_path):
@@ -121,11 +121,11 @@ def test_cell_error_carries_identity_serial():
         ParallelRunner(jobs=1).run(items)
 
 
-def test_cell_error_propagates_from_pool():
+def test_cell_error_propagates_from_pool(force_spawn):
     items = work_list("demo", "repro.par.testing:boom_cell",
                       [(seed, {}) for seed in range(2)])
     with pytest.raises(CellError, match="boom"):
-        ParallelRunner(jobs=2, backend="spawn").run(items)
+        ParallelRunner(jobs=2).run(items)
 
 
 def test_failed_cells_no_longer_discard_completed_ones(tmp_path):
@@ -161,10 +161,10 @@ def test_invalid_runner_spec():
         ParallelRunner(jobs=1).run(items)
 
 
-def test_worker_obs_metrics_aggregate():
+def test_worker_obs_metrics_aggregate(force_spawn):
     items = work_list("demo", "repro.par.testing:sim_cell",
                       [(seed, {"horizon_ns": 50_000}) for seed in range(4)])
-    runner = ParallelRunner(jobs=2, obs_metrics=True, backend="spawn")
+    runner = ParallelRunner(jobs=2, obs_metrics=True)
     payloads = runner.run(items)
     assert [p["fired"] for p in payloads] == [51] * 4
     snap = runner.obs_snapshot
@@ -186,7 +186,7 @@ def test_serial_path_leaves_parent_obs_runtime_alone():
 
 def test_serial_path_preserves_observing_parent_sessions():
     """Regression: with the parent's runtime armed (--trace/--metrics), an
-    in-process run_shard must NOT drain the accumulated sessions — the
+    in-process run must NOT drain the accumulated sessions — the
     CLI's export step still needs them, including ones from experiments
     that ran earlier in the same invocation."""
     from repro.obs import runtime as obs_runtime

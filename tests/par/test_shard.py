@@ -1,4 +1,4 @@
-"""Unit tests for work items, the steal queue, and the merge."""
+"""Unit tests for work items and the merge."""
 
 import math
 
@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.par import WorkItem, merge_results, work_list
-from repro.par.executors import CellQueue
 
 
 def _items(n):
@@ -47,22 +46,6 @@ def test_work_item_rejects_non_json_configs():
         WorkItem("t", "m:f", seed=0, config={"obj": object()})
 
 
-def test_cell_queue_steals_fifo_and_drains():
-    queue = CellQueue([{"index": i} for i in range(4)])
-    assert len(queue) == 4
-    assert [queue.steal()["index"] for _ in range(4)] == [0, 1, 2, 3]
-    assert queue.steal() is None
-    assert len(queue) == 0
-
-
-def test_cell_queue_push_back_goes_to_the_front():
-    """A dead worker's in-flight cell is retried before new work."""
-    queue = CellQueue([{"index": 0}, {"index": 1}])
-    first = queue.steal()
-    queue.push_back(first)
-    assert queue.steal()["index"] == 0
-
-
 def test_merge_orders_by_index_not_arrival():
     merged = merge_results([(2, "c"), (0, "a"), (1, "b")], 3)
     assert merged == ["a", "b", "c"]
@@ -79,26 +62,9 @@ def test_merge_rejects_missing_duplicate_and_stray():
 
 @given(st.lists(st.integers(), min_size=0, max_size=64), st.randoms())
 def test_property_steal_order_never_leaks_through_merge(payloads, rng):
-    """The work-stealing scheduler completes cells in an arbitrary order
-    (worker speed, host count, queue contention); whatever permutation
-    arrives, the merge must return exactly the work-list order."""
+    """The spawn pool completes cells in an arbitrary order (worker
+    speed, boot skew, host load); whatever permutation arrives, the
+    merge must return exactly the work-list order."""
     indexed = list(enumerate(payloads))
     rng.shuffle(indexed)
     assert merge_results(indexed, len(payloads)) == payloads
-
-
-@given(st.integers(min_value=0, max_value=128), st.randoms())
-def test_property_interleaved_steals_partition_exactly(n, rng):
-    """However many workers steal, every cell is handed out exactly once
-    — push-backs included."""
-    queue = CellQueue([{"index": i} for i in range(n)])
-    taken = []
-    while True:
-        spec = queue.steal()
-        if spec is None:
-            break
-        if rng.random() < 0.2:      # a worker "dies" and requeues
-            queue.push_back(spec)
-            continue
-        taken.append(spec["index"])
-    assert sorted(taken) == list(range(n))
