@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 from repro.sim.clock import from_msec
 from repro.check.report import CheckReport, CheckViolation, Violation
+from repro.kernel.balloon import DRAINING, SERVE
+from repro.kernel.net_sched import PacketScheduler
 from repro.obs import flight
-
-SERVE = "serve"
 
 
 @dataclass
@@ -70,7 +70,7 @@ class InvariantChecker:
         self._event_check_pending = False
         self._entity_vr = {}         # (app_id, core_id) -> last vruntime
         self._member_vr = {}         # task id -> last member_vruntime
-        self._drain_since = {}       # scheduler name -> drain phase start t
+        self._drain_since = {}       # device name -> drain phase start t
         self._flagged_cosched = set()
         self._energy_checked_to = 0
         self._powercap = None        # (controller, tolerance, settle)
@@ -86,14 +86,9 @@ class InvariantChecker:
         kernel = self.kernel
         if kernel.smp is not None:
             self._subscribe(kernel.smp.log, self._on_smp_record)
-        for sched, bound in (
-            (kernel.gpu_sched, self.config.accel_drain_bound),
-            (kernel.dsp_sched, self.config.accel_drain_bound),
-            (kernel.net_sched, self.config.net_drain_bound),
-            (kernel.lte_sched, self.config.net_drain_bound),
-        ):
-            if sched is not None:
-                self._subscribe(sched.log, self._device_handler(sched, bound))
+        for name, sched in kernel.balloon_scheds.items():
+            handler = self._device_handler(name, self._drain_bound(sched))
+            self._subscribe(sched.log, handler)
         for governor in (kernel.cpu_governor, kernel.gpu_governor):
             if governor is not None:
                 self._subscribe(governor.log, self._governor_handler(governor))
@@ -153,14 +148,12 @@ class InvariantChecker:
         elif kind in ("cosched_begin", "cosched_end"):
             self._schedule_event_check()
 
-    @staticmethod
-    def _sched_name(sched):
-        name = getattr(sched, "name", None)   # accel scheds carry a name
-        return name if name is not None else sched.nic.name
+    def _drain_bound(self, sched):
+        if isinstance(sched, PacketScheduler):
+            return self.config.net_drain_bound
+        return self.config.accel_drain_bound
 
-    def _device_handler(self, sched, bound):
-        name = self._sched_name(sched)
-
+    def _device_handler(self, name, bound):
         def handler(t, kind, payload):
             if kind in ("drain_others", "drain_psbox"):
                 self._drain_since[name] = t
@@ -263,34 +256,21 @@ class InvariantChecker:
                                 cosched.group.app.id,
                             ),
                         )
-        for sched in (kernel.gpu_sched, kernel.dsp_sched):
-            if sched is None or sched.state != SERVE:
+        for name, sched in kernel.balloon_scheds.items():
+            if sched.state != SERVE:
                 continue
             self.report.checks += 1
             foreign = [
-                app_id for app_id in sched.engine.inflight_apps()
+                app_id for app_id in sched.device.inflight_apps()
                 if app_id != sched.psbox_app.id
             ]
             if foreign:
+                doing = ("transmitting" if isinstance(sched, PacketScheduler)
+                         else "in flight")
                 self._flag(
-                    "balloon_exclusivity", sched.name, "serve",
-                    "apps {} in flight inside app {}'s window".format(
-                        sorted(set(foreign)), sched.psbox_app.id
-                    ),
-                )
-        for sched in (kernel.net_sched, kernel.lte_sched):
-            if sched is None or sched.state != SERVE:
-                continue
-            self.report.checks += 1
-            foreign = [
-                app_id for app_id in sched.nic.inflight_apps()
-                if app_id != sched.psbox_app.id
-            ]
-            if foreign:
-                self._flag(
-                    "balloon_exclusivity", sched.nic.name, "serve",
-                    "apps {} transmitting inside app {}'s window".format(
-                        sorted(set(foreign)), sched.psbox_app.id
+                    "balloon_exclusivity", name, "serve",
+                    "apps {} {} inside app {}'s window".format(
+                        sorted(set(foreign)), doing, sched.psbox_app.id
                     ),
                 )
 
@@ -353,21 +333,18 @@ class InvariantChecker:
             )
 
     def _check_stuck_drains(self):
-        kernel = self.kernel
         now = self.sim.now
-        for sched, bound in (
-            (kernel.gpu_sched, self.config.accel_drain_bound),
-            (kernel.dsp_sched, self.config.accel_drain_bound),
-            (kernel.net_sched, self.config.net_drain_bound),
-            (kernel.lte_sched, self.config.net_drain_bound),
-        ):
-            if sched is None:
-                continue
-            name = self._sched_name(sched)
+        for name, sched in self.kernel.balloon_scheds.items():
             since = self._drain_since.get(name)
             if since is None:
                 continue
+            if sched.state not in DRAINING:
+                # A leave mid-drain returns the scheduler to normal without
+                # a record: the timer is stale, not a stuck drain.
+                del self._drain_since[name]
+                continue
             self.report.checks += 1
+            bound = self._drain_bound(sched)
             if now - since > bound:
                 self._drain_since[name] = None   # flag each episode once
                 self._flag(

@@ -5,8 +5,8 @@ meter*: timestamped power of the app running in its vertical slice of the
 stack, insulated from concurrent apps.  The kernel-side pieces live in
 :class:`PsboxManager` (balloon window bookkeeping and power-state context
 switching); the enforcement mechanisms live inside the kernel schedulers
-(``repro.kernel.smp`` for spatial balloons, ``repro.kernel.accel_sched`` and
-``repro.kernel.net_sched`` for temporal balloons).
+(``repro.kernel.smp`` for spatial balloons, ``repro.kernel.balloon`` for
+the temporal balloons of every accelerator and NIC).
 
 Typical use (Listing 1 of the paper, pythonically)::
 

@@ -2,9 +2,9 @@
 
 One manager per kernel.  It owns the registry of sandboxes, wires balloon
 window events from the schedulers into each sandbox's virtual power meter,
-and switches power-state contexts at CPU balloon boundaries (accelerator
-and NIC schedulers switch their own contexts, since those boundaries are
-theirs to define).
+and switches power-state contexts at CPU balloon boundaries (the temporal
+balloon schedulers in ``kernel.balloon_scheds`` switch their own contexts,
+since those boundaries are theirs to define).
 """
 
 from repro.hw import platform as hwplat
@@ -32,15 +32,9 @@ class PsboxManager:
         if kernel.smp is not None:
             kernel.smp.balloon_in_hooks.append(self._cpu_balloon_in)
             kernel.smp.balloon_out_hooks.append(self._cpu_balloon_out)
-        for sched, comp in (
-            (kernel.gpu_sched, hwplat.GPU),
-            (kernel.dsp_sched, hwplat.DSP),
-            (kernel.net_sched, hwplat.WIFI),
-            (kernel.lte_sched, hwplat.LTE),
-        ):
-            if sched is not None:
-                sched.balloon_in_hooks.append(self._device_hook(comp, True))
-                sched.balloon_out_hooks.append(self._device_hook(comp, False))
+        for comp, sched in kernel.balloon_scheds.items():
+            sched.balloon_in_hooks.append(self._device_hook(comp, True))
+            sched.balloon_out_hooks.append(self._device_hook(comp, False))
 
     # -- registration / enter / leave ------------------------------------------
 
@@ -74,14 +68,7 @@ class PsboxManager:
                 self.kernel.smp.set_sandboxed(psbox.app, True)
                 continue
             self.occupants[comp] = psbox
-            if comp == hwplat.GPU:
-                self.kernel.gpu_sched.set_psbox(psbox.app)
-            elif comp == hwplat.DSP:
-                self.kernel.dsp_sched.set_psbox(psbox.app)
-            elif comp == hwplat.WIFI:
-                self.kernel.net_sched.set_psbox(psbox.app)
-            elif comp == hwplat.LTE:
-                self.kernel.lte_sched.set_psbox(psbox.app)
+            self.kernel.balloon_scheds[comp].set_psbox(psbox.app)
 
     def leave(self, psbox):
         for comp in psbox.components:
@@ -97,14 +84,7 @@ class PsboxManager:
                 continue
             if self.occupants.get(comp) is not psbox:
                 continue
-            if comp == hwplat.GPU:
-                self.kernel.gpu_sched.set_psbox(None)
-            elif comp == hwplat.DSP:
-                self.kernel.dsp_sched.set_psbox(None)
-            elif comp == hwplat.WIFI:
-                self.kernel.net_sched.set_psbox(None)
-            elif comp == hwplat.LTE:
-                self.kernel.lte_sched.set_psbox(None)
+            self.kernel.balloon_scheds[comp].set_psbox(None)
             del self.occupants[comp]
 
     # -- kernel-side readout -------------------------------------------------------

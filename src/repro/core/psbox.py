@@ -169,9 +169,7 @@ class PowerSandbox:
                 governor.drop_context(self.ctx_key)
         if kernel.net_sched is not None \
                 and kernel.net_sched.state_holder is not None:
-            holder = kernel.net_sched.state_holder
-            if self.ctx_key in holder.saved or holder.active == self.ctx_key:
-                holder.drop_context(self.ctx_key)
+            kernel.net_sched.drop_context(self.ctx_key)
         if self in self.manager.sandboxes:
             self.manager.sandboxes.remove(self)
         if self in self.app.psboxes:

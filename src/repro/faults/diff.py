@@ -28,21 +28,7 @@ def fingerprint(platform, kernel=None):
     if kernel is None:
         return h.hexdigest()
 
-    logs = []
-    if kernel.smp is not None:
-        logs.append(kernel.smp.log)
-    for sched in (kernel.gpu_sched, kernel.dsp_sched):
-        if sched is not None:
-            logs.append(sched.log)
-            logs.append(sched.engine.log)
-    for sched in (kernel.net_sched, kernel.lte_sched):
-        if sched is not None:
-            logs.append(sched.log)
-            logs.append(sched.nic.log)
-    for governor in (kernel.cpu_governor, kernel.gpu_governor):
-        if governor is not None:
-            logs.append(governor.log)
-    for log in logs:
+    for log in kernel.logs():
         for t, kind, payload in log:
             # "seq" labels come from process-global counters, so they carry
             # an arbitrary offset between runs in one process; record order

@@ -28,7 +28,8 @@ site                      kind       effect
 ``smp.ipi``               drop       shootdown IPI is lost in transit
 ``gpu.drain``             hold       drain-phase transition stalls
 ``dsp.drain``             hold       (same, DSP scheduler)
-``net.drain``             hold       (same, packet scheduler)
+``net.drain``             hold       (same, WiFi packet scheduler)
+``lte.drain``             hold       (same, LTE packet scheduler)
 ``governor.opp``          drop       OPP write silently ignored (stuck DVFS)
 ``governor.opp``          hold       OPP write lands late (transition spike)
 ``governor.restore``      corrupt    context-restore write lost at switch

@@ -113,6 +113,11 @@ class CommandEngine:
     def has_room(self):
         return len(self._inflight) < self.parallelism
 
+    @property
+    def is_drained(self):
+        """True when no command is in flight."""
+        return not self._inflight
+
     def inflight_apps(self):
         """App ids of all in-flight commands (with duplicates)."""
         return [entry.command.app_id for entry in self._inflight]

@@ -3,387 +3,83 @@
 The baseline scheduler is CFS-in-spirit, as the paper built for SGX544 and
 C66x: per-app virtual device runtime; the pending command of the app with
 the minimal virtual runtime dispatches first, and multiple apps' commands
-may overlap on the hardware (work conserving).
+may overlap on the hardware (work conserving).  The balloon phases live in
+:mod:`repro.kernel.balloon`; this module adds the accelerator's billing:
 
-The psbox extension follows §4.2's five phases exactly:
-
-1. *Drain others* — stop dispatching; wait for the hardware to finish every
-   outstanding command; bill the accelerator's unutilized slots to the
-   sandboxed app.
-2. *Flush psbox* — switch the device to the psbox's virtualized power state
-   and dispatch the commands the psbox accumulated.
-3. *Serve psbox* — only psbox commands dispatch; everyone else buffers.
-4. *Drain psbox* — once the policy decides others deserve the device, stop
-   and wait for psbox commands to finish.  Phases 2-4 bill the whole device
-   to the sandboxed app.
-5. *Flush others* — restore the world power state and resume normal
-   dispatch in queueing order.
+* outside a window, each command bills its actual device occupancy (the
+  command's device-share integral) at completion;
+* the unutilized slots while others drain are billed to the sandboxed app
+  as its window opens;
+* flush, serve and drain-psbox bill the whole device to the sandboxed app.
 """
 
-from collections import deque
-
 from repro.hw.accel import Command
-from repro.kernel.admission import AdmissionGate
-from repro.sim.trace import EventTrace
-
-NORMAL = "normal"
-DRAIN_OTHERS = "drain_others"
-SERVE = "serve"
-DRAIN_PSBOX = "drain_psbox"
+from repro.kernel.balloon import SERVE, BalloonScheduler
 
 
-class _AppQueue:
-    __slots__ = ("app", "pending", "vruntime")
-
-    def __init__(self, app):
-        self.app = app
-        self.pending = deque()
-        self.vruntime = 0.0
-
-
-class AccelScheduler:
+class AccelScheduler(BalloonScheduler):
     """Driver-level command scheduler for one accelerator."""
 
     def __init__(self, kernel, engine, name, state_holder=None,
                  draining_enabled=True, yield_quantum=8_000_000):
-        self.kernel = kernel
-        self.sim = kernel.sim
-        self.engine = engine
-        self.name = name
-        self.state_holder = state_holder
-        self.draining_enabled = draining_enabled
-        # Hysteresis on the serve->drain decision: without a quantum the
-        # balloon would flap at credit-balance speed and the drain overhead
-        # would never amortize.
-        self.yield_quantum = yield_quantum
-
-        self.queues = {}
-        self.state = NORMAL
-        self.psbox_app = None
-        self.admission = AdmissionGate(self.sim, self._pump)
-        self.log = EventTrace(name + ".sched")
-        self.balloon_in_hooks = []   # fn(app, t)
-        self.balloon_out_hooks = []  # fn(app, t)
-
-        self._window_open_t = None
+        super().__init__(kernel, engine, name, state_holder,
+                         draining_enabled, yield_quantum)
         self._window_billed_to = None
-        self._drain_start_t = None
         self._drain_idle_ns = 0.0
         self._drain_last_t = None
-        self._flush_remaining = 0
-        self._fault_hold_until = None
-        self._fault_site = name + ".drain"
-        self._phase_span = None   # obs: span of the current balloon phase
-
-    def _obs_phase(self, name, **args):
-        """Close the current balloon-phase span and open the next.
-
-        The drain_others -> serve -> drain_psbox progression becomes a
-        chain of sibling spans on this scheduler's track; passing None just
-        closes the chain (balloon over).
-        """
-        obs = self.sim.obs
-        if obs is None:
-            return
-        obs.tracer.end(self._phase_span)
-        self._phase_span = None
-        if name is not None:
-            self._phase_span = obs.tracer.begin(
-                name, cat="balloon", track=self.name, detached=True, **args
-            )
-
-    def _fault_held(self):
-        """True while an injected stall pins the current drain transition.
-
-        One hold is drawn per drain phase; a re-pump is scheduled for when
-        it expires.  Pure read (False) without an armed fault plan.
-        """
-        now = self.sim.now
-        if self._fault_hold_until is not None:
-            if now < self._fault_hold_until:
-                return True
-            self._fault_hold_until = None
-            return False
-        plan = self.sim.faults
-        if plan is None:
-            return False
-        hold = plan.hold_ns(self._fault_site)
-        if hold <= 0:
-            return False
-        self._fault_hold_until = now + hold
-        self.sim.call_later(hold, self._pump)
-        return True
-
-    # -- submission --------------------------------------------------------------
-
-    def _queue_for(self, app):
-        if app.id not in self.queues:
-            self.queues[app.id] = _AppQueue(app)
-        return self.queues[app.id]
 
     def submit(self, app, kind, cycles, power_w, on_complete=None):
         """Enqueue one command on behalf of ``app``."""
-        command = Command(app.id, kind, cycles, power_w)
-        command.submit_t = self.sim.now
-        command.on_complete = self._completion_wrapper(command, on_complete)
-        self._queue_for(app).pending.append(command)
-        self.log.log(self.sim.now, "submit", app=app.id, seq=command.seq)
+        command = self._enqueue(app, Command(app.id, kind, cycles, power_w),
+                                on_complete)
         obs = self.sim.obs
         if obs is not None:
-            obs.metrics.inc(self.name + ".submitted")
+            obs.metrics.inc(self.device.name + ".submitted")
         self._pump()
         return command
 
-    def _completion_wrapper(self, command, user_cb):
-        def on_complete(_command):
-            self.log.log(self.sim.now, "complete", app=command.app_id,
-                         seq=command.seq)
-            if not command.billed_by_window:
-                # Fair billing by actual device occupancy (the command's
-                # device-share integral).  Commands dispatched inside a
-                # psbox window are covered by the full-window bill instead.
-                q = self.queues.get(command.app_id)
-                if q is not None:
-                    q.vruntime += command.occupancy_ns / q.app.weight
-            if user_cb is not None:
-                user_cb(command)
-            self._pump()
-        return on_complete
-
-    # -- psbox control (called by the psbox manager) --------------------------------
-
-    def set_psbox(self, app):
-        """Enter (app) or leave (None) temporal-balloon mode for ``app``."""
-        if app is not None and self.psbox_app is not None:
-            raise RuntimeError(
-                "{}: psbox already active for app {}".format(
-                    self.name, self.psbox_app.id
-                )
-            )
-        if app is None and self.psbox_app is not None:
-            if self.state in (SERVE, DRAIN_PSBOX, DRAIN_OTHERS):
-                # Leave gracefully: close the window where it stands.
-                if self._window_open_t is not None:
-                    self._close_window()
-                self.state = NORMAL
-                self._obs_phase(None)   # a drain that never opened a window
-            self._fault_hold_until = None
-            self.psbox_app = None
-            self._pump()
-            return
-        self.psbox_app = app
-        if app is not None:
-            self._queue_for(app)
-            self._pump()
-
-    # -- the dispatch pump ----------------------------------------------------------
-
-    def _others_pending(self):
-        return any(
-            q.pending for q in self.queues.values()
-            if self.psbox_app is None or q.app.id != self.psbox_app.id
-        )
-
-    def _min_other_vruntime(self):
-        values = [
-            q.vruntime for q in self.queues.values()
-            if q.pending and (self.psbox_app is None
-                              or q.app.id != self.psbox_app.id)
-        ]
-        return min(values) if values else None
-
-    def _pick(self):
-        """The pending, admitted queue with the minimal virtual runtime."""
-        best = None
-        wake = None
-        for q in self.queues.values():
-            if not q.pending:
-                continue
-            if self.admission.gated(q.app.id):
-                edge = self.admission.next_on_edge(q.app.id)
-                wake = edge if wake is None else min(wake, edge)
-                continue
-            if best is None or q.vruntime < best.vruntime:
-                best = q
-        if wake is not None:
-            self.admission.arm(wake)
-        return best
-
-    def _pump(self):
-        if self.state == DRAIN_OTHERS:
-            self._drain_account()
-            if self.engine.inflight_count == 0:
-                if self._fault_held():
-                    return
-                self._open_window()
-            else:
-                return
-        if self.state == DRAIN_PSBOX:
-            if self.engine.inflight_count == 0:
-                if self._fault_held():
-                    return
-                self._close_window()
-            else:
-                return
+    def _start(self, q, command):
         if self.state == SERVE:
-            self._pump_serve()
+            command.billed_by_window = True
+        self.device.dispatch(command)
+
+    def _on_complete(self, command):
+        if not command.billed_by_window:
+            # Fair billing by actual device occupancy.  Commands dispatched
+            # inside a psbox window are covered by the full-window bill.
+            q = self.queues.get(command.app_id)
+            if q is not None:
+                q.vruntime += command.occupancy_ns / q.app.weight
+
+    def _begin_drain(self):
+        self._drain_last_t = self.sim.now
+        self._drain_idle_ns = 0.0
+
+    def _drain_tick(self):
+        """Accumulate idle device slots during drain (billed to the psbox)."""
+        now = self.sim.now
+        if self._drain_last_t is None:
             return
-        self._pump_normal()
+        idle_fraction = (
+            self.device.parallelism - self.device.inflight_count
+        ) / self.device.parallelism
+        self._drain_idle_ns += idle_fraction * (now - self._drain_last_t)
+        self._drain_last_t = now
 
-    def _pump_normal(self):
-        while True:
-            q = self._pick()
-            if q is None:
-                return
-            if self.psbox_app is not None and q.app.id == self.psbox_app.id:
-                # Balloons begin regardless of free slots: draining is
-                # precisely about waiting out a full device.
-                self._begin_balloon()
-                return
-            if not self.engine.has_room:
-                return
-            command = q.pending.popleft()
-            self._dispatch(command)
-
-    def _settle_window_bill(self, q):
+    def _bill_serve(self, q):
         """Accrue the full-device window bill up to now (phases 2-4)."""
         now = self.sim.now
         if self._window_billed_to is not None:
             q.vruntime += (now - self._window_billed_to) / q.app.weight
             self._window_billed_to = now
 
-    def _pump_serve(self):
-        q = self._queue_for(self.psbox_app)
-        self._settle_window_bill(q)
-        # Phase 2, "flush psbox": the commands that were buffered while we
-        # drained must go out unconditionally — the drain was already paid
-        # for.  Only afterwards may the policy yield the device.
-        flushing = self._flush_remaining > 0
-        min_other = self._min_other_vruntime()
-        idle = not q.pending and self.engine.inflight_count == 0
-        overdrawn = (min_other is not None
-                     and q.vruntime > min_other + self.yield_quantum)
-        gated = self.admission.gated(self.psbox_app.id)
-        if gated:
-            self.admission.arm(self.admission.next_on_edge(self.psbox_app.id))
-        # The balloon closes when others deserve the device *or* when the
-        # psbox app stops using it — mirroring the CPU balloon, which ends
-        # when the app has no runnable member.  Keeping windows tied to
-        # actual device use makes an app's observation structure identical
-        # whether it runs alone or co-runs.  An admission gate's off-phase
-        # duty-cycles the balloon the same way (powercap actuator).
-        should_yield = not flushing and (overdrawn or idle or gated)
-        if should_yield:
-            self.state = DRAIN_PSBOX
-            self.log.log(self.sim.now, "drain_psbox", app=self.psbox_app.id)
-            self._obs_phase(self.name + ".drain_psbox",
-                            app=self.psbox_app.id)
-            if self.engine.inflight_count == 0:
-                if self._fault_held():
-                    return
-                self._close_window()
-                self._pump_normal()
-            return
-        while self.engine.has_room and q.pending:
-            self._flush_remaining = max(0, self._flush_remaining - 1)
-            command = q.pending.popleft()
-            command.billed_by_window = True
-            self._dispatch(command)
-
-    def _dispatch(self, command):
-        wait = self.sim.now - command.submit_t
-        self.log.log(self.sim.now, "dispatch", app=command.app_id,
-                     seq=command.seq, wait=wait)
-        obs = self.sim.obs
-        if obs is not None:
-            obs.metrics.inc(self.name + ".dispatched")
-            obs.metrics.observe(self.name + ".dispatch_wait_ns", wait)
-        self.engine.dispatch(command)
-
-    # -- balloon phase transitions ------------------------------------------------------
-
-    def _begin_balloon(self):
-        if not self.draining_enabled:
-            # Ablation: skip draining entirely; open the window immediately
-            # even with foreign commands in flight (leaky boundary).
-            self._open_window()
-            self._pump_serve()
-            return
-        self.state = DRAIN_OTHERS
-        self._drain_start_t = self.sim.now
-        self._drain_last_t = self.sim.now
-        self._drain_idle_ns = 0.0
-        self.log.log(self.sim.now, "drain_others", app=self.psbox_app.id)
-        self._obs_phase(self.name + ".drain_others", app=self.psbox_app.id)
-        if self.engine.inflight_count == 0:
-            if self._fault_held():
-                return
-            self._open_window()
-            self._pump_serve()
-
-    def _drain_account(self):
-        """Accumulate idle device slots during drain (billed to the psbox)."""
-        now = self.sim.now
-        if self._drain_last_t is None:
-            return
-        idle_fraction = (
-            self.engine.parallelism - self.engine.inflight_count
-        ) / self.engine.parallelism
-        self._drain_idle_ns += idle_fraction * (now - self._drain_last_t)
-        self._drain_last_t = now
-
-    def _open_window(self):
-        """Others drained: switch power state, start serving the psbox."""
-        self._drain_account()
-        q = self._queue_for(self.psbox_app)
+    def _bill_open(self, q):
+        self._drain_tick()
         q.vruntime += self._drain_idle_ns / q.app.weight
         self._drain_last_t = None
-        self.state = SERVE
-        obs = self.sim.obs
-        if obs is not None:
-            if self._drain_start_t is not None:
-                obs.metrics.observe(self.name + ".drain_ns",
-                                    self.sim.now - self._drain_start_t)
-            obs.metrics.inc(self.name + ".balloons")
-        self._drain_start_t = None
-        self._window_open_t = self.sim.now
         self._window_billed_to = self.sim.now
-        self._flush_remaining = len(q.pending)
-        if self.state_holder is not None:
-            self.state_holder.switch_context(self._ctx_key())
-        self.log.log(self.sim.now, "window_open", app=self.psbox_app.id)
-        self._obs_phase(self.name + ".serve", app=self.psbox_app.id)
-        for hook in self.balloon_in_hooks:
-            hook(self.psbox_app, self.sim.now)
 
-    def _close_window(self):
-        """Psbox drained: settle the window bill, restore the world state."""
-        now = self.sim.now
-        q = self._queue_for(self.psbox_app)
-        self._settle_window_bill(q)
+    def _bill_close(self, q):
+        self._bill_serve(q)
         self._window_billed_to = None
-        if self.state_holder is not None:
-            self.state_holder.switch_context("world")
-        self.log.log(now, "window_close", app=self.psbox_app.id)
-        obs = self.sim.obs
-        if obs is not None and self._window_open_t is not None:
-            obs.metrics.observe(self.name + ".window_ns",
-                                now - self._window_open_t)
-        self._obs_phase(None)
-        for hook in self.balloon_out_hooks:
-            hook(self.psbox_app, now)
-        self._window_open_t = None
-        self.state = NORMAL
-
-    def _ctx_key(self):
-        return "psbox.{}".format(self.psbox_app.id)
-
-    # -- metrics -----------------------------------------------------------------------
-
-    def dispatch_waits(self, app_id=None, t0=None, t1=None):
-        """Submit-to-dispatch latencies (ns) for §6.2."""
-        waits = []
-        for _t, _kind, payload in self.log.filter(kind="dispatch", t0=t0, t1=t1):
-            if app_id is None or payload["app"] == app_id:
-                waits.append(payload["wait"])
-        return waits
+        return {}

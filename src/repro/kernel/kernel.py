@@ -109,7 +109,15 @@ class Kernel:
                 platform.lte,
                 state_holder=None,
                 draining_enabled=self.config.draining_enabled,
+                name="lte",
             )
+        #: device name -> its temporal-balloon scheduler
+        self.balloon_scheds = {
+            sched.device.name: sched
+            for sched in (self.gpu_sched, self.dsp_sched, self.net_sched,
+                          self.lte_sched)
+            if sched is not None
+        }
 
     # -- app/task management ----------------------------------------------------
 
@@ -141,18 +149,26 @@ class Kernel:
         return task
 
     def accel_scheduler(self, device):
-        if device == "gpu" and self.gpu_sched is not None:
-            return self.gpu_sched
-        if device == "dsp" and self.dsp_sched is not None:
-            return self.dsp_sched
-        raise KeyError("no accelerator scheduler for {!r}".format(device))
+        sched = self.balloon_scheds.get(device)
+        if not isinstance(sched, AccelScheduler):
+            raise KeyError("no accelerator scheduler for {!r}".format(device))
+        return sched
 
     def packet_scheduler(self, device):
-        if device == "wifi" and self.net_sched is not None:
-            return self.net_sched
-        if device == "lte" and self.lte_sched is not None:
-            return self.lte_sched
-        raise KeyError("no packet scheduler for {!r}".format(device))
+        sched = self.balloon_scheds.get(device)
+        if not isinstance(sched, PacketScheduler):
+            raise KeyError("no packet scheduler for {!r}".format(device))
+        return sched
+
+    def logs(self):
+        """Every EventTrace log this kernel owns (the fingerprint set)."""
+        logs = [] if self.smp is None else [self.smp.log]
+        for sched in self.balloon_scheds.values():
+            logs += (sched.log, sched.device.log)
+        for governor in (self.cpu_governor, self.gpu_governor):
+            if governor is not None:
+                logs.append(governor.log)
+        return logs
 
     def run(self, until):
         """Advance the simulation (convenience passthrough)."""

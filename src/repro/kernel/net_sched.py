@@ -1,378 +1,142 @@
-"""Fair packet scheduling with temporal balloons for the WiFi NIC.
+"""Fair packet scheduling with temporal balloons for a NIC.
 
 The baseline is a byte-fair queueing discipline (fq-style): per-app
-buffers, and the pending packet of the app with the least sent-bytes credit
-goes to the NIC FIFO next.  The psbox extension holds packets in per-app
-buffers across balloon phases (§4.2 "Wireless interfaces"):
+buffers, and the pending packet of the app with the fewest sent bytes per
+weight goes to the NIC FIFO next.  The balloon phases live in
+:mod:`repro.kernel.balloon`, holding packets in per-app buffers across them
+(§4.2 "Wireless interfaces"); this module adds what differs for a NIC:
 
+* packets bill their bytes at dispatch;
 * draining waits until the NIC FIFO *and* its batched completion
   notifications are quiet — which is why WiFi draining latency can reach
-  hundreds of ms, as the paper observes on the WiLink8;
+  hundreds of ms, as the paper observes on the WiLink8 — and the part of
+  the drain the NIC spends idle is billed to the sandboxed app;
 * the packet scheduler inspects the packets buffered because of the balloon
-  and discounts the sandboxed app's credit by the bytes that could have
-  been dispatched without it;
+  and bills the sandboxed app the bytes others could have sent meanwhile
+  (the lost-opportunity penalty at window close);
 * the NIC's operating power state (tx power level, tail timer) is
-  virtualized per psbox through ``state_holder``.
+  virtualized per psbox through ``state_holder``, switched only while no
+  packet is on the air.
 """
 
-from collections import deque
-
 from repro.hw.nic import Packet
-from repro.kernel.admission import AdmissionGate
+from repro.kernel.balloon import NORMAL, SERVE, BalloonScheduler
 from repro.sim.clock import SEC
-from repro.sim.trace import EventTrace
-
-NORMAL = "normal"
-DRAIN_OTHERS = "drain_others"
-SERVE = "serve"
-DRAIN_PSBOX = "drain_psbox"
 
 
-class _SocketBuffer:
-    __slots__ = ("app", "pending", "credit")
-
-    def __init__(self, app):
-        self.app = app
-        self.pending = deque()
-        self.credit = 0.0   # bytes sent / weight
-
-
-class PacketScheduler:
+class PacketScheduler(BalloonScheduler):
     """Driver-level transmit scheduler for one NIC."""
 
     def __init__(self, kernel, nic, state_holder=None, queue_limit=3,
-                 draining_enabled=True, yield_quantum=192_000):
-        self.kernel = kernel
-        self.sim = kernel.sim
-        self.nic = nic
-        self.state_holder = state_holder
-        self.queue_limit = min(queue_limit, nic.fifo_depth)
-        self.draining_enabled = draining_enabled
+                 draining_enabled=True, yield_quantum=192_000, name="net"):
         # Bytes of credit hysteresis before the balloon yields the NIC; the
         # long WiLink-style drain (completion batching) must amortize.
-        self.yield_quantum = yield_quantum
-
-        self.buffers = {}
-        self.state = NORMAL
-        self.psbox_app = None
-        self.admission = AdmissionGate(self.sim, self._pump)
-        self.log = EventTrace("net.sched")
-        self.balloon_in_hooks = []
-        self.balloon_out_hooks = []
-
-        self._window_open_t = None
+        super().__init__(kernel, nic, name, state_holder, draining_enabled,
+                         yield_quantum)
+        self.queue_limit = min(queue_limit, nic.fifo_depth)
         self._held_other_bytes = 0
-        self._flush_remaining = 0
-        self._drain_start_t = None
         self._drain_busy_est_ns = 0
         self._window_bytes = 0
-        self._fault_hold_until = None
-        self._fault_site = "net.drain"
-        self._phase_span = None   # obs: span of the current balloon phase
+        # power-state changes waiting for the air: contexts to forget, then
+        # the latest switch target
+        self._pending_drops = []
+        self._pending_ctx = None
 
-        nic.space.subscribe(lambda _nic: self._pump())
-
-    def _obs_phase(self, name, **args):
-        """Balloon-phase span chaining (see AccelScheduler._obs_phase)."""
-        obs = self.sim.obs
-        if obs is None:
-            return
-        obs.tracer.end(self._phase_span)
-        self._phase_span = None
-        if name is not None:
-            self._phase_span = obs.tracer.begin(
-                name, cat="balloon", track=self.nic.name, detached=True,
-                **args
-            )
-
-    def _fault_held(self):
-        """True while an injected stall pins the current drain transition.
-
-        Mirrors ``AccelScheduler._fault_held``: one hold per drain phase,
-        re-pumped when it expires; a pure read without an armed plan.
-        """
-        now = self.sim.now
-        if self._fault_hold_until is not None:
-            if now < self._fault_hold_until:
-                return True
-            self._fault_hold_until = None
-            return False
-        plan = self.sim.faults
-        if plan is None:
-            return False
-        hold = plan.hold_ns(self._fault_site)
-        if hold <= 0:
-            return False
-        self._fault_hold_until = now + hold
-        self.sim.call_later(hold, self._pump)
-        return True
-
-    # -- submission ----------------------------------------------------------------
-
-    def _buffer_for(self, app):
-        if app.id not in self.buffers:
-            self.buffers[app.id] = _SocketBuffer(app)
-        return self.buffers[app.id]
+        nic.space.subscribe(self._on_space)
 
     def send(self, app, size_bytes, on_complete=None):
         """Deposit one transmit unit into the app's socket buffer."""
-        packet = Packet(app.id, size_bytes)
-        packet.submit_t = self.sim.now
-        packet.on_complete = self._completion_wrapper(packet, on_complete)
-        buffer = self._buffer_for(app)
-        buffer.pending.append(packet)
-        self.log.log(self.sim.now, "submit", app=app.id, seq=packet.seq,
-                     size=size_bytes)
-        if self.state in (SERVE, DRAIN_OTHERS, DRAIN_PSBOX) and (
+        packet = self._enqueue(app, Packet(app.id, size_bytes), on_complete,
+                               size=size_bytes)
+        if self.state != NORMAL and (
             self.psbox_app is None or app.id != self.psbox_app.id
         ):
             self._held_other_bytes += size_bytes
         self._pump()
         return packet
 
-    def _completion_wrapper(self, packet, user_cb):
-        def on_complete(_packet):
-            self.log.log(self.sim.now, "complete", app=packet.app_id,
-                         seq=packet.seq)
-            if user_cb is not None:
-                user_cb(packet)
-            self._pump()
-        return on_complete
+    def _on_space(self, _nic):
+        if self._pending_ctx is not None or self._pending_drops:
+            self._apply_ctx()
+        self._pump()
 
-    # -- psbox control ------------------------------------------------------------------
+    def _switch_context(self, key):
+        self._pending_ctx = key
+        self._apply_ctx()
 
-    def set_psbox(self, app):
-        if app is not None and self.psbox_app is not None:
-            raise RuntimeError("net: psbox already active for app {}".format(
-                self.psbox_app.id))
-        if app is None and self.psbox_app is not None:
-            if self._window_open_t is not None:
-                self._close_window()
-            self.state = NORMAL
-            self._obs_phase(None)   # a drain that never opened a window
-            self._fault_hold_until = None
-            self.psbox_app = None
-            self._pump()
+    def drop_context(self, key):
+        """Forget ``key``'s saved NIC state (its psbox is destroyed)."""
+        self._pending_drops.append(key)
+        self._apply_ctx()
+
+    def _apply_ctx(self):
+        """Apply the waiting power-state changes unless a packet is on air.
+
+        The NIC cannot restore its state mid-transmission, yet a window can
+        close under the psbox's own last packet (a leave mid-window) or open
+        over a foreign one (draining disabled).  The changes then wait for a
+        ``space`` signal that finds the transmitter idle.  Drops go first,
+        so a context re-created after its drop starts pristine, and only the
+        latest switch target matters.
+        """
+        if self.device._transmitting is not None:
             return
-        self.psbox_app = app
-        if app is not None:
-            self._buffer_for(app)
-            self._pump()
+        drops, self._pending_drops = self._pending_drops, []
+        for key in drops:
+            self.state_holder.drop_context(key)
+        if self._pending_ctx is not None:
+            key, self._pending_ctx = self._pending_ctx, None
+            self.state_holder.switch_context(key)
 
-    # -- the pump ---------------------------------------------------------------------------
+    def _has_room(self):
+        return (self.device.queued_count < self.queue_limit
+                and self.device.has_room)
 
-    def _others_pending(self):
-        return any(
-            b.pending for b in self.buffers.values()
-            if self.psbox_app is None or b.app.id != self.psbox_app.id
-        )
+    def _device_idle(self):
+        return self.device.queued_count == 0
 
-    def _min_other_credit(self):
-        values = [
-            b.credit for b in self.buffers.values()
-            if b.pending and (self.psbox_app is None
-                              or b.app.id != self.psbox_app.id)
-        ]
-        return min(values) if values else None
-
-    def _pick(self):
-        best = None
-        wake = None
-        for b in self.buffers.values():
-            if not b.pending:
-                continue
-            if self.admission.gated(b.app.id):
-                edge = self.admission.next_on_edge(b.app.id)
-                wake = edge if wake is None else min(wake, edge)
-                continue
-            if best is None or b.credit < best.credit:
-                best = b
-        if wake is not None:
-            self.admission.arm(wake)
-        return best
-
-    def _nic_has_room(self):
-        return self.nic.queued_count < self.queue_limit and self.nic.has_room
-
-    def _pump(self):
-        if self.state == DRAIN_OTHERS:
-            if self.nic.is_drained:
-                if self._fault_held():
-                    return
-                self._open_window()
-            else:
-                return
-        if self.state == DRAIN_PSBOX:
-            if self.nic.is_drained:
-                if self._fault_held():
-                    return
-                self._close_window()
-            else:
-                return
-        if self.state == SERVE:
-            self._pump_serve()
-            return
-        self._pump_normal()
-
-    def _pump_normal(self):
-        while True:
-            buffer = self._pick()
-            if buffer is None:
-                return
-            if self.psbox_app is not None and buffer.app.id == self.psbox_app.id:
-                self._begin_balloon()
-                return
-            if not self._nic_has_room():
-                return
-            packet = buffer.pending.popleft()
-            buffer.credit += packet.size_bytes / buffer.app.weight
-            self._dispatch(packet)
-
-    def _pump_serve(self):
-        buffer = self._buffer_for(self.psbox_app)
-        # Flush the packets buffered during draining before any yield
-        # decision (the paper's "flush psbox" phase).
-        flushing = self._flush_remaining > 0
-        min_other = self._min_other_credit()
-        idle = not buffer.pending and self.nic.queued_count == 0
-        overdrawn = (min_other is not None
-                     and buffer.credit > min_other + self.yield_quantum)
-        gated = self.admission.gated(self.psbox_app.id)
-        if gated:
-            self.admission.arm(self.admission.next_on_edge(self.psbox_app.id))
-        # Close the balloon when others deserve the NIC, when the psbox app
-        # has nothing on the air, or during an admission gate's off-phase
-        # (see accel_sched for the rationale).
-        should_yield = not flushing and (overdrawn or idle or gated)
-        if should_yield:
-            self.state = DRAIN_PSBOX
-            self.log.log(self.sim.now, "drain_psbox", app=self.psbox_app.id)
-            self._obs_phase(self.nic.name + ".drain_psbox",
-                            app=self.psbox_app.id)
-            if self.nic.is_drained:
-                if self._fault_held():
-                    return
-                self._close_window()
-                self._pump_normal()
-            return
-        while self._nic_has_room() and buffer.pending:
-            packet = buffer.pending.popleft()
-            self._flush_remaining = max(0, self._flush_remaining - 1)
-            buffer.credit += packet.size_bytes / buffer.app.weight
-            self._dispatch(packet)
-
-    def _dispatch(self, packet):
+    def _start(self, q, packet):
         if self.state == SERVE:
             self._window_bytes += packet.size_bytes
-        submitted = packet.submit_t if packet.submit_t is not None \
-            else self.sim.now
-        wait = self.sim.now - submitted
-        self.log.log(self.sim.now, "dispatch", app=packet.app_id,
-                     seq=packet.seq, wait=wait)
-        obs = self.sim.obs
-        if obs is not None:
-            obs.metrics.inc(self.nic.name + ".dispatched")
-            obs.metrics.observe(self.nic.name + ".dispatch_wait_ns", wait)
-        accepted = self.nic.enqueue(packet)
-        if not accepted:
+        q.vruntime += packet.size_bytes / q.app.weight
+        if not self.device.enqueue(packet):
             raise RuntimeError("NIC FIFO overflow despite queue limit")
 
-    # -- balloon phases ------------------------------------------------------------------------
-
-    def _begin_balloon(self):
-        if not self.draining_enabled:
-            self._open_window()
-            self._pump_serve()
-            return
-        self.state = DRAIN_OTHERS
+    def _begin_drain(self):
+        nic = self.device
         self._held_other_bytes = sum(
             pkt.size_bytes
-            for b in self.buffers.values()
-            if b.app.id != self.psbox_app.id
-            for pkt in b.pending
+            for q in self.queues.values()
+            if q.app.id != self.psbox_app.id
+            for pkt in q.pending
         )
         # Estimate how much of the drain the NIC will spend actually
         # transmitting; the rest (notification batching etc.) is idle time
         # the balloon causes, billed to the sandboxed app at window open.
-        self._drain_start_t = self.sim.now
-        queued = self.nic.queued_count
-        queued_bytes = sum(
-            pkt.size_bytes for pkt in self.nic._fifo
-        ) + (self.nic._transmitting.size_bytes
-             if self.nic._transmitting is not None else 0)
+        queued_bytes = sum(pkt.size_bytes for pkt in nic._fifo) + (
+            nic._transmitting.size_bytes
+            if nic._transmitting is not None else 0)
         self._drain_busy_est_ns = int(
-            queued_bytes * 8 / self.nic.rate_bps * 1e9
-        ) + queued * self.nic.per_packet_overhead
-        self.log.log(self.sim.now, "drain_others", app=self.psbox_app.id)
-        self._obs_phase(self.nic.name + ".drain_others",
-                        app=self.psbox_app.id)
-        if self.nic.is_drained:
-            if self._fault_held():
-                return
-            self._open_window()
-            self._pump_serve()
+            queued_bytes * 8 / nic.rate_bps * 1e9
+        ) + nic.queued_count * nic.per_packet_overhead
 
-    def _open_window(self):
-        buffer = self._buffer_for(self.psbox_app)
-        obs = self.sim.obs
-        if obs is not None:
-            if self._drain_start_t is not None:
-                obs.metrics.observe(self.nic.name + ".drain_ns",
-                                    self.sim.now - self._drain_start_t)
-            obs.metrics.inc(self.nic.name + ".balloons")
+    def _bill_open(self, q):
         if self._drain_start_t is not None:
             drain = self.sim.now - self._drain_start_t
             idle = max(0, drain - self._drain_busy_est_ns)
-            buffer.credit += (idle * self.nic.rate_bps / 8 / 1e9) \
-                / buffer.app.weight
-            self._drain_start_t = None
-        self.state = SERVE
-        self._window_open_t = self.sim.now
-        self._flush_remaining = len(buffer.pending)
-        if self.state_holder is not None:
-            self.state_holder.switch_context(self._ctx_key())
-        self.log.log(self.sim.now, "window_open", app=self.psbox_app.id)
-        self._obs_phase(self.nic.name + ".serve", app=self.psbox_app.id)
-        for hook in self.balloon_in_hooks:
-            hook(self.psbox_app, self.sim.now)
+            q.vruntime += (idle * self.device.rate_bps / 8 / 1e9) \
+                / q.app.weight
 
-    def _close_window(self):
-        now = self.sim.now
-        buffer = self._buffer_for(self.psbox_app)
+    def _bill_close(self, q):
         # Lost-opportunity penalty: the bytes others could have pushed
         # through the NIC during the window, bounded by link capacity.
-        duration = now - self._window_open_t
-        capacity_bytes = self.nic.rate_bps * duration / SEC / 8
+        duration = self.sim.now - self._window_open_t
+        capacity_bytes = self.device.rate_bps * duration / SEC / 8
         # Others could have used at most the capacity the psbox app left on
         # the table during its exclusive window.
         foregone = max(0.0, capacity_bytes - self._window_bytes)
         penalty = min(self._held_other_bytes, foregone)
-        buffer.credit += penalty / buffer.app.weight
+        q.vruntime += penalty / q.app.weight
         self._held_other_bytes = 0
         self._window_bytes = 0
-        if self.state_holder is not None:
-            self.state_holder.switch_context("world")
-        self.log.log(now, "window_close", app=self.psbox_app.id,
-                     penalty=penalty)
-        obs = self.sim.obs
-        if obs is not None and self._window_open_t is not None:
-            obs.metrics.observe(self.nic.name + ".window_ns",
-                                now - self._window_open_t)
-        self._obs_phase(None)
-        for hook in self.balloon_out_hooks:
-            hook(self.psbox_app, now)
-        self._window_open_t = None
-        self.state = NORMAL
-
-    def _ctx_key(self):
-        return "psbox.{}".format(self.psbox_app.id)
-
-    # -- metrics -------------------------------------------------------------------------------
-
-    def dispatch_waits(self, app_id=None, t0=None, t1=None):
-        """Submit-to-dispatch latencies (ns)."""
-        waits = []
-        for _t, _kind, payload in self.log.filter(kind="dispatch", t0=t0, t1=t1):
-            if app_id is None or payload["app"] == app_id:
-                waits.append(payload["wait"])
-        return waits
+        return {"penalty": penalty}

@@ -210,9 +210,7 @@ class FlightRecorder:
         # the kernel's bounded event rings: the "recent dispatched events"
         # black box — scheduling decisions, drains, governor switches
         if getattr(obs, "kernel", None) is not None:
-            from repro.obs.session import kernel_logs
-
-            for log in kernel_logs(obs.kernel):
+            for log in obs.kernel.logs():
                 records = list(log)[-self.events_tail:]
                 # "seq" labels come from process-global counters (see
                 # repro.faults.diff) — strip them so dumps from the same

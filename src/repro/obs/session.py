@@ -13,21 +13,7 @@ from repro.obs.tracer import Tracer
 
 def kernel_logs(kernel):
     """Every EventTrace log a kernel owns (the fingerprint set)."""
-    logs = []
-    if kernel.smp is not None:
-        logs.append(kernel.smp.log)
-    for sched in (kernel.gpu_sched, kernel.dsp_sched):
-        if sched is not None:
-            logs.append(sched.log)
-            logs.append(sched.engine.log)
-    for sched in (kernel.net_sched, kernel.lte_sched):
-        if sched is not None:
-            logs.append(sched.log)
-            logs.append(sched.nic.log)
-    for governor in (kernel.cpu_governor, kernel.gpu_governor):
-        if governor is not None:
-            logs.append(governor.log)
-    return logs
+    return kernel.logs()
 
 
 class Obs:

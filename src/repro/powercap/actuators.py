@@ -9,7 +9,8 @@ existing kernel mechanism:
 * :class:`CfsBandwidthActuator` — duty-cycles an app's runnable windows
   through the SMP scheduler (``kernel/smp.py``), shrinking its CPU share;
 * :class:`BalloonAdmissionActuator` — duty-cycles an app's admission into
-  an accelerator or NIC balloon scheduler, bounding its device occupancy.
+  a temporal-balloon scheduler (``kernel/balloon.py``, any accelerator or
+  NIC), bounding its device occupancy.
 
 ``apply(0.0)`` always restores the untouched mechanism, so a stopped daemon
 leaves no residue.
@@ -87,10 +88,10 @@ class CfsBandwidthActuator(Actuator):
 
 
 class BalloonAdmissionActuator(Actuator):
-    """Admission duty cycle on an accelerator or NIC balloon scheduler.
+    """Admission duty cycle on one temporal-balloon scheduler.
 
-    Works on any scheduler exposing an ``admission`` :class:`AdmissionGate`
-    (both ``AccelScheduler`` and ``PacketScheduler`` do).
+    Works on any ``BalloonScheduler`` (``kernel.balloon_scheds``), through
+    its ``admission`` :class:`AdmissionGate`.
     """
 
     def __init__(self, sched, app, floor=0.15, period=from_msec(40)):

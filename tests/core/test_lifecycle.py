@@ -3,9 +3,12 @@
 import pytest
 
 from repro.core.psbox import PsboxError
+from repro.hw.nic import TX
+from repro.kernel.balloon import SERVE
 from repro.sim.clock import MSEC, SEC, from_msec
 
 from tests.core.conftest import cpu_spinner, gpu_client
+from tests.core.conftest import wifi_client
 
 
 def test_collect_fills_buffer_and_fires_callback(booted):
@@ -100,3 +103,23 @@ def test_fresh_sandbox_after_close_starts_pristine(booted):
     box2 = app.create_psbox(("gpu",))
     box2.enter()
     assert kernel.gpu_governor.context(box2.ctx_key).index == 0
+
+
+def test_close_while_own_packet_is_on_the_air(booted):
+    """The NIC cannot restore its power state mid-transmission: closing a
+    WiFi psbox under its own packet switches to the world context and
+    forgets the psbox's state once the air clears."""
+    platform, kernel = booted
+    boxed = wifi_client(kernel, "boxed", gap_us=500)
+    wifi_client(kernel, "rival", size=16_800, gap_us=300)
+    box = boxed.create_psbox(("wifi",))
+    box.enter()
+    t = 0
+    while not (kernel.net_sched.state == SERVE and platform.nic.state == TX):
+        t += MSEC // 10
+        platform.sim.run(until=t)
+    box.close()
+    platform.sim.run(until=t + 100 * MSEC)
+    holder = kernel.net_sched.state_holder
+    assert holder.active == "world"
+    assert box.ctx_key not in holder.saved

@@ -1,7 +1,9 @@
 """Tests for the `python -m repro.experiments` CLI."""
 
+import difflib
 import importlib
 import os
+import pathlib
 
 import pytest
 
@@ -121,6 +123,36 @@ def test_run_every_experiment(name, capsys):
         pytest.skip("set PSBOX_SMOKE_ALL=1 to smoke-run every experiment")
     assert main([name]) == 0
     assert name in capsys.readouterr().out
+
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+#: subcommands whose stdout is committed; sidechannel (~8 s) runs only
+#: behind the smoke gate
+GOLDEN_FAST = ("fig3", "fig6", "fig7", "fig8", "fig9", "sec62", "sec63",
+               "powercap", "faults")
+GOLDEN_SLOW = ("sidechannel",)
+
+
+@pytest.mark.parametrize("name", GOLDEN_FAST + GOLDEN_SLOW)
+def test_stdout_matches_golden(name, capsys):
+    """Byte identity of every figure's stdout against the committed text.
+
+    Regenerate one golden with
+    ``PYTHONPATH=src python -m repro.experiments <name> >
+    tests/experiments/golden/<name>.txt``.
+    """
+    if name in GOLDEN_SLOW and not os.environ.get("PSBOX_SMOKE_ALL"):
+        pytest.skip("set PSBOX_SMOKE_ALL=1 to check the slow goldens")
+    assert main([name]) == 0
+    out = capsys.readouterr().out
+    golden = (GOLDEN_DIR / (name + ".txt")).read_text()
+    if out != golden:
+        diff = difflib.unified_diff(
+            golden.splitlines(keepends=True), out.splitlines(keepends=True),
+            fromfile="golden/{}.txt".format(name), tofile="stdout")
+        pytest.fail("stdout of {} differs from its golden:\n{}".format(
+            name, "".join(diff)), pytrace=False)
 
 
 def test_cluster_telemetry_report_writes_the_bundle(tmp_path, capsys,

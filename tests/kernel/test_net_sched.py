@@ -34,11 +34,11 @@ def test_byte_fairness_between_apps(booted):
         kernel.net_sched.send(big, 30_000)
         kernel.net_sched.send(small, 10_000)
     platform.sim.run(until=2 * SEC)
-    b_small = kernel.net_sched.buffers[small.id]
-    b_big = kernel.net_sched.buffers[big.id]
+    b_small = kernel.net_sched.queues[small.id]
+    b_big = kernel.net_sched.queues[big.id]
     assert not b_small.pending
     # big's credit grows ~3x faster; small never starves behind it.
-    assert b_big.credit >= b_small.credit
+    assert b_big.vruntime >= b_small.vruntime
 
 
 def test_queue_limit_respected(booted):

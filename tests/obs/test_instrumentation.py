@@ -13,7 +13,10 @@ from repro.check import CheckViolation, InvariantChecker
 from repro.experiments.common import boot
 from repro.experiments.faults_exp import build_workload
 from repro.faults import scenario
+from repro.hw.platform import Platform
+from repro.kernel.kernel import Kernel
 from repro.obs import Obs
+from repro.obs.session import kernel_logs
 from repro.sim.clock import from_msec
 
 
@@ -102,6 +105,16 @@ def test_log_stats_report_kernel_logs(traced_run):
                for entry in stats.values())
     assert any(entry["retained"] > 0 for entry in stats.values())
     assert all(entry["dropped"] == 0 for entry in stats.values())
+
+
+def test_log_stats_keep_every_kernel_log_apart():
+    """Both NICs' schedulers log under their own names (wifi: net.sched,
+    lte: lte.sched), so no log's stats overwrite another's."""
+    platform = Platform.extended(seed=0)
+    kernel = Kernel(platform)
+    obs = Obs(platform.sim).install().bind_kernel(kernel)
+    assert len(obs.log_stats()) == len(kernel_logs(kernel))
+    assert {"net.sched", "lte.sched"} <= set(obs.log_stats())
 
 
 def test_fault_injections_become_tagged_instants():
