@@ -3,7 +3,7 @@
 from repro.apps.cpu_apps import calib3d, dedup
 from repro.hw.platform import Platform
 from repro.kernel.kernel import Kernel
-from repro.sidechannel.dtw import dtw_distance
+from repro.sidechannel.dtw import dtw_distance, dtw_distances
 from repro.sim.clock import MSEC, SEC, USEC
 from repro.sim.engine import Simulator
 from repro.sim.trace import StepTrace
@@ -59,3 +59,10 @@ def test_bench_dtw(benchmark, rng):
     a = rng.normal(size=300)
     b = rng.normal(size=300)
     benchmark(lambda: dtw_distance(a, b, window=30))
+
+
+def test_bench_dtw_batch(benchmark, rng):
+    """The shape infer() runs: one query against ten templates."""
+    a = rng.normal(size=325)
+    templates = rng.normal(size=(10, 325))
+    benchmark(lambda: dtw_distances(a, templates, window=30))

@@ -6,7 +6,8 @@ ROADMAP asks for: raw event-loop throughput (events/sec, with the dormant
 installed session with tracing *off* (metrics hooks live, no per-event
 bookkeeping), and the cost of tracing *on*.  The ``trajectory`` list keeps
 one labelled entry per hot-path generation so the speed story stays visible
-across PRs.
+across PRs.  The JSON and the results table are written only after the
+bounds pass, so a failing run records nothing.
 
 Methodology notes, learned the hard way on this host:
 
@@ -24,6 +25,8 @@ carries the real numbers.
 import json
 import os
 import time
+
+import pytest
 
 from repro.analysis.report import format_table
 from repro.experiments.faults_exp import build_workload
@@ -163,6 +166,13 @@ def test_bench_obs_overhead_and_emit_json():
         },
         "trajectory": trajectory,
     }
+
+    # Loose sanity bounds only — the JSON carries the honest numbers.  The
+    # strict floor lives in tests/sim/test_perf_floor.py behind PSBOX_PERF.
+    assert payload["event_loop"]["events_per_sec"] > 10_000
+    assert payload["event_loop"]["tracer_off_overhead_pct"] < 15
+    assert payload["event_loop"]["tracer_on_overhead_pct"] < 15
+    assert payload["kernel_workload"]["tracer_off_overhead_pct"] < 15
     with open(BENCH_PATH, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
 
@@ -184,9 +194,14 @@ def test_bench_obs_overhead_and_emit_json():
             ROUNDS),
     ))
 
-    # Loose sanity bounds only — the JSON carries the honest numbers.  The
-    # strict floor lives in tests/sim/test_perf_floor.py behind PSBOX_PERF.
-    assert payload["event_loop"]["events_per_sec"] > 10_000
-    assert payload["event_loop"]["tracer_off_overhead_pct"] < 15
-    assert payload["event_loop"]["tracer_on_overhead_pct"] < 15
-    assert payload["kernel_workload"]["tracer_off_overhead_pct"] < 15
+
+def test_a_run_over_its_bounds_writes_nothing(monkeypatch, tmp_path):
+    """Timings past the overhead bound fail the run and leave no JSON."""
+    path = tmp_path / "BENCH_obs.json"
+    monkeypatch.setitem(globals(), "BENCH_PATH", str(path))
+    monkeypatch.setitem(globals(), "_warm", lambda: None)
+    monkeypatch.setitem(globals(), "_time_interleaved",
+                        lambda fns, rounds=ROUNDS: [1.0, 1.3, 1.3])
+    with pytest.raises(AssertionError):
+        test_bench_obs_overhead_and_emit_json()
+    assert not path.exists()

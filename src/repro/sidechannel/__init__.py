@@ -8,6 +8,7 @@ observation.
 """
 
 from repro.sidechannel.attack import AttackResult, WebsiteFingerprinter
-from repro.sidechannel.dtw import dtw_distance
+from repro.sidechannel.dtw import dtw_distance, dtw_distances
 
-__all__ = ["AttackResult", "WebsiteFingerprinter", "dtw_distance"]
+__all__ = ["AttackResult", "WebsiteFingerprinter", "dtw_distance",
+           "dtw_distances"]

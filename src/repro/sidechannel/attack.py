@@ -19,7 +19,7 @@ from repro.apps.websites import WEBSITES, browse_website
 from repro.hw.platform import Platform
 from repro.kernel.actions import Sleep, SubmitAccel
 from repro.kernel.kernel import Kernel
-from repro.sidechannel.dtw import dtw_distance
+from repro.sidechannel.dtw import dtw_distances
 from repro.sim.clock import MSEC, from_msec, from_usec
 
 
@@ -142,13 +142,12 @@ class WebsiteFingerprinter:
         """1-NN DTW classification against the trained templates."""
         if not self.templates:
             raise RuntimeError("train() first")
-        trace = _znorm(observed)
-        best_site, best_cost = None, None
-        for site, template in self.templates.items():
-            cost = dtw_distance(trace, template, window=self.dtw_window)
-            if best_cost is None or cost < best_cost:
-                best_site, best_cost = site, cost
-        return best_site
+        sites = list(self.templates)
+        costs = dtw_distances(_znorm(observed),
+                              np.stack(list(self.templates.values())),
+                              window=self.dtw_window)
+        # argmin picks the first minimum: ties go to the first-trained site
+        return sites[int(np.argmin(costs))]
 
     # -- full campaign -----------------------------------------------------------------------
 

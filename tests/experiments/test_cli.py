@@ -127,14 +127,12 @@ def test_run_every_experiment(name, capsys):
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
-#: subcommands whose stdout is committed; sidechannel (~8 s) runs only
-#: behind the smoke gate
+#: subcommands whose stdout is committed
 GOLDEN_FAST = ("fig3", "fig6", "fig7", "fig8", "fig9", "sec62", "sec63",
-               "powercap", "faults")
-GOLDEN_SLOW = ("sidechannel",)
+               "powercap", "faults", "sidechannel")
 
 
-@pytest.mark.parametrize("name", GOLDEN_FAST + GOLDEN_SLOW)
+@pytest.mark.parametrize("name", GOLDEN_FAST)
 def test_stdout_matches_golden(name, capsys):
     """Byte identity of every figure's stdout against the committed text.
 
@@ -142,8 +140,6 @@ def test_stdout_matches_golden(name, capsys):
     ``PYTHONPATH=src python -m repro.experiments <name> >
     tests/experiments/golden/<name>.txt``.
     """
-    if name in GOLDEN_SLOW and not os.environ.get("PSBOX_SMOKE_ALL"):
-        pytest.skip("set PSBOX_SMOKE_ALL=1 to check the slow goldens")
     assert main([name]) == 0
     out = capsys.readouterr().out
     golden = (GOLDEN_DIR / (name + ".txt")).read_text()

@@ -57,3 +57,11 @@ def test_infer_requires_training():
     fp = WebsiteFingerprinter(sites=("google",))
     with pytest.raises(RuntimeError):
         fp.infer([0.0, 1.0])
+
+
+def test_infer_ties_go_to_the_first_trained_site():
+    fp = WebsiteFingerprinter(sites=("google", "baidu"))
+    same = _znorm([0.0, 1.0, 0.0])
+    for first, second in (("baidu", "google"), ("google", "baidu")):
+        fp.templates = {first: same, second: same}
+        assert fp.infer([0.0, 1.0, 0.0]) == first

@@ -4,10 +4,29 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from repro.sidechannel.dtw import dtw_distance
+from repro.sidechannel.dtw import dtw_distance, dtw_distances
 
 seqs = st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=30)
+
+
+def naive_banded_dp(a, b, window=None):
+    """The textbook full-matrix DP over the Sakoe-Chiba band, one cell at a
+    time: the reference the wavefront must match bit for bit."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    n, m = len(a), len(b)
+    w = max(n, m) if window is None else window
+    w = max(w, abs(n - m))
+    ref = np.full((n + 1, m + 1), np.inf)
+    ref[0, 0] = 0.0
+    for i in range(1, n + 1):
+        for j in range(max(1, i - w), min(m, i + w) + 1):
+            cost = abs(a[i - 1] - b[j - 1])
+            ref[i, j] = cost + min(ref[i - 1, j], ref[i, j - 1],
+                                   ref[i - 1, j - 1])
+    return ref[n, m]
 
 
 def test_identical_sequences_have_zero_distance():
@@ -89,12 +108,64 @@ def test_matches_bruteforce_dp_reference(rng):
     for _ in range(10):
         a = rng.normal(size=rng.integers(2, 12))
         b = rng.normal(size=rng.integers(2, 12))
-        n, m = len(a), len(b)
-        ref = np.full((n + 1, m + 1), np.inf)
-        ref[0, 0] = 0.0
-        for i in range(1, n + 1):
-            for j in range(1, m + 1):
-                cost = abs(a[i - 1] - b[j - 1])
-                ref[i, j] = cost + min(ref[i - 1, j], ref[i, j - 1],
-                                       ref[i - 1, j - 1])
-        assert dtw_distance(a, b) == pytest.approx(ref[n, m], rel=1e-12)
+        for window in (None, 0, 1, 3):
+            assert dtw_distance(a, b, window) == naive_banded_dp(a, b, window)
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def query_and_stack(draw):
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 40))
+    count = draw(st.integers(1, 4))
+    return (draw(arrays(np.float64, n, elements=finite)),
+            draw(arrays(np.float64, (count, m), elements=finite)),
+            draw(st.none() | st.integers(0, 12)))
+
+
+@given(query_and_stack())
+@settings(max_examples=150, deadline=None)
+def test_wavefront_is_bit_identical_to_the_banded_dp(case):
+    """Exact equality, not approx: every cell is the same float64 subtract,
+    abs and add, and the min of finite floats is order-free."""
+    a, stack, window = case
+    got = dtw_distances(a, stack, window)
+    assert got.shape == (len(stack),)
+    for k, b in enumerate(stack):
+        assert got[k] == naive_banded_dp(a, b, window)
+        assert got[k] == dtw_distance(a, b, window)
+
+
+@pytest.mark.parametrize("a,b", [([np.nan], [1.0]), ([1.0], [np.inf]),
+                                 ([0.0, -np.inf], [1.0, 2.0])])
+def test_non_finite_values_rejected(a, b):
+    with pytest.raises(ValueError, match="finite"):
+        dtw_distance(a, b)
+    with pytest.raises(ValueError, match="finite"):
+        dtw_distances(a, [b])
+
+
+def test_empty_template_stack_rejected():
+    with pytest.raises(ValueError, match="non-empty"):
+        dtw_distances([1.0, 2.0], np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="non-empty"):
+        dtw_distances([1.0, 2.0], np.zeros((2, 0)))
+
+
+def test_ragged_template_stack_rejected():
+    with pytest.raises(ValueError, match="equal-length"):
+        dtw_distances([1.0, 2.0], [[1.0, 2.0], [1.0]])
+
+
+def test_non_2d_template_stack_rejected():
+    with pytest.raises(ValueError, match="2-D"):
+        dtw_distances([1.0, 2.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="2-D"):
+        dtw_distances([1.0, 2.0], np.zeros((2, 2, 2)))
+
+
+def test_negative_window_rejected():
+    with pytest.raises(ValueError, match="window"):
+        dtw_distance([1.0, 2.0], [1.0, 2.0], window=-1)
