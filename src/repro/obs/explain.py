@@ -553,8 +553,9 @@ def export_incident_trace(report, path):
     """Write the overlay trace JSON; returns the event count."""
     events = overlay_trace_events(report)
     with open(path, "w") as handle:
-        json.dump({"traceEvents": events, "displayTimeUnit": "ns"},
-                  handle, sort_keys=True)
+        # dumps, not dump: json.dump to a handle runs the Python encoder
+        handle.write(json.dumps({"traceEvents": events,
+                                 "displayTimeUnit": "ns"}, sort_keys=True))
     return len(events)
 
 

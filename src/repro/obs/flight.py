@@ -30,6 +30,7 @@ bare ones (asserted by the differential matrix's ``flight-on`` column).
 
 import json
 import os
+from itertools import islice
 
 #: the process-global armed recorder; trigger sites branch on this being
 #: None — that read-and-branch is their entire dormant cost
@@ -70,6 +71,15 @@ def _jsonable(value):
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     return "<{}>".format(type(value).__name__)
+
+
+def _tail(ring, n):
+    """The last ``n`` items of a sized iterable, oldest first.
+
+    Only the tail is copied: ``islice`` steps over the head in C instead
+    of copying the whole ring (a kernel log, a series) to slice the copy.
+    """
+    return list(islice(ring, max(len(ring) - n, 0), None))
 
 
 class FlightRecorder:
@@ -192,7 +202,7 @@ class FlightRecorder:
         timeline = getattr(obs, "timeline", None)
         if timeline is not None:
             for series in timeline.all():
-                points = series.points()[-self.series_tail:]
+                points = _tail(series, self.series_tail)
                 snap["series"].append({
                     "name": series.name,
                     "labels": dict(series.labels),
@@ -211,7 +221,7 @@ class FlightRecorder:
         # black box — scheduling decisions, drains, governor switches
         if getattr(obs, "kernel", None) is not None:
             for log in obs.kernel.logs():
-                records = list(log)[-self.events_tail:]
+                records = _tail(log, self.events_tail)
                 # "seq" labels come from process-global counters (see
                 # repro.faults.diff) — strip them so dumps from the same
                 # seed are byte-identical run to run
@@ -226,7 +236,7 @@ class FlightRecorder:
         if plan is not None:
             snap["injections"] = [
                 dict(_jsonable(payload), t_ns=t)
-                for t, kind, payload in list(plan.log)[-self.events_tail:]
+                for t, kind, payload in _tail(plan.log, self.events_tail)
                 if kind == "inject"
             ]
         return snap
@@ -243,8 +253,11 @@ class FlightRecorder:
         os.makedirs(self.out_dir, exist_ok=True)
         path = os.path.join(self.out_dir,
                             "flight-{:03d}.json".format(dump["seq"]))
+        # one compact line: ``indent=`` (like any ``json.dump`` to a
+        # handle) runs json's pure-Python encoder, several times slower
+        # than the C encoder this one-shot call runs
         with open(path, "w") as handle:
-            json.dump(dump, handle, indent=1, sort_keys=True)
+            handle.write(json.dumps(dump, sort_keys=True))
             handle.write("\n")
         self.paths.append(path)
         return path

@@ -5,6 +5,7 @@ an Obs session — tracing off *or on* — leaves the run bit-identical to one
 without the layer (the tracer is read-only and draws no RNG).
 """
 
+import io
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from repro.obs import (
     chrome_trace_events,
     export_chrome_trace,
     export_metrics,
+    exporters,
     format_metrics_table,
     metrics_snapshot,
 )
@@ -134,6 +136,108 @@ def test_export_chrome_trace_writes_document(tmp_path):
     assert len(document["traceEvents"]) == count > 0
     assert document["displayTimeUnit"] == "ns"
     assert document["otherData"]["sessions"] == ["unit"]
+
+
+# -- the streamed writer: json.dump's bytes, one root lookup per span ---------------
+
+
+def _root_of(span, by_id):
+    """Reference async root: follow the parent links to the top."""
+    seen = set()
+    while span.parent_id is not None and span.parent_id not in seen:
+        seen.add(span.id)
+        parent = by_id.get(span.parent_id)
+        if parent is None:
+            break
+        span = parent
+    return span
+
+
+def _busy_session(label, balloons):
+    """``balloons`` three-deep span trees, plus instants and counter samples.
+
+    Each balloon scopes a phase span that parents a detached
+    ``ipi.shootdown`` closed one event later; every fifth balloon never
+    closes, so the exporter ends it at trace end as unfinished.
+    """
+    sim = Simulator(0)
+    obs = Obs(sim, label=label).install()
+    tracer = obs.tracer
+
+    def balloon(i):
+        outer = tracer.begin("balloon.cpu", cat="balloon", track="smp", app=i)
+        with tracer.span("balloon.phase", phase="drain"):
+            ipi = tracer.begin("ipi.shootdown", detached=True, core=i % 2)
+            tracer.instant("loan.grant", cat="loan", app=i)
+        tracer.sample("opp.cpu", track="governor.cpu", opp=i % 4, w=i / 3)
+        sim.call_later(50, tracer.end, ipi)
+        if i % 5:
+            sim.call_later(120, tracer.end, outer)
+
+    for i in range(balloons):
+        sim.at(100 * i, balloon, i)
+    sim.run()
+    return obs
+
+
+_WRITER_CASES = {
+    # two sessions, one label non-ASCII, > TRACE_CHUNK events in all
+    "chunks": lambda: [_busy_session("node-a", 300),
+                       _busy_session("nœud-b", 300)],
+    "empty": lambda: [],
+    # nested, detached (ipi.shootdown) and unfinished ("leak") spans
+    "spans": lambda: [_session_with_activity()],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRITER_CASES))
+def test_streamed_trace_matches_json_dumps_and_roots(tmp_path, case):
+    sessions = _WRITER_CASES[case]()
+    events = chrome_trace_events(sessions)
+    document = {
+        "traceEvents": events,
+        "displayTimeUnit": "ns",
+        "otherData": {"generator": "repro.obs",
+                      "sessions": [obs.label for obs in sessions]},
+    }
+    path = tmp_path / "trace.json"
+    assert export_chrome_trace(sessions, str(path)) == len(events)
+    expected = json.dumps(document)
+    assert path.read_text() == expected
+    # the writer this replaced: json.dump to a handle (Python encoder)
+    old = io.StringIO()
+    json.dump(document, old)
+    assert old.getvalue() == expected
+    if case == "chunks":
+        assert len(events) > exporters.TRACE_CHUNK
+
+    # every b/e id is the root the parent-chain walk finds: begins in
+    # span begin order, ends by (end time, children before parents)
+    for pid, obs in enumerate(sessions, start=1):
+        spans = obs.tracer.spans
+        by_id = {span.id: span for span in spans}
+        roots = [_root_of(span, by_id).id for span in spans]
+        begins = [(e["name"], e["id"]) for e in events
+                  if e["pid"] == pid and e["ph"] == "b"]
+        assert begins == [(s.name, r) for s, r in zip(spans, roots)]
+        closing = sorted(range(len(spans)), key=lambda i: (
+            obs.sim.now if spans[i].end is None else spans[i].end, -i))
+        ends = [(e["name"], e["id"]) for e in events
+                if e["pid"] == pid and e["ph"] == "e"]
+        assert ends == [(spans[i].name, roots[i]) for i in closing]
+        assert len(set(roots)) < len(spans)      # some spans do nest
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_streamed_trace_chunk_boundaries(tmp_path, monkeypatch, chunk):
+    """Any chunk size, even or ragged against the count, writes the same."""
+    sessions = [_session_with_activity(), _busy_session("b", 3)]
+    path = tmp_path / "trace.json"
+    export_chrome_trace(sessions, str(path))
+    expected = path.read_text()
+    monkeypatch.setattr(exporters, "TRACE_CHUNK", chunk)
+    export_chrome_trace(sessions, str(path))
+    assert path.read_text() == expected
 
 
 def test_metrics_snapshot_merges_sessions(tmp_path):

@@ -1,14 +1,16 @@
 """The flight recorder: arming, triggers, snapshot content, bounds."""
 
 import json
+from types import SimpleNamespace
 
 from repro.check.checker import InvariantChecker
-from repro.obs import flight
+from repro.obs import explain, flight
 from repro.obs.alerts import AlertEngine, AlertRule
 from repro.obs.flight import FlightRecorder, _jsonable
 from repro.obs.session import Obs
 from repro.obs.timeline import Timeline
 from repro.powercap.telemetry import TelemetryRing
+from repro.sim.trace import EventTrace
 
 
 class FakeSim:
@@ -115,6 +117,28 @@ class TestSnapshotBounds:
         names = [row[2] for row in dump["sessions"][0]["instants"]]
         assert names == ["e3", "e4"]
 
+    def test_log_and_injection_tails(self):
+        recorder = FlightRecorder(events_tail=3)
+        obs, _ = make_session(recorder=recorder)
+        unbounded, ring = EventTrace("smp"), EventTrace("gpu.sched", 4)
+        for i in range(6):
+            unbounded.log(i, "pick", task=i, seq=100 + i)
+            ring.log(i, "unit", n=i)
+        obs.kernel = SimpleNamespace(logs=lambda: [unbounded, ring])
+        obs.sim.faults = SimpleNamespace(log=EventTrace("faults"))
+        for i in range(6):
+            obs.sim.faults.log.log(10 * i, "inject" if i % 2 else "arm",
+                                   site="s{}".format(i))
+        session = recorder.snapshot({"type": "test"})["sessions"][0]
+        smp, gpu = session["logs"]["smp"], session["logs"]["gpu.sched"]
+        assert smp["tail"] == [[i, "pick", {"task": i}] for i in (3, 4, 5)]
+        assert (smp["retained"], smp["dropped"]) == (6, 0)
+        assert gpu["tail"] == [[i, "unit", {"n": i}] for i in (3, 4, 5)]
+        assert (gpu["retained"], gpu["dropped"]) == (4, 2)
+        # injections come from the log's last three records, then filtered
+        assert session["injections"] == [{"site": "s3", "t_ns": 30},
+                                         {"site": "s5", "t_ns": 50}]
+
 
 class TestActionRings:
     def test_note_ring_dedups_and_labels(self):
@@ -133,8 +157,18 @@ class TestActionRings:
 class TestPersistence:
     def test_dump_files_and_manifest(self, tmp_path):
         out = tmp_path / "flight"
-        recorder = FlightRecorder(out_dir=str(out), max_dumps=2)
-        recorder.snapshot({"type": "test", "i": 0})
+        recorder = flight.arm(FlightRecorder(out_dir=str(out), max_dumps=2))
+        rule = AlertRule("hot", series="w", op=">", threshold=1.0)
+        obs, _engine = make_session(rules=[rule], recorder=recorder)
+        ring = TelemetryRing()
+        recorder.note_ring(ring, "node00")
+        for i in range(8):
+            obs.sim.now = 100 * i
+            obs.tracer.instant("tick", track="t", i=i)
+            ring.record(obs.sim.now, "t0.web", 1.0, 0.25 * i, "throttle",
+                        0.1 * i)
+            obs.timeline.record("x", obs.sim.now, 0.3 * i, node="n0")
+            obs.timeline.record("w", obs.sim.now, 0.2 * i)   # fires at 600
         recorder.snapshot({"type": "test", "i": 1})
         recorder.snapshot({"type": "test", "i": 2})   # suppressed
         assert recorder.flush() == 2
@@ -144,8 +178,24 @@ class TestPersistence:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["dumps"] == ["flight-000.json", "flight-001.json"]
         assert manifest["suppressed"] == 1
-        dump = json.loads((out / "flight-000.json").read_text())
-        assert dump["format"] == flight.FORMAT
+        assert recorder.dumps[0]["trigger"]["rule"] == "hot"
+        assert recorder.dumps[0]["format"] == flight.FORMAT
+        # each file is one compact line that loads back to the dump itself
+        for name, dump in zip(manifest["dumps"], recorder.dumps):
+            with open(out / name) as handle:
+                assert json.load(handle) == dump
+            text = (out / name).read_text()
+            assert text == json.dumps(dump, sort_keys=True) + "\n"
+        # the same dump in the old indented layout explains byte-identically
+        # (same path, so the report's "source" matches too)
+        path = str(out / "flight-000.json")
+        compact = explain.render_json(explain.explain(explain.load(path)))
+        with open(path, "w") as handle:
+            json.dump(recorder.dumps[0], handle, indent=1, sort_keys=True)
+            handle.write("\n")
+        indented = explain.render_json(explain.explain(explain.load(path)))
+        assert indented == compact
+        assert json.loads(compact)["incidents"]
 
     def test_flush_without_dumps_writes_nothing(self, tmp_path):
         out = tmp_path / "flight"
