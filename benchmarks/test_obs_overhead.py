@@ -1,8 +1,8 @@
 """Observability overhead: event-loop throughput and hook cost.
 
 Emits ``BENCH_obs.json`` at the repo root — the perf-trajectory data the
-ROADMAP asks for: raw event-loop throughput (events/sec, with the dormant
-``sim.obs``/``sim.profile`` guards on the dispatch hot path), the cost of an
+ROADMAP asks for: raw event-loop throughput (events/sec, with no session
+installed, so ``Simulator.run`` takes its fast loop), the cost of an
 installed session with tracing *off* (metrics hooks live, no per-event
 bookkeeping), and the cost of tracing *on*.  The ``trajectory`` list keeps
 one labelled entry per hot-path generation so the speed story stays visible

@@ -36,7 +36,7 @@ from repro.cluster.placement import (
     placements_by_node,
 )
 from repro.cluster.predictor import NODE_IDLE_WATTS, PowerPredictor
-from repro.cluster.telemetry import ClusterTelemetry, EpochClock
+from repro.cluster.telemetry import ClusterTelemetry
 from repro.cluster.topology import ClusterTopology, Node, NodeSpec, node_seed
 from repro.cluster.workloads import (
     USERS_PER_INSTANCE,
@@ -56,7 +56,6 @@ __all__ = [
     "ClusterRun",
     "ClusterTelemetry",
     "ClusterTopology",
-    "EpochClock",
     "GlobalAllocator",
     "NODE_IDLE_WATTS",
     "Node",

@@ -3,8 +3,8 @@
 The epoch loop in :class:`~repro.cluster.cluster.Cluster` is plain Python
 driving N node simulators — it is not itself an event-loop process, so the
 per-node ``sim.obs`` sessions never see it.  This module gives the loop
-its own session: an :class:`EpochClock` (a duck-typed "simulator" whose
-``now`` is the current epoch boundary) carries an
+its own session: a :class:`~repro.sim.engine.Simulator` with an empty
+queue, advanced to each epoch boundary, carries an
 :class:`~repro.obs.session.Obs` session labelled for the run, so the
 loop's spans, counter samples, timeline series, and alert instants land in
 the same exporters as every node's — one merged Chrome trace where each
@@ -35,21 +35,7 @@ from repro.obs import runtime as obs_runtime
 from repro.obs.session import Obs
 from repro.obs.timeline import Timeline
 from repro.sim.clock import SEC
-
-
-class EpochClock:
-    """A minimal ``sim``-shaped object for the cap loop's Obs session.
-
-    The tracer and exporters only ever read ``now`` (and ``install``
-    publishes ``obs``); the loop advances ``now`` to each epoch boundary
-    before sampling, so cluster-level events carry honest virtual time.
-    """
-
-    def __init__(self):
-        self.now = 0
-        self.obs = None
-        self.faults = None
-        self._ctx_tracer = None
+from repro.sim.engine import Simulator
 
 
 class ClusterTelemetry:
@@ -67,7 +53,7 @@ class ClusterTelemetry:
         ``engine`` (an :class:`~repro.obs.alerts.AlertEngine`) is wired to
         watch the session when given.
         """
-        obs = Obs(EpochClock(), label=label, tracing=tracing,
+        obs = Obs(Simulator(), label=label, tracing=tracing,
                   timeline=timeline if timeline is not None
                   else Timeline()).install()
         if engine is not None:
@@ -82,7 +68,7 @@ class ClusterTelemetry:
         export surface covers it) and, when telemetry is armed, its
         timeline is watched by the process-wide alert engine.
         """
-        obs = obs_runtime.install(EpochClock(), label=label)
+        obs = obs_runtime.install(Simulator(), label=label)
         if obs is None:
             return None
         return cls(obs)
@@ -133,7 +119,9 @@ class ClusterTelemetry:
         """
         obs = self.obs
         t1 = int(t1_ns)
-        self.clock.now = t1
+        # nothing is ever scheduled on the cap-loop clock: this only moves
+        # ``now`` to the epoch boundary, so samples carry honest time
+        self.clock.run(until=t1)
         if flight._recorder is not None:
             flight._recorder.note_cluster(nodes)
         budget = record.budget_w

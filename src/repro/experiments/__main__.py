@@ -11,6 +11,7 @@ Observability (``repro.obs``) rides along on any run::
     python -m repro.experiments fig6 --trace fig6.json      # Perfetto/Chrome
     python -m repro.experiments fig6 --metrics metrics.json # counters etc.
     python -m repro.experiments fig6 --profile              # host hotspots
+                            # (cProfile: top functions by self time)
     python -m repro.experiments cluster --telemetry --report
                             # virtual-time series, OpenMetrics, merged
                             # trace, SLO/alert report under ./telemetry/
@@ -359,8 +360,8 @@ def main(argv=None):
                              "merged table")
     parser.add_argument("--profile", nargs="?", const=12, type=int,
                         metavar="N",
-                        help="profile the event loop on the host clock and "
-                             "print the top N handler callsites (default 12)")
+                        help="run under cProfile and print the N functions "
+                             "with the most self time (default 12)")
     parser.add_argument("--telemetry", nargs="?", const="telemetry",
                         metavar="DIR",
                         help="arm the full telemetry stack (timeline series "
@@ -404,6 +405,10 @@ def main(argv=None):
         args.jobs = effective_jobs(args.jobs)
     except ValueError as exc:
         parser.error(str(exc))
+    for flag in ("profile", "nodes", "seeds"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            parser.error("--{} must be >= 1, got {}".format(flag, value))
 
     if args.list or not args.names:
         print("available experiments:", ", ".join(sorted(EXPERIMENTS)))
@@ -424,7 +429,7 @@ def main(argv=None):
 
     if (args.report or args.flight is not None) and args.telemetry is None:
         args.telemetry = "telemetry"
-    observing = bool(args.trace or args.metrics or args.profile is not None
+    observing = bool(args.trace or args.metrics
                      or args.telemetry is not None)
     if (args.jobs > 1
             and (args.trace or args.profile is not None
@@ -440,30 +445,44 @@ def main(argv=None):
     if observing:
         obs_runtime.configure(
             tracing=args.trace is not None or args.telemetry is not None,
-            metrics=True,
-            profiling=args.profile is not None,
             telemetry=args.telemetry is not None,
             flight=args.flight is not None,
             flight_dir=args.flight,
         )
-    status = 0
     try:
-        for name in names:
-            obs_runtime.set_label_prefix(name)
-            print("#" * 72)
-            print("# {}".format(name))
-            print("#" * 72)
-            if name in NEEDS_ARGS:
-                # a subcommand returning a truthy status (faults: a
-                # scenario missed its expectation) fails the invocation
-                status = EXPERIMENTS[name](args) or status
-            else:
-                EXPERIMENTS[name]()
-            print()
-        if observing:
-            _export_observability(args)
+        if args.profile is None:
+            return _run_names(args, names, observing)
+        # host profiling stays outside the simulator: cProfile sees every
+        # layer (event handlers, DTW, export, the cluster epoch loop) and
+        # the profiled run is the same program as an unprofiled one
+        import cProfile
+        import pstats
+
+        profiler = cProfile.Profile()
+        status = profiler.runcall(_run_names, args, names, observing)
+        pstats.Stats(profiler).sort_stats("tottime").print_stats(args.profile)
+        return status
     finally:
         obs_runtime.reset()
+
+
+def _run_names(args, names, observing):
+    """Run each subcommand, then the export step; returns the exit status."""
+    status = 0
+    for name in names:
+        obs_runtime.set_label_prefix(name)
+        print("#" * 72)
+        print("# {}".format(name))
+        print("#" * 72)
+        if name in NEEDS_ARGS:
+            # a subcommand returning a truthy status (faults: a scenario
+            # missed its expectation) fails the invocation
+            status = EXPERIMENTS[name](args) or status
+        else:
+            EXPERIMENTS[name]()
+        print()
+    if observing:
+        _export_observability(args)
     return status
 
 
@@ -486,9 +505,6 @@ def _export_observability(args):
         print(format_metrics_table(metrics_snapshot(sessions)))
     if args.telemetry is not None:
         _export_telemetry(args, sessions)
-    profiler = obs_runtime.profiler()
-    if args.profile is not None and profiler is not None:
-        print(profiler.format_table(args.profile))
 
 
 def _export_telemetry(args, sessions):

@@ -1,4 +1,4 @@
-"""repro.obs — unified tracing, metrics, and profiling for the psbox stack.
+"""repro.obs — unified tracing, metrics, and telemetry for the psbox stack.
 
 See docs/OBSERVABILITY.md for the full guide.  The short version:
 
@@ -34,7 +34,6 @@ from repro.obs.openmetrics import (
     openmetrics_lines,
     render_openmetrics,
 )
-from repro.obs.profiler import EventLoopProfiler
 from repro.obs.session import Obs, kernel_logs
 from repro.obs.timeline import Series, Timeline
 from repro.obs.tracer import Span, Tracer
@@ -53,7 +52,6 @@ __all__ = [
     "AlertEngine",
     "AlertRule",
     "default_rules",
-    "EventLoopProfiler",
     "FlightRecorder",
     "chrome_trace_events",
     "events_jsonl_lines",

@@ -1,13 +1,13 @@
 """Process-global observability wiring for the experiment CLI.
 
 The experiment drivers boot many independent simulators per figure; this
-module is how one ``--trace``/``--metrics``/``--profile``/``--telemetry``
-invocation reaches all of them without threading a parameter through every
-driver.  The CLI calls :func:`configure` once; :func:`install` — called by
+module is how one ``--trace``/``--metrics``/``--telemetry`` invocation
+reaches all of them without threading a parameter through every driver.
+The CLI calls :func:`configure` once; :func:`install` — called by
 ``repro.experiments.common.boot`` on every fresh simulator — then attaches
-an :class:`~repro.obs.session.Obs` session (and the shared wall-clock
-profiler) to each run.  With nothing configured, ``install`` is a no-op and
-experiments behave exactly as before.
+an :class:`~repro.obs.session.Obs` session to each run.  With nothing
+configured, ``install`` is a no-op and experiments behave exactly as
+before.
 
 Telemetry adds two shared pieces: every installed session gets its own
 :class:`~repro.obs.timeline.Timeline`, and one process-wide
@@ -16,13 +16,11 @@ Telemetry adds two shared pieces: every installed session gets its own
 """
 
 from repro.obs import flight as flight_mod
-from repro.obs.profiler import EventLoopProfiler
 from repro.obs.session import Obs
 from repro.obs.timeline import Timeline
 
 _config = None       # dict of configure() kwargs, or None (inactive)
 _sessions = []       # Obs sessions in boot order
-_profiler = None     # one EventLoopProfiler shared across runs
 _alerts = None       # one AlertEngine watching every telemetry session
 _label_prefix = ""
 _label_counts = {}
@@ -31,10 +29,11 @@ _label_counts = {}
 TIMELINE_CAPACITY = 4096
 
 
-def configure(tracing=False, metrics=True, profiling=False, telemetry=False,
-              rules=None, flight=False, flight_dir=None):
+def configure(tracing=False, telemetry=False, rules=None, flight=False,
+              flight_dir=None):
     """Arm observability for every simulator booted from now on.
 
+    Every session records metrics; ``tracing=True`` also records spans.
     ``telemetry=True`` attaches a :class:`Timeline` to each session and
     stands up the process-wide alert engine with ``rules`` (default:
     :func:`repro.obs.alerts.default_rules`).  ``flight=True`` additionally
@@ -44,8 +43,7 @@ def configure(tracing=False, metrics=True, profiling=False, telemetry=False,
     checker.
     """
     global _config, _alerts
-    _config = {"tracing": tracing, "metrics": metrics,
-               "profiling": profiling, "telemetry": telemetry}
+    _config = {"tracing": tracing, "telemetry": telemetry}
     if telemetry:
         from repro.obs.alerts import AlertEngine
 
@@ -59,10 +57,6 @@ def is_active():
     return _config is not None
 
 
-def telemetry_active():
-    return _config is not None and _config["telemetry"]
-
-
 def set_label_prefix(prefix):
     """Label subsequent sessions ``<prefix>:<n>`` (one per experiment)."""
     global _label_prefix
@@ -73,7 +67,6 @@ def install(sim, kernel=None, label=""):
     """Attach a session to a fresh simulator; returns it (or None)."""
     if _config is None:
         return None
-    global _profiler
     if not label:
         n = _label_counts.get(_label_prefix, 0) + 1
         _label_counts[_label_prefix] = n
@@ -86,10 +79,6 @@ def install(sim, kernel=None, label=""):
     _sessions.append(obs)
     if _alerts is not None:
         _alerts.watch(obs)
-    if _config["profiling"]:
-        if _profiler is None:
-            _profiler = EventLoopProfiler()
-        _profiler.install(sim)
     return obs
 
 
@@ -107,15 +96,6 @@ def drain_sessions():
     drained = list(_sessions)
     _sessions.clear()
     return drained
-
-
-def profiler():
-    return _profiler
-
-
-def alert_engine():
-    """The process-wide alert engine (None unless telemetry is armed)."""
-    return _alerts
 
 
 def finalize_telemetry():
@@ -142,12 +122,11 @@ def flight_recorder():
 
 def reset():
     """Disarm and forget everything (the CLI's finally-block)."""
-    global _config, _profiler, _alerts, _label_prefix
+    global _config, _alerts, _label_prefix
     if _alerts is not None:
         _alerts.unwatch_all()
     flight_mod.disarm()
     _config = None
-    _profiler = None
     _alerts = None
     _label_prefix = ""
     _sessions.clear()

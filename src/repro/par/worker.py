@@ -97,5 +97,5 @@ def worker_init(sys_path_entries, obs_metrics):
             sys.path.insert(0, entry)
     if obs_metrics:
         global _drain_metrics
-        obs_runtime.configure(tracing=False, metrics=True, profiling=False)
+        obs_runtime.configure()
         _drain_metrics = True

@@ -69,7 +69,8 @@ class PowerCapController:
         self.tree = tree
         self.bindings = list(bindings)
         self.config = config or ControllerConfig()
-        self.telemetry = telemetry or TelemetryRing()
+        self.telemetry = (telemetry if telemetry is not None
+                          else TelemetryRing())
         self.manager = PsboxManager.for_kernel(kernel)
         for binding in self.bindings:
             leaf = tree.node(binding.node)

@@ -6,10 +6,16 @@ code exports the retained window with :meth:`TelemetryRing.to_json`.
 """
 
 import json
+from collections import deque
 
 
 class TelemetryRing:
-    """Fixed-capacity ring buffer of controller decisions."""
+    """Fixed-capacity ring of controller decisions.
+
+    A bounded ``deque``, like :class:`~repro.sim.trace.EventTrace` and
+    :class:`~repro.obs.timeline.Series`: a full ring evicts its oldest
+    entry on append, and ``dropped`` counts the evictions.
+    """
 
     FIELDS = ("t", "node", "measured_w", "budget_w", "action", "level")
 
@@ -18,12 +24,10 @@ class TelemetryRing:
             raise ValueError("telemetry ring needs capacity >= 1")
         self.capacity = capacity
         self.dropped = 0
-        self._slots = [None] * capacity
-        self._next = 0
-        self._count = 0
+        self._entries = deque(maxlen=capacity)
 
     def __len__(self):
-        return self._count
+        return len(self._entries)
 
     def record(self, t, node, measured_w, budget_w, action, level):
         """Append one decision; overwrites the oldest entry when full."""
@@ -35,21 +39,15 @@ class TelemetryRing:
             "action": action,
             "level": round(float(level), 6),
         }
-        if self._count == self.capacity:
+        if len(self._entries) == self.capacity:
             self.dropped += 1
-        self._slots[self._next] = entry
-        self._next = (self._next + 1) % self.capacity
-        self._count = min(self._count + 1, self.capacity)
+        self._entries.append(entry)
         return entry
 
     def records(self, node=None, t0=None, t1=None):
         """Retained entries, oldest first, optionally filtered."""
-        if self._count < self.capacity:
-            ordered = self._slots[: self._count]
-        else:
-            ordered = self._slots[self._next:] + self._slots[: self._next]
         return [
-            entry for entry in ordered
+            entry for entry in self._entries
             if (node is None or entry["node"] == node)
             and (t0 is None or entry["t"] >= t0)
             and (t1 is None or entry["t"] < t1)
@@ -57,8 +55,9 @@ class TelemetryRing:
 
     def latest(self, node=None):
         """The newest retained entry (for ``node``, if given), or None."""
-        for entry in reversed(self.records(node=node)):
-            return entry
+        for entry in reversed(self._entries):
+            if node is None or entry["node"] == node:
+                return entry
         return None
 
     def to_json(self, indent=None):
@@ -66,7 +65,5 @@ class TelemetryRing:
         return json.dumps(self.records(), indent=indent, sort_keys=True)
 
     def clear(self):
-        self._slots = [None] * self.capacity
-        self._next = 0
-        self._count = 0
+        self._entries.clear()
         self.dropped = 0

@@ -9,12 +9,11 @@ behaviour (the sha256 differential tests pin this down bit for bit):
   (head slot + heap spillover) instead of the historical ``peek_time()``
   + ``pop()`` double walk;
 * **per-segment dispatch decision** — ``run`` latches the observability
-  session and profiler once per call and enters a dedicated loop (fast /
-  traced / profiled), instead of re-reading ``self.obs``/``self.profile``
-  for every event.  Installing a session or toggling ``tracer.enabled``
-  mid-handler therefore takes effect at the next ``run``/``step`` call —
-  nothing in the tree does this, and sessions are documented as
-  install-before-run;
+  session once per call and enters a dedicated loop (fast / traced),
+  instead of re-reading ``self.obs`` for every event.  Installing a
+  session or toggling ``tracer.enabled`` mid-handler therefore takes
+  effect at the next ``run``/``step`` call — nothing in the tree does
+  this, and sessions are documented as install-before-run;
 * **lazy trace bookkeeping** — with tracing enabled the loop pays one
   flag check per event until the first span begins
   (``tracer._seen_spans``); only after that does it stamp scheduling
@@ -26,7 +25,6 @@ canonical definition of the ordering contract.
 """
 
 from heapq import heappop, heappush
-from time import perf_counter
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.process import Process, Signal
@@ -42,7 +40,7 @@ class Simulator:
     """Owns the virtual clock and runs events in timestamp order."""
 
     __slots__ = ("_now", "_queue", "rng", "processes", "faults", "obs",
-                 "profile", "_ctx_tracer")
+                 "_ctx_tracer")
 
     def __init__(self, seed=0):
         self._now = 0
@@ -60,10 +58,6 @@ class Simulator:
         # itself schedules no events and draws no RNG, so even an installed
         # one leaves the simulated schedule bit-identical.
         self.obs = None
-        # Wall-clock profiler (:class:`repro.obs.EventLoopProfiler`), or
-        # None.  Measures host time per event handler; virtual time is
-        # untouched.
-        self.profile = None
         # The active tracer when scheduling-context stamping may be needed
         # (session installed with tracing enabled), else None.  Maintained
         # by Obs.install/uninstall and re-latched by run()/step().
@@ -206,7 +200,7 @@ class Simulator:
         limit = until if until is not None else _FOREVER
         queue = self._queue
         heap = queue._heap
-        if tracer is None and self.profile is None:
+        if tracer is None:
             # Fast loop: the inlined pop_due and nothing else.
             while True:
                 event = queue._head
@@ -224,7 +218,7 @@ class Simulator:
                     event.fn(*args)
                 else:
                     event.fn()
-        elif self.profile is None:
+        else:
             # Traced loop: until the first span begins, one flag check per
             # event is the entire tracing cost.  Afterwards each event
             # resets the per-cascade state the way _enter_event used to —
@@ -256,16 +250,6 @@ class Simulator:
                 tracer._event_ctx = None
                 if stack:
                     del stack[:]
-        else:
-            # Profiled (and possibly traced) loop: rare, so it takes the
-            # generic per-event dispatch.
-            pop_due = queue.pop_due
-            while True:
-                event = pop_due(limit)
-                if event is None:
-                    break
-                self._now = event.time
-                self._dispatch(event)
         if until is not None and until > self._now:
             self._now = until
         return self._now
@@ -277,35 +261,22 @@ class Simulator:
         if event is None:
             return False
         self._now = event.time
-        if tracer is None and self.profile is None:
+        if tracer is None:
             event.fn(*event.args)
         else:
-            self._dispatch(event)
+            self._dispatch(event, tracer)
         return True
 
-    def _dispatch(self, event):
-        """The generic observed dispatch: trace-context resume + profiling."""
-        obs = self.obs
-        tracer = None
-        if obs is not None and obs.tracer.enabled:
-            tracer = obs.tracer
-            tracer._enter_event(getattr(event, "ctx", None))
-        profile = self.profile
+    def _dispatch(self, event, tracer):
+        """A traced ``step()``: resume the event's trace context around it."""
+        tracer._enter_event(getattr(event, "ctx", None))
         try:
-            if profile is not None:
-                start = perf_counter()
-                try:
-                    event.fn(*event.args)
-                finally:
-                    profile.record(event.fn, perf_counter() - start)
-            else:
-                event.fn(*event.args)
+            event.fn(*event.args)
         finally:
             # A raising handler must still close the tracer's event scope:
             # callers that catch and keep stepping would otherwise see this
             # event's context leak into every later cascade.
-            if tracer is not None:
-                tracer._exit_event()
+            tracer._exit_event()
 
     def pending(self):
         """Number of live events still queued (O(queued) — diagnostics)."""

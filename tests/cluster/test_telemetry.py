@@ -15,7 +15,6 @@ from repro.cluster import (
     ClusterConfig,
     ClusterTelemetry,
     ClusterTopology,
-    EpochClock,
     WaterFillingAllocator,
     WorkloadSpec,
 )
@@ -62,13 +61,7 @@ def run_with_telemetry(budget_w=12.0, engine=None, fault=False, seed=5):
     return telemetry, run
 
 
-# -- the epoch clock ---------------------------------------------------------------
-
-
-def test_epoch_clock_quacks_like_a_sim():
-    clock = EpochClock()
-    assert clock.now == 0
-    assert clock.obs is None and clock.faults is None
+# -- the cap-loop session ----------------------------------------------------------
 
 
 def test_for_runtime_is_none_when_nothing_armed():
@@ -77,7 +70,7 @@ def test_for_runtime_is_none_when_nothing_armed():
 
 
 def test_for_runtime_registers_with_armed_runtime():
-    obs_runtime.configure(tracing=True, metrics=True, telemetry=True)
+    obs_runtime.configure(tracing=True, telemetry=True)
     try:
         telemetry = ClusterTelemetry.for_runtime(label="cap-loop")
         assert telemetry is not None

@@ -43,6 +43,27 @@ def test_unknown_experiment_errors():
         main(["fig99"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig7", "--profile", "0"],
+    ["fig7", "--profile", "-5"],
+    ["cluster", "--nodes", "0"],
+    ["cluster", "--nodes", "-1"],
+    ["faults", "--seeds", "0"],
+    ["faults", "--jobs", "0"],
+])
+def test_counts_below_one_are_usage_errors(argv, capsys):
+    """A count below 1 is a usage error before anything runs, as for
+    ``--jobs``: pstats would print no rows (or all but N), ``--nodes 0``
+    would fall back to the default topology and ``--nodes -1`` fail in
+    ClusterTopology, and ``--seeds 0`` would pass an empty soak."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be >= 1" in captured.err
+    assert captured.out == ""
+
+
 def test_registry_covers_every_eval_section():
     assert set(EXPERIMENTS) == set(DRIVER_MODULES)
 
@@ -199,3 +220,31 @@ def test_report_implies_telemetry(tmp_path, capsys, monkeypatch):
     assert "telemetry:" in out
     assert (tmp_path / "telemetry" / "metrics.om").exists()
     assert (tmp_path / "telemetry" / "report.json").exists()
+
+
+def test_profile_appends_a_cprofile_table_to_the_unchanged_report(
+        capsys, monkeypatch):
+    """``--profile N`` runs the subcommand under cProfile and arms no obs
+    session: stdout is the golden report byte for byte, then pstats' N
+    functions with the most self time."""
+    from repro.obs.session import Obs
+
+    installed = []
+    install = Obs.install
+    monkeypatch.setattr(
+        Obs, "install", lambda obs: installed.append(obs) or install(obs))
+    assert main(["fig7", "--profile", "5"]) == 0
+    assert installed == []
+    out = capsys.readouterr().out
+    golden = (GOLDEN_DIR / "fig7.txt").read_text()
+    assert out.startswith(golden)
+    table = out[len(golden):]
+    assert "Ordered by: internal time" in table
+    lines = table.splitlines()
+    header = next(i for i, line in enumerate(lines)
+                  if line.split()[:2] == ["ncalls", "tottime"])
+    rows = [line for line in lines[header + 1:] if line.strip()]
+    assert len(rows) == 5
+    tottimes = [float(row.split()[1]) for row in rows]
+    assert tottimes == sorted(tottimes, reverse=True)
+    assert any("repro/" in row for row in rows)

@@ -11,15 +11,18 @@ Each cell runs the workload with that layer attached and asserts the
 sha256 fingerprint of the run's observable behaviour (rail change points,
 kernel event logs, task end states) equals the bare serial baseline's,
 bit for bit.  This is the harness that lets the event-loop hot path be
-rewritten at all: the dedicated fast/traced/profiled run loops in
-``Simulator.run`` must be indistinguishable in virtual time, and an
-installed-but-disabled fault plan must stay a pure read at every site.
+rewritten at all: the dedicated fast/traced run loops in
+``Simulator.run`` must be indistinguishable in virtual time, a run under
+the host profiler (``cProfile``, as ``--profile`` uses) must be the same
+program, and an installed-but-disabled fault plan must stay a pure read
+at every site.
 
 Enabled (injecting) fault plans legitimately change behaviour, so for
 those the contract is seed-reproducibility, asserted per workload at the
 bottom.
 """
 
+import cProfile
 import hashlib
 
 import pytest
@@ -37,7 +40,6 @@ from repro.experiments.faults_exp import build_workload
 from repro.faults import SCENARIOS, fingerprint
 from repro.obs import AlertEngine, FlightRecorder, Obs, Timeline, flight
 from repro.obs import runtime as obs_runtime
-from repro.obs.profiler import EventLoopProfiler
 
 VARIANTS = ("tracer-off", "tracer-on", "profiler-on", "telemetry-on",
             "flight-on", "faults-installed")
@@ -64,8 +66,6 @@ def _run_board(workload, variant):
         Obs(sim, tracing=False).install().bind_kernel(work.kernel)
     elif variant == "tracer-on":
         Obs(sim, tracing=True).install().bind_kernel(work.kernel)
-    elif variant == "profiler-on":
-        EventLoopProfiler().install(sim)
     elif variant in ("telemetry-on", "flight-on"):
         # the full stack: tracer + timeline + a live alert engine
         # evaluating every sample as it streams off the board — and, for
@@ -109,18 +109,16 @@ def _cluster_setup():
 def _run_cluster(variant):
     """A small capped cluster run; fingerprints every node, combined."""
     if variant == "tracer-off":
-        obs_runtime.configure(tracing=False, metrics=True, profiling=False)
+        obs_runtime.configure(tracing=False)
     elif variant == "tracer-on":
-        obs_runtime.configure(tracing=True, metrics=True, profiling=False)
-    elif variant == "profiler-on":
-        obs_runtime.configure(tracing=False, metrics=False, profiling=True)
+        obs_runtime.configure(tracing=True)
     elif variant in ("telemetry-on", "flight-on"):
         # full stack on every node *and* the cap loop itself: per-session
         # timelines, cluster epoch samplers, the process alert engine —
         # flight-on additionally arms the in-memory recorder, so every
         # fired alert snapshots mid-run through the live hooks
-        obs_runtime.configure(tracing=True, metrics=True, profiling=False,
-                              telemetry=True, flight=variant == "flight-on")
+        obs_runtime.configure(tracing=True, telemetry=True,
+                              flight=variant == "flight-on")
     try:
         topo, by_node, config = _cluster_setup()
         telemetry = (ClusterTelemetry.for_runtime(label="cap-loop")
@@ -144,6 +142,9 @@ def _run_cluster(variant):
 
 
 def _run(workload, variant):
+    if variant == "profiler-on":
+        # the bare run, under cProfile's hook on every Python call
+        return cProfile.Profile().runcall(_run, workload, "baseline")
     if workload == "cluster":
         return _run_cluster(variant)
     return _run_board(workload, variant)

@@ -191,7 +191,7 @@ def test_serial_path_preserves_observing_parent_sessions():
     that ran earlier in the same invocation."""
     from repro.obs import runtime as obs_runtime
 
-    obs_runtime.configure(tracing=False, metrics=True, profiling=False)
+    obs_runtime.configure()
     try:
         # a session from an "earlier experiment" in the same invocation
         import repro.par.testing as testing

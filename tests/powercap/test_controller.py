@@ -10,6 +10,7 @@ from repro.powercap import (
     GovernorClampActuator,
     LeafBinding,
     PowerCapController,
+    TelemetryRing,
 )
 from repro.sim.clock import SEC
 
@@ -29,7 +30,7 @@ def aggregate(platform, t0, t1):
     return sum(rail.mean_power(t0, t1) for rail in platform.rails.values())
 
 
-def make_controller(kernel, app, box, cap_w):
+def make_controller(kernel, app, box, cap_w, telemetry=None):
     tree = BudgetTree.from_spec({
         "name": "root", "cap_w": cap_w,
         "children": [{"name": "hog"}],
@@ -38,7 +39,7 @@ def make_controller(kernel, app, box, cap_w):
         GovernorClampActuator(kernel.cpu_governor, (box.ctx_key,)),
         CfsBandwidthActuator(kernel.smp, app),
     ))]
-    return PowerCapController(kernel, tree, bindings)
+    return PowerCapController(kernel, tree, bindings, telemetry=telemetry)
 
 
 def uncapped_peak(seed=5):
@@ -107,6 +108,19 @@ def test_telemetry_records_decisions():
     assert {"throttle", "hold"} & {e["action"] for e in entries}
     root_rows = controller.telemetry.records(node="root")
     assert all(row["action"] == "aggregate" for row in root_rows)
+
+
+def test_controller_keeps_the_ring_it_is_given():
+    """Regression: ``telemetry or TelemetryRing()`` swapped a caller's
+    ring, empty and so falsy, for a default one."""
+    platform, kernel, app, box = boot_hog()
+    ring = TelemetryRing(capacity=8)
+    controller = make_controller(kernel, app, box, cap_w=1.0,
+                                 telemetry=ring)
+    assert controller.telemetry is ring
+    controller.start()
+    platform.sim.run(until=SEC // 4)
+    assert len(ring) == 8 and ring.dropped > 0
 
 
 def test_start_is_idempotent():

