@@ -33,7 +33,6 @@ from repro.sim.clock import from_msec
 from repro.check.report import CheckReport, CheckViolation, Violation
 from repro.kernel.balloon import DRAINING, SERVE
 from repro.kernel.net_sched import PacketScheduler
-from repro.obs import flight
 
 
 @dataclass
@@ -135,8 +134,8 @@ class InvariantChecker:
                                event=event, message=message)
             obs.metrics.inc("check.violations")
             obs.metrics.inc("check.violations." + invariant)
-        if flight._recorder is not None:
-            flight._recorder.on_violation(violation, sim=self.sim)
+            if obs.flight is not None:
+                obs.flight.on_violation(violation, sim=self.sim)
         if self.strict:
             raise CheckViolation(violation)
 

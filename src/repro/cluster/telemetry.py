@@ -30,7 +30,6 @@ cluster runs fingerprint bit-identical to bare ones (the differential
 matrix's telemetry column).
 """
 
-from repro.obs import flight
 from repro.obs import runtime as obs_runtime
 from repro.obs.session import Obs
 from repro.obs.timeline import Timeline
@@ -62,11 +61,11 @@ class ClusterTelemetry:
 
     @classmethod
     def for_runtime(cls, label="cluster"):
-        """An instance registered with the CLI's global runtime, or None.
+        """An instance registered with the current observed run, or None.
 
-        The session shows up in ``obs_runtime.sessions()`` (so every
-        export surface covers it) and, when telemetry is armed, its
-        timeline is watched by the process-wide alert engine.
+        The session joins the run's ``sessions`` (so every export surface
+        covers it) and, when telemetry is armed, its timeline is watched
+        by the run's alert engine.  None outside an observed run.
         """
         obs = obs_runtime.install(Simulator(), label=label)
         if obs is None:
@@ -122,8 +121,8 @@ class ClusterTelemetry:
         # nothing is ever scheduled on the cap-loop clock: this only moves
         # ``now`` to the epoch boundary, so samples carry honest time
         self.clock.run(until=t1)
-        if flight._recorder is not None:
-            flight._recorder.note_cluster(nodes)
+        if obs.flight is not None:
+            obs.flight.note_cluster(nodes)
         budget = record.budget_w
         err = ((record.aggregate_w - budget) / budget) if budget else 0.0
         obs.metrics.inc("cluster.epochs")

@@ -194,11 +194,8 @@ def run_cluster(args=None):
     cache = _result_cache(args)
     nodes = getattr(args, "nodes", None) if args is not None else None
     bench = getattr(args, "bench", None) if args is not None else None
-    result, runner = _run(
-        nodes=nodes if nodes else DEFAULT_NODES,
-        jobs=jobs, cache=cache,
-        obs_metrics=obs_runtime.is_active() and jobs > 1,
-    )
+    result, runner = _run(nodes=nodes if nodes else DEFAULT_NODES,
+                          jobs=jobs, cache=cache)
     print(format_table(
         ["quantity", "value"],
         [["nodes", str(result.nodes)],
@@ -243,9 +240,9 @@ def _result_cache(args):
 def _print_par_stats(runner, jobs, cache):
     """Runner stats go to stderr: the stdout report must stay byte-identical
     between serial and parallel runs (the differential test's contract).
-    The merged worker metrics exist only when jobs > 1 (in-process cells
-    register with the parent's runtime instead), so they go to stderr for
-    the same reason."""
+    The merged worker metrics exist only when cells ran in a spawn pool
+    (in-process cells register with the parent's observed run instead), so
+    they go to stderr for the same reason."""
     if jobs > 1 or cache is not None:
         print(runner.stats.summary(), file=sys.stderr)
     if runner.obs_snapshot is not None:
@@ -289,10 +286,7 @@ def run_faults(args=None):
         seeds = soak_seeds(args.seeds, args.entropy)
     else:
         seeds = [0]
-    campaigns, runner = run_faults_parallel(
-        seeds, jobs=jobs, cache=cache,
-        obs_metrics=obs_runtime.is_active() and jobs > 1,
-    )
+    campaigns, runner = run_faults_parallel(seeds, jobs=jobs, cache=cache)
     if len(campaigns) == 1:
         _print_campaign_table(campaigns[0])
     else:
@@ -310,10 +304,8 @@ def run_sweep(args=None):
     cache = _result_cache(args)
     only = getattr(args, "only", None) if args is not None else None
     try:
-        payloads, runner = _run(
-            only.split(",") if only else None, jobs=jobs, cache=cache,
-            obs_metrics=obs_runtime.is_active() and jobs > 1,
-        )
+        payloads, runner = _run(only.split(",") if only else None,
+                                jobs=jobs, cache=cache)
     except ValueError as exc:
         # unknown --only cells: a clean CLI error, not a CellError from
         # deep inside a worker
@@ -429,8 +421,6 @@ def main(argv=None):
 
     if (args.report or args.flight is not None) and args.telemetry is None:
         args.telemetry = "telemetry"
-    observing = bool(args.trace or args.metrics
-                     or args.telemetry is not None)
     if (args.jobs > 1
             and (args.trace or args.profile is not None
                  or args.telemetry is not None)
@@ -442,16 +432,17 @@ def main(argv=None):
               "process; cells run with --jobs {} are not traced, profiled, "
               "or sampled (use --jobs 1, or --metrics for aggregated "
               "counters)".format(args.jobs), file=sys.stderr)
-    if observing:
-        obs_runtime.configure(
+    run = None
+    if args.trace or args.metrics or args.telemetry is not None:
+        run = obs_runtime.ObsRun(
             tracing=args.trace is not None or args.telemetry is not None,
             telemetry=args.telemetry is not None,
             flight=args.flight is not None,
             flight_dir=args.flight,
         )
-    try:
+    with obs_runtime.observe(run):
         if args.profile is None:
-            return _run_names(args, names, observing)
+            return _run_names(args, names, run)
         # host profiling stays outside the simulator: cProfile sees every
         # layer (event handlers, DTW, export, the cluster epoch loop) and
         # the profiled run is the same program as an unprofiled one
@@ -459,18 +450,21 @@ def main(argv=None):
         import pstats
 
         profiler = cProfile.Profile()
-        status = profiler.runcall(_run_names, args, names, observing)
+        status = profiler.runcall(_run_names, args, names, run)
         pstats.Stats(profiler).sort_stats("tottime").print_stats(args.profile)
         return status
-    finally:
-        obs_runtime.reset()
 
 
-def _run_names(args, names, observing):
-    """Run each subcommand, then the export step; returns the exit status."""
+def _run_names(args, names, run):
+    """Run each subcommand, then the export step; returns the exit status.
+
+    ``run`` is the invocation's :class:`~repro.obs.runtime.ObsRun`, or None
+    when no obs flag was given.
+    """
     status = 0
     for name in names:
-        obs_runtime.set_label_prefix(name)
+        if run is not None:
+            run.label_prefix = name
         print("#" * 72)
         print("# {}".format(name))
         print("#" * 72)
@@ -481,12 +475,12 @@ def _run_names(args, names, observing):
         else:
             EXPERIMENTS[name]()
         print()
-    if observing:
-        _export_observability(args)
+    if run is not None:
+        _export_observability(args, run)
     return status
 
 
-def _export_observability(args):
+def _export_observability(args, run):
     from repro.obs import (
         export_chrome_trace,
         export_metrics,
@@ -494,7 +488,7 @@ def _export_observability(args):
         metrics_snapshot,
     )
 
-    sessions = obs_runtime.sessions()
+    sessions = run.sessions
     if args.trace:
         count = export_chrome_trace(sessions, args.trace)
         print("trace: {} events from {} sessions -> {}".format(
@@ -504,10 +498,10 @@ def _export_observability(args):
         print("metrics snapshot -> {}".format(args.metrics))
         print(format_metrics_table(metrics_snapshot(sessions)))
     if args.telemetry is not None:
-        _export_telemetry(args, sessions)
+        _export_telemetry(args, run)
 
 
-def _export_telemetry(args, sessions):
+def _export_telemetry(args, run):
     """Write the telemetry bundle and (optionally) print the alert report.
 
     The bundle is one directory holding every export surface: OpenMetrics
@@ -525,7 +519,8 @@ def _export_telemetry(args, sessions):
         export_timeline_jsonl,
     )
 
-    engine = obs_runtime.finalize_telemetry()
+    sessions = run.sessions
+    engine = run.finalize()
     out = args.telemetry
     os.makedirs(out, exist_ok=True)
     families = export_openmetrics(sessions, os.path.join(out, "metrics.om"))
@@ -540,7 +535,7 @@ def _export_telemetry(args, sessions):
         handle.write("\n")
     print("telemetry: {} metric families, {} series, {} trace events "
           "-> {}/".format(families, series, events, out))
-    recorder = obs_runtime.flight_recorder()
+    recorder = run.flight
     if recorder is not None:
         dumps = recorder.flush()
         print("flight: {} dump(s){} -> {}/".format(

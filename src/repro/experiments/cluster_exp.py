@@ -39,7 +39,6 @@ from repro.cluster import (
     placements_by_node,
     standard_mix,
 )
-from repro.obs import runtime as obs_runtime
 
 #: default shape of the acceptance run
 DEFAULT_NODES = 8
@@ -86,7 +85,7 @@ class ClusterExperimentResult:
 
 def run_cluster(seed=11, nodes=DEFAULT_NODES, horizon_s=DEFAULT_HORIZON_S,
                 cap_fraction=0.70, peak_users=None,
-                epoch_ms=250, jobs=1, cache=None, obs_metrics=False):
+                epoch_ms=250, jobs=1, cache=None):
     """The full campaign; returns ``(result, runner)``.
 
     ``peak_users`` defaults to the canonical 2.4M scaled by topology size
@@ -106,16 +105,14 @@ def run_cluster(seed=11, nodes=DEFAULT_NODES, horizon_s=DEFAULT_HORIZON_S,
     by_node = placements_by_node(placements)
     quality = placement_quality(placements, topology, horizon_s, engine)
     # One session for the campaign-level phases (placement), plus one per
-    # allocator's cap loop below — all registered with the CLI runtime so
-    # --trace/--metrics/--telemetry cover them.  None when nothing armed.
-    campaign_telemetry = (ClusterTelemetry.for_runtime(label="cluster")
-                          if obs_runtime.is_active() else None)
+    # allocator's cap loop below — all registered with the observed run so
+    # --trace/--metrics/--telemetry cover them.  None when nothing observes.
+    campaign_telemetry = ClusterTelemetry.for_runtime(label="cluster")
     if campaign_telemetry is not None:
         campaign_telemetry.on_placement(placements)
 
     payloads, runner = calibrate(topology, by_node, seed, horizon_s,
-                                 epoch_ms, jobs=jobs, cache=cache,
-                                 obs_metrics=obs_metrics)
+                                 epoch_ms, jobs=jobs, cache=cache)
     uncapped_peak = cluster_peak_w(payloads)
     budget = cap_fraction * uncapped_peak
 
@@ -135,9 +132,8 @@ def run_cluster(seed=11, nodes=DEFAULT_NODES, horizon_s=DEFAULT_HORIZON_S,
     # allocator-vs-allocator over identical nodes.
     for allocator, feed in ((WaterFillingAllocator(), True),
                             (PIBaselineAllocator(), False)):
-        telemetry = (ClusterTelemetry.for_runtime(
-                         label="cluster/" + allocator.name)
-                     if obs_runtime.is_active() else None)
+        telemetry = ClusterTelemetry.for_runtime(
+            label="cluster/" + allocator.name)
         cluster = Cluster(
             topology, by_node, allocator, config, seed=seed,
             predictor=predictor if feed else None,

@@ -271,8 +271,7 @@ def campaign_items(seeds, scenarios=SCENARIOS):
     )
 
 
-def run_faults_parallel(seeds, jobs=1, cache=None, scenarios=SCENARIOS,
-                        obs_metrics=False):
+def run_faults_parallel(seeds, jobs=1, cache=None, scenarios=SCENARIOS):
     """The scenario matrix at many seeds, fanned across ``jobs`` processes.
 
     Cells are bit-reproducible and the merge orders by shard key, so the
@@ -281,7 +280,7 @@ def run_faults_parallel(seeds, jobs=1, cache=None, scenarios=SCENARIOS,
     ``(campaigns, runner)`` — the runner carries stats and the aggregated
     per-worker obs metrics.
     """
-    runner = ParallelRunner(jobs=jobs, cache=cache, obs_metrics=obs_metrics)
+    runner = ParallelRunner(jobs=jobs, cache=cache)
     payloads = runner.run(campaign_items(seeds, scenarios))
     per_seed = len(scenarios)
     campaigns = [

@@ -72,9 +72,9 @@ def sweep_items(names=None):
                      [(0, {"cell": name}) for name in names])
 
 
-def run_sweep(names=None, jobs=1, cache=None, obs_metrics=False):
+def run_sweep(names=None, jobs=1, cache=None):
     """Run the sweep; returns ``(payloads-in-order, runner)``."""
-    runner = ParallelRunner(jobs=jobs, cache=cache, obs_metrics=obs_metrics)
+    runner = ParallelRunner(jobs=jobs, cache=cache)
     payloads = runner.run(sweep_items(names))
     return payloads, runner
 

@@ -34,7 +34,7 @@ from repro.obs.openmetrics import (
     openmetrics_lines,
     render_openmetrics,
 )
-from repro.obs.session import Obs, kernel_logs
+from repro.obs.session import Obs
 from repro.obs.timeline import Series, Timeline
 from repro.obs.tracer import Span, Tracer
 
@@ -69,5 +69,4 @@ __all__ = [
     "render_openmetrics",
     "timeline_jsonl_lines",
     "format_metrics_table",
-    "kernel_logs",
 ]

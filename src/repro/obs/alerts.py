@@ -25,7 +25,6 @@ Semantics:
 from dataclasses import dataclass
 
 from repro.analysis.report import format_table
-from repro.obs import flight
 from repro.obs.timeline import canonical_labels
 
 #: supported rule conditions: value `op` threshold
@@ -152,7 +151,7 @@ class AlertEngine:
     def __init__(self, rules=None):
         self.rules = list(rules if rules is not None else default_rules())
         self.alerts = []
-        self._watched = []       # (obs, timeline, subscriber fn)
+        self._watched = []       # (obs, timeline)
         self._streaks = {}       # (rule name, session, series key) -> count
         self._fired = set()      # keys currently latched (fired, not re-armed)
         self._finalized = False
@@ -174,20 +173,15 @@ class AlertEngine:
         timeline = getattr(obs, "timeline", None)
         if timeline is None:
             return self
-        if any(watched is obs for watched, _tl, _fn in self._watched):
+        if any(watched is obs for watched, _tl in self._watched):
             return self
 
         def on_sample(series, t_ns, value, _obs=obs):
             self._on_sample(_obs, series, t_ns, value)
 
         timeline.subscribe(on_sample)
-        self._watched.append((obs, timeline, on_sample))
+        self._watched.append((obs, timeline))
         return self
-
-    def unwatch_all(self):
-        for _obs, timeline, fn in self._watched:
-            timeline.unsubscribe(fn)
-        del self._watched[:]
 
     # -- evaluation ------------------------------------------------------------------
 
@@ -219,8 +213,8 @@ class AlertEngine:
             tracer.instant("alert." + rule.name, cat="alert", track="alerts",
                            severity=rule.severity, series=series.key,
                            value=round(value, 6))
-        if flight._recorder is not None:
-            flight._recorder.on_alert(self.alerts[-1], obs=obs, engine=self)
+        if obs.flight is not None:
+            obs.flight.on_alert(self.alerts[-1], obs=obs, engine=self)
 
     def finalize(self):
         """Run the ``at_end`` rules against each series' last sample.
@@ -231,7 +225,7 @@ class AlertEngine:
         if self._finalized:
             return self
         self._finalized = True
-        for obs, timeline, _fn in self._watched:
+        for obs, timeline in self._watched:
             for series in timeline.all():
                 last = series.last()
                 if last is None:

@@ -10,10 +10,13 @@ recorder snapshots everything it can see into one self-contained JSON dump
 root-cause incident report, even when the live rings have long since
 evicted the breach.
 
-Wiring follows the repo's dormant-cost rule (DESIGN.md §5h): a trigger or
-source site pays exactly **one branch** when no recorder is armed —
-``if flight._recorder is not None`` against this module's global.  The
-armed sites are:
+A recorder belongs to one observed run
+(:class:`~repro.obs.runtime.ObsRun`), and every session of that run
+carries it as ``obs.flight``.  Wiring follows the repo's dormant-cost
+rule (DESIGN.md §5h): each trigger or source site reads ``obs.flight``
+inside the ``sim.obs`` guard it already pays, so an unobserved simulator
+pays nothing extra and a session without a recorder pays one branch.  The
+sites are:
 
 * ``AlertEngine._fire`` — every fired alert triggers a snapshot;
 * ``InvariantChecker._flag`` — every recorded violation triggers one;
@@ -32,30 +35,8 @@ import json
 import os
 from itertools import islice
 
-#: the process-global armed recorder; trigger sites branch on this being
-#: None — that read-and-branch is their entire dormant cost
-_recorder = None
-
 FORMAT = "psbox-flight"
 VERSION = 1
-
-
-def arm(recorder):
-    """Make ``recorder`` the process-global flight recorder; returns it."""
-    global _recorder
-    _recorder = recorder
-    return recorder
-
-
-def disarm():
-    """Detach the global recorder (trigger sites go back to one branch)."""
-    global _recorder
-    _recorder = None
-
-
-def active():
-    """The armed recorder, or None."""
-    return _recorder
 
 
 def _jsonable(value):
@@ -85,15 +66,15 @@ def _tail(ring, n):
 class FlightRecorder:
     """Bounded black-box capture with snapshot-on-trigger semantics.
 
-    ``sessions`` is a list of :class:`~repro.obs.session.Obs` sessions or
-    a zero-argument callable returning one (the CLI passes
-    ``obs_runtime.sessions`` so late-booted simulators are covered).
-    ``out_dir`` of None keeps dumps in memory only (tests, the
-    differential matrix); a path writes ``flight-NNN.json`` files plus a
-    ``manifest.json`` on :meth:`flush`.
+    ``sessions`` is the list of :class:`~repro.obs.session.Obs` sessions
+    to snapshot (a fresh empty one by default), read live at every
+    snapshot: an :class:`~repro.obs.runtime.ObsRun` passes its own list,
+    so late-booted simulators are covered.  ``out_dir`` of None keeps
+    dumps in memory only (tests, the differential matrix); a path writes
+    ``flight-NNN.json`` files plus a ``manifest.json`` on :meth:`flush`.
     """
 
-    def __init__(self, out_dir=None, sessions=(), series_tail=256,
+    def __init__(self, out_dir=None, sessions=None, series_tail=256,
                  events_tail=256, max_dumps=16):
         if series_tail < 1 or events_tail < 1:
             raise ValueError("flight tails must be >= 1")
@@ -106,19 +87,11 @@ class FlightRecorder:
         self.dumps = []          # snapshot dicts, trigger order
         self.paths = []          # files written (out_dir set)
         self.suppressed = 0      # triggers past max_dumps
-        self._sessions = sessions
+        self.sessions = [] if sessions is None else sessions
         self._rings = {}         # id -> (label, TelemetryRing); insertion order
         self._alerts = []        # every alert seen, dump order context
 
     # -- source registration (the "note" sites) -------------------------------
-
-    def watch(self, obs):
-        """Explicitly add one session (when ``sessions`` is a list)."""
-        if not callable(self._sessions):
-            self._sessions = list(self._sessions)
-            if obs not in self._sessions:
-                self._sessions.append(obs)
-        return self
 
     def note_ring(self, ring, label):
         """Register one actuator-decision ring under a session label.
@@ -161,10 +134,6 @@ class FlightRecorder:
 
     # -- the snapshot itself --------------------------------------------------
 
-    def sessions(self):
-        sessions = self._sessions
-        return list(sessions() if callable(sessions) else sessions)
-
     def snapshot(self, trigger):
         """Capture one self-contained dump; returns it (or None if capped).
 
@@ -180,7 +149,7 @@ class FlightRecorder:
             "seq": len(self.dumps),
             "trigger": _jsonable(trigger),
             "sessions": [self._session_snapshot(obs)
-                         for obs in self.sessions()],
+                         for obs in self.sessions],
             "actions": self._actions_snapshot(),
             "alerts": list(self._alerts),
             "suppressed": self.suppressed,

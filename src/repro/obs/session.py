@@ -11,11 +11,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
 
-def kernel_logs(kernel):
-    """Every EventTrace log a kernel owns (the fingerprint set)."""
-    return kernel.logs()
-
-
 class Obs:
     """One run's observability context (tracing + metrics + telemetry).
 
@@ -24,15 +19,19 @@ class Obs:
     armed, so sampler sites inside the ``sim.obs`` guard pay exactly one
     extra branch when a session exists without telemetry — and a run with
     no session at all still pays only the one branch it always did.
+    ``flight`` is the run's :class:`~repro.obs.flight.FlightRecorder`, or
+    None; trigger sites read it inside the same guard.
     """
 
-    def __init__(self, sim, label="", tracing=True, timeline=None):
+    def __init__(self, sim, label="", tracing=True, timeline=None,
+                 flight=None):
         self.sim = sim
         self.label = label
         self.tracer = Tracer(sim)
         self.tracer.enabled = tracing
         self.metrics = MetricsRegistry()
         self.timeline = timeline
+        self.flight = flight
         self.kernel = None
 
     def install(self):
@@ -43,11 +42,6 @@ class Obs:
         self.sim._ctx_tracer = self.tracer if self.tracer.enabled else None
         return self
 
-    def uninstall(self):
-        if getattr(self.sim, "obs", None) is self:
-            self.sim.obs = None
-            self.sim._ctx_tracer = None
-
     def bind_kernel(self, kernel):
         """Remember the kernel so snapshots can report its log health."""
         self.kernel = kernel
@@ -57,7 +51,7 @@ class Obs:
         """Retention/drop stats of the bound kernel's event logs."""
         stats = {}
         if self.kernel is not None:
-            for log in kernel_logs(self.kernel):
+            for log in self.kernel.logs():
                 stats[log.name] = {
                     "retained": len(log),
                     "dropped": log.dropped,

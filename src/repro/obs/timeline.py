@@ -132,10 +132,6 @@ class Timeline:
         self._subscribers.append(fn)
         return fn
 
-    def unsubscribe(self, fn):
-        if fn in self._subscribers:
-            self._subscribers.remove(fn)
-
     def all(self):
         """Every series, sorted by (name, labels) — the export order."""
         return [self._series[key] for key in sorted(self._series)]

@@ -17,8 +17,8 @@ Events are plain dicts:
 
 * ``{"ok": True, "cell": {"index", "payload", "wall_s"}, "metrics": ...}``
   — one finished cell; ``metrics`` is a per-cell ``repro.obs`` snapshot
-  from pool children (``None`` inline, where cells register with the
-  parent's runtime directly);
+  from pool children of an observing parent (``None`` inline, where cells
+  register with the parent's observed run directly);
 * ``{"ok": False, "index": i, "error": "..."}`` — the cell's runner
   raised :class:`~repro.par.worker.CellError`; the message carries the
   cell identity.  Any *other* exception (a bad runner spec, a dead
@@ -93,7 +93,7 @@ def parent_sys_path():
     return [package_parent] + [entry for entry in sys.path if entry]
 
 
-def run_spawn(specs, jobs, obs_metrics=False):
+def run_spawn(specs, jobs, observe=False):
     """Run the cells on up to ``jobs`` spawn-started workers.
 
     Each worker is a fresh interpreter (no inherited simulator state)
@@ -104,7 +104,8 @@ def run_spawn(specs, jobs, obs_metrics=False):
     through ``as_completed``, in completion order.  Every worker pays an
     interpreter boot (importing ``repro`` is the bulk of it), which is
     why :func:`choose_backend` only picks this path when the cost model
-    says the workload amortises it.
+    says the workload amortises it.  ``observe`` runs every cell inside a
+    fresh metrics-only obs run and ships its snapshot home with the cell.
     """
     from concurrent.futures import ProcessPoolExecutor, as_completed
     from multiprocessing import get_context
@@ -116,9 +117,9 @@ def run_spawn(specs, jobs, obs_metrics=False):
         max_workers=min(jobs, len(specs)),
         mp_context=get_context("spawn"),
         initializer=worker_init,
-        initargs=(parent_sys_path(), obs_metrics),
+        initargs=(parent_sys_path(),),
     ) as pool:
-        futures = {pool.submit(run_shard, spec): spec["index"]
+        futures = {pool.submit(run_shard, spec, observe): spec["index"]
                    for spec in specs}
         for future in as_completed(futures):
             try:

@@ -25,6 +25,7 @@ import sys
 from dataclasses import dataclass, field
 from time import perf_counter
 
+from repro.obs import runtime as obs_runtime
 from repro.par.cache import MISS
 from repro.par.cost import shared_model
 from repro.par.executors import choose_backend, run_inline, run_spawn
@@ -86,15 +87,15 @@ class RunStats:
 class ParallelRunner:
     """Fan a work-list inline or over a spawn pool; merge by index."""
 
-    def __init__(self, jobs=1, cache=None, obs_metrics=False):
+    def __init__(self, jobs=1, cache=None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1, got {}".format(jobs))
         self.jobs = jobs
         self.cache = cache
-        self.obs_metrics = obs_metrics
         self.stats = RunStats(jobs=jobs)
-        #: merged per-worker ``repro.obs`` metrics (subprocess runs only;
-        #: in-process cells register with the parent's runtime directly)
+        #: merged per-worker ``repro.obs`` metrics of an observed run
+        #: (subprocess runs only; in-process cells register with the
+        #: current run directly)
         self.obs_snapshot = None
 
     def run(self, items):
@@ -131,7 +132,8 @@ class ParallelRunner:
         metric_snaps = {}
         if todo:
             specs = [item.spec() for item in todo]
-            events = (run_spawn(specs, self.jobs, self.obs_metrics)
+            events = (run_spawn(specs, self.jobs,
+                                obs_runtime.current is not None)
                       if backend == "spawn" else run_inline(specs))
             for event in events:
                 if not event["ok"]:

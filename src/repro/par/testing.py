@@ -27,7 +27,7 @@ def sim_cell(seed, config):
     from repro.sim.engine import Simulator
 
     sim = Simulator(seed=seed)
-    obs = obs_runtime.install(sim)   # no-op unless the runtime is armed
+    obs = obs_runtime.install(sim)   # no-op outside an observed run
     fired = [0]
 
     def ping():

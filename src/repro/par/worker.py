@@ -7,11 +7,11 @@ cell's runner by dotted name, boots its own :class:`Simulator` inside that
 runner, and ships back a JSON-able payload.  Nothing live (simulators,
 kernels, RNG registries) is ever pickled.
 
-When the parent asks for metrics, the worker arms the process-global
-observability runtime (``repro.obs.runtime``) exactly the way the CLI's
-``--metrics`` flag does, then drains its sessions after every cell and
-returns the merged snapshot alongside the result — that is how per-worker
-``repro.obs`` metrics reach the parent's aggregate.
+When the parent observes, the worker runs each cell inside a fresh
+metrics-only :class:`~repro.obs.runtime.ObsRun` and returns that run's
+merged snapshot alongside the result — that is how per-worker
+``repro.obs`` metrics reach the parent's aggregate.  The run ends with
+the cell, so nothing carries over into the next cell the worker picks up.
 """
 
 import importlib
@@ -24,14 +24,6 @@ from repro.obs.exporters import metrics_snapshot
 
 class CellError(RuntimeError):
     """A cell's runner raised; carries the cell identity for triage."""
-
-
-#: True only in a pool child whose :func:`worker_init` armed metrics.  An
-#: in-process caller of :func:`run_shard` must not drain: that would
-#: destroy sessions the CLI's ``--trace``/``--metrics`` export still needs
-#: — so the drain keys off this flag, never off ``obs_runtime.is_active()``
-#: (which is also true in an observing parent).
-_drain_metrics = False
 
 
 def resolve_runner(dotted):
@@ -66,26 +58,26 @@ def run_cell(spec):
     }
 
 
-def run_shard(spec):
+def run_shard(spec, observe=False):
     """Run one cell spec; the pool's unit of dispatch.
 
-    Returns ``{"cell": {...}, "metrics": merged-snapshot-or-None}``.  The
-    metrics half is only populated in a pool child whose
-    :func:`worker_init` armed metrics; the sessions are drained so the next
-    cell this worker picks up starts from zero.  In-process callers always
-    get ``metrics=None`` and their runtime is left untouched.
+    Returns ``{"cell": {...}, "metrics": merged-snapshot-or-None}``.  With
+    ``observe`` the cell runs inside a fresh metrics-only
+    :class:`~repro.obs.runtime.ObsRun`, and ``metrics`` is the merged
+    snapshot of its sessions (None when the cell booted no simulator).
     """
-    cell = run_cell(spec)
-    metrics = None
-    if _drain_metrics:
-        drained = obs_runtime.drain_sessions()
-        if drained:
-            metrics = metrics_snapshot(drained)["merged"]
+    if not observe:
+        return {"cell": run_cell(spec), "metrics": None}
+    run = obs_runtime.ObsRun()
+    with obs_runtime.observe(run):
+        cell = run_cell(spec)
+    metrics = (metrics_snapshot(run.sessions)["merged"] if run.sessions
+               else None)
     return {"cell": cell, "metrics": metrics}
 
 
-def worker_init(sys_path_entries, obs_metrics):
-    """Pool initializer: make ``repro`` importable, optionally arm metrics.
+def worker_init(sys_path_entries):
+    """Pool initializer: make ``repro`` importable.
 
     ``spawn`` children rebuild ``sys.path`` from the environment, which may
     lack the checkout the parent imported ``repro`` from (e.g. a plain
@@ -95,7 +87,3 @@ def worker_init(sys_path_entries, obs_metrics):
     for entry in reversed(sys_path_entries):
         if entry not in sys.path:
             sys.path.insert(0, entry)
-    if obs_metrics:
-        global _drain_metrics
-        obs_runtime.configure()
-        _drain_metrics = True

@@ -19,7 +19,6 @@ regulated to the cap, not just the sum of the managed apps.
 from dataclasses import dataclass, field
 
 from repro.core.manager import PsboxManager
-from repro.obs import flight
 from repro.powercap.telemetry import TelemetryRing
 from repro.sim.clock import from_msec
 
@@ -148,12 +147,10 @@ class PowerCapController:
         cfg = self.config
         dt_s = (t1 - t0) / 1e9
         obs = self.sim.obs
-        if flight._recorder is not None:
-            flight._recorder.note_ring(
-                self.telemetry,
-                obs.label if obs is not None else self.tree.root.name)
         tick_span = None
         if obs is not None:
+            if obs.flight is not None:
+                obs.flight.note_ring(self.telemetry, obs.label)
             tick_span = obs.tracer.begin(
                 "powercap.tick", cat="powercap", track="powercap",
                 detached=True, tick=self.ticks)

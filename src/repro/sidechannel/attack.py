@@ -19,6 +19,7 @@ from repro.apps.websites import WEBSITES, browse_website
 from repro.hw.platform import Platform
 from repro.kernel.actions import Sleep, SubmitAccel
 from repro.kernel.kernel import Kernel
+from repro.obs import runtime as obs_runtime
 from repro.sidechannel.dtw import dtw_distances
 from repro.sim.clock import MSEC, from_msec, from_usec
 
@@ -119,6 +120,7 @@ class WebsiteFingerprinter:
         """Co-run victim + attacker; return the attacker's observed trace."""
         platform = Platform.full(seed=seed)
         kernel = Kernel(platform)
+        obs_runtime.install(platform.sim, kernel=kernel)
         attacker = App(kernel, "attacker")
         attacker.spawn(_camouflage(attacker), name="attacker.camo")
         psbox = None

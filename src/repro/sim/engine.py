@@ -59,8 +59,8 @@ class Simulator:
         # one leaves the simulated schedule bit-identical.
         self.obs = None
         # The active tracer when scheduling-context stamping may be needed
-        # (session installed with tracing enabled), else None.  Maintained
-        # by Obs.install/uninstall and re-latched by run()/step().
+        # (session installed with tracing enabled), else None.  Set by
+        # Obs.install and re-latched by run()/step().
         self._ctx_tracer = None
 
     @property

@@ -22,6 +22,7 @@ from repro.cluster.placement import Placement
 from repro.faults import FaultPlan
 from repro.obs import AlertEngine, chrome_trace_events, default_rules
 from repro.obs import runtime as obs_runtime
+from repro.obs.runtime import ObsRun, observe
 
 HORIZON_S = 1.2
 EPOCH_MS = 200
@@ -65,19 +66,18 @@ def run_with_telemetry(budget_w=12.0, engine=None, fault=False, seed=5):
 
 
 def test_for_runtime_is_none_when_nothing_armed():
-    assert not obs_runtime.is_active()
+    assert obs_runtime.current is None
     assert ClusterTelemetry.for_runtime() is None
 
 
 def test_for_runtime_registers_with_armed_runtime():
-    obs_runtime.configure(tracing=True, telemetry=True)
-    try:
+    run = ObsRun(tracing=True, telemetry=True)
+    with observe(run):
         telemetry = ClusterTelemetry.for_runtime(label="cap-loop")
-        assert telemetry is not None
-        assert telemetry.obs in obs_runtime.sessions()
-        assert telemetry.obs.timeline is not None
-    finally:
-        obs_runtime.reset()
+    assert telemetry is not None
+    assert run.sessions == [telemetry.obs]
+    assert telemetry.obs.label == "cap-loop"
+    assert telemetry.obs.timeline is not None
 
 
 # -- samplers ----------------------------------------------------------------------

@@ -38,8 +38,8 @@ from repro.cluster import (
 )
 from repro.experiments.faults_exp import build_workload
 from repro.faults import SCENARIOS, fingerprint
-from repro.obs import AlertEngine, FlightRecorder, Obs, Timeline, flight
-from repro.obs import runtime as obs_runtime
+from repro.obs import Obs
+from repro.obs.runtime import ObsRun, observe
 
 VARIANTS = ("tracer-off", "tracer-on", "profiler-on", "telemetry-on",
             "flight-on", "faults-installed")
@@ -69,21 +69,15 @@ def _run_board(workload, variant):
     elif variant in ("telemetry-on", "flight-on"):
         # the full stack: tracer + timeline + a live alert engine
         # evaluating every sample as it streams off the board — and, for
-        # flight-on, an armed recorder snapshotting on every fired alert
-        obs = Obs(sim, tracing=True, timeline=Timeline()).install()
-        obs.bind_kernel(work.kernel)
-        AlertEngine().watch(obs)
-        if variant == "flight-on":
-            flight.arm(FlightRecorder(sessions=[obs]))
+        # flight-on, an in-memory recorder snapshotting on every fired alert
+        ObsRun(tracing=True, telemetry=True,
+               flight=variant == "flight-on").install(sim, kernel=work.kernel)
     elif variant == "faults-installed":
         _disabled_plan(sim, workload)
     elif variant != "baseline":
         raise AssertionError(variant)
-    try:
-        sim.run(until=work.horizon_ns)
-        return fingerprint(work.platform, work.kernel)
-    finally:
-        flight.disarm()
+    sim.run(until=work.horizon_ns)
+    return fingerprint(work.platform, work.kernel)
 
 
 def _cluster_setup():
@@ -108,18 +102,19 @@ def _cluster_setup():
 
 def _run_cluster(variant):
     """A small capped cluster run; fingerprints every node, combined."""
+    run = None
     if variant == "tracer-off":
-        obs_runtime.configure(tracing=False)
+        run = ObsRun(tracing=False)
     elif variant == "tracer-on":
-        obs_runtime.configure(tracing=True)
+        run = ObsRun(tracing=True)
     elif variant in ("telemetry-on", "flight-on"):
         # full stack on every node *and* the cap loop itself: per-session
-        # timelines, cluster epoch samplers, the process alert engine —
+        # timelines, cluster epoch samplers, the run's alert engine —
         # flight-on additionally arms the in-memory recorder, so every
         # fired alert snapshots mid-run through the live hooks
-        obs_runtime.configure(tracing=True, telemetry=True,
-                              flight=variant == "flight-on")
-    try:
+        run = ObsRun(tracing=True, telemetry=True,
+                     flight=variant == "flight-on")
+    with observe(run):
         topo, by_node, config = _cluster_setup()
         telemetry = (ClusterTelemetry.for_runtime(label="cap-loop")
                      if variant in ("telemetry-on", "flight-on") else None)
@@ -129,16 +124,13 @@ def _run_cluster(variant):
             for node in cluster.nodes:
                 _disabled_plan(node.platform.sim, "mixed")
         cluster.run()
-        if variant in ("telemetry-on", "flight-on"):
-            obs_runtime.finalize_telemetry()
-        combined = hashlib.sha256()
-        for node in cluster.nodes:
-            combined.update(node.name.encode())
-            combined.update(
-                fingerprint(node.platform, node.kernel).encode())
-        return combined.hexdigest()
-    finally:
-        obs_runtime.reset()
+    if run is not None:
+        run.finalize()
+    combined = hashlib.sha256()
+    for node in cluster.nodes:
+        combined.update(node.name.encode())
+        combined.update(fingerprint(node.platform, node.kernel).encode())
+    return combined.hexdigest()
 
 
 def _run(workload, variant):

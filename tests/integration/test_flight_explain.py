@@ -23,8 +23,8 @@ from repro.cluster import (
     WorkloadSpec,
 )
 from repro.faults import FaultPlan
-from repro.obs import runtime as obs_runtime
 from repro.obs.explain import explain, format_incidents, load, render_json
+from repro.obs.runtime import ObsRun, observe
 
 HORIZON_S = 1.2
 EPOCH_MS = 200
@@ -38,9 +38,8 @@ def spec(name, kind="web", tenant="t0", start_s=0.0, end_s=HORIZON_S):
 
 def blinded_run(flight_dir):
     """One full cluster run with telemetry + flight armed, node00 blinded."""
-    obs_runtime.configure(telemetry=True, flight=True,
-                          flight_dir=flight_dir)
-    try:
+    run = ObsRun(telemetry=True, flight=True, flight_dir=flight_dir)
+    with observe(run):
         topo = ClusterTopology.uniform(2)
         by_node = {
             "node00": [spec("a.web"),
@@ -61,12 +60,9 @@ def blinded_run(flight_dir):
         plan.add("powercap.telemetry", "corrupt", prob=1.0)
         plan.install()
         cluster.run()
-        obs_runtime.finalize_telemetry()
-        recorder = obs_runtime.flight_recorder()
-        assert recorder.flush() > 0
-        return recorder
-    finally:
-        obs_runtime.reset()
+    run.finalize()
+    assert run.flight.flush() > 0
+    return run.flight
 
 
 @pytest.fixture(scope="module")

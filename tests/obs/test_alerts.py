@@ -189,13 +189,6 @@ class TestReporting:
         report = engine.format_report()
         assert "hot" in report and "NOT OK" in report
 
-    def test_unwatch_all_stops_evaluation(self):
-        rule = AlertRule("hot", series="w", op=">", threshold=1.0)
-        obs, engine = make_session(rules=[rule])
-        engine.unwatch_all()
-        obs.timeline.record("w", 0, 2.0)
-        assert engine.alerts == []
-
     def test_watch_skips_sessions_without_timeline(self):
         obs = Obs(FakeSim(), label="bare").install()
         engine = AlertEngine()
@@ -213,20 +206,11 @@ class TestReporting:
         engine.watch(obs)          # re-watch: must be a no-op
         engine.watch(obs)
         assert len(engine._watched) == 1
+        assert len(obs.timeline._subscribers) == 1
         obs.timeline.record("w", 0, 2.0)
         assert engine.alerts == []     # one sample is NOT a streak of 2
         obs.timeline.record("w", 1, 2.0)
         assert len(engine.alerts) == 1
-
-    def test_unwatch_all_then_rewatch_single_subscription(self):
-        rule = AlertRule("hot", series="w", op=">", threshold=1.0)
-        obs, engine = make_session(rules=[rule])
-        engine.unwatch_all()
-        engine.watch(obs)
-        engine.watch(obs)
-        obs.timeline.record("w", 0, 2.0)
-        assert len(engine.alerts) == 1     # fired once, not per-subscriber
-        assert len(obs.timeline._subscribers) == 1
 
 
 class TestDefaultRules:

@@ -1,4 +1,4 @@
-"""The flight recorder: arming, triggers, snapshot content, bounds."""
+"""The flight recorder: triggers, snapshot content, bounds."""
 
 import json
 from types import SimpleNamespace
@@ -7,6 +7,7 @@ from repro.check.checker import InvariantChecker
 from repro.obs import explain, flight
 from repro.obs.alerts import AlertEngine, AlertRule
 from repro.obs.flight import FlightRecorder, _jsonable
+from repro.obs.runtime import ObsRun
 from repro.obs.session import Obs
 from repro.obs.timeline import Timeline
 from repro.powercap.telemetry import TelemetryRing
@@ -29,37 +30,26 @@ class FakeKernel:
 
 
 def make_session(label="test", rules=None, recorder=None):
-    obs = Obs(FakeSim(), label=label, tracing=True,
-              timeline=Timeline()).install()
+    """A telemetry session watched by its own engine; ``recorder`` rides
+    on the session (``obs.flight``) and snapshots it."""
+    obs = Obs(FakeSim(), label=label, tracing=True, timeline=Timeline(),
+              flight=recorder).install()
     engine = AlertEngine(rules if rules is not None else [])
     engine.watch(obs)
     if recorder is not None:
-        recorder.watch(obs)
+        recorder.sessions.append(obs)
     return obs, engine
-
-
-def teardown_function(_fn):
-    flight.disarm()
-
-
-class TestArming:
-    def test_disarmed_by_default(self):
-        assert flight.active() is None
-
-    def test_arm_disarm_roundtrip(self):
-        recorder = flight.arm(FlightRecorder())
-        assert flight.active() is recorder
-        flight.disarm()
-        assert flight.active() is None
 
 
 class TestAlertTrigger:
     def test_fired_alert_snapshots(self):
-        recorder = flight.arm(FlightRecorder())
         rule = AlertRule("hot", series="w", op=">", threshold=1.0)
-        obs, _engine = make_session(rules=[rule], recorder=recorder)
+        run = ObsRun(tracing=True, telemetry=True, rules=[rule], flight=True)
+        obs = run.install(FakeSim(), label="test")
+        assert obs.flight is run.flight
         obs.sim.now = 50
         obs.timeline.record("w", 50, 2.0)
+        recorder = run.flight
         assert len(recorder.dumps) == 1
         dump = recorder.dumps[0]
         assert dump["trigger"]["type"] == "alert"
@@ -80,10 +70,12 @@ class TestAlertTrigger:
 
 class TestViolationTrigger:
     def test_checker_flag_snapshots(self):
-        recorder = flight.arm(FlightRecorder())
+        run = ObsRun(flight=True)
         checker = InvariantChecker(FakeKernel(FakeSim()))
+        run.install(checker.sim)
         checker.sim.now = 77
         checker._flag("balloon.exclusive", "smp", "cosched", "intruder")
+        recorder = run.flight
         assert len(recorder.dumps) == 1
         trigger = recorder.dumps[0]["trigger"]
         assert trigger["type"] == "violation"
@@ -157,7 +149,7 @@ class TestActionRings:
 class TestPersistence:
     def test_dump_files_and_manifest(self, tmp_path):
         out = tmp_path / "flight"
-        recorder = flight.arm(FlightRecorder(out_dir=str(out), max_dumps=2))
+        recorder = FlightRecorder(out_dir=str(out), max_dumps=2)
         rule = AlertRule("hot", series="w", op=">", threshold=1.0)
         obs, _engine = make_session(rules=[rule], recorder=recorder)
         ring = TelemetryRing()

@@ -16,7 +16,6 @@ from repro.faults import scenario
 from repro.hw.platform import Platform
 from repro.kernel.kernel import Kernel
 from repro.obs import Obs
-from repro.obs.session import kernel_logs
 from repro.sim.clock import from_msec
 
 
@@ -113,7 +112,7 @@ def test_log_stats_keep_every_kernel_log_apart():
     platform = Platform.extended(seed=0)
     kernel = Kernel(platform)
     obs = Obs(platform.sim).install().bind_kernel(kernel)
-    assert len(obs.log_stats()) == len(kernel_logs(kernel))
+    assert len(obs.log_stats()) == len(kernel.logs())
     assert {"net.sched", "lte.sched"} <= set(obs.log_stats())
 
 

@@ -126,13 +126,3 @@ class TestTimeline:
         timeline.record("s", 10, 1.0, node="n0")
         timeline.record("s", 20, 2.0, node="n0")
         assert seen == [("s{node=n0}", 10, 1.0), ("s{node=n0}", 20, 2.0)]
-
-    def test_unsubscribe_stops_delivery(self):
-        timeline = Timeline()
-        seen = []
-        fn = timeline.subscribe(lambda series, t, v: seen.append(t))
-        timeline.record("s", 1, 0.0)
-        timeline.unsubscribe(fn)
-        timeline.record("s", 2, 0.0)
-        assert seen == [1]
-        timeline.unsubscribe(fn)   # idempotent

@@ -9,6 +9,8 @@ import io
 
 import pytest
 
+from repro.obs import runtime as obs_runtime
+from repro.obs.runtime import ObsRun, observe
 from repro.par import (
     CellError,
     ParallelRunner,
@@ -162,50 +164,48 @@ def test_invalid_runner_spec():
 
 
 def test_worker_obs_metrics_aggregate(force_spawn):
+    """An observing parent gets every pool cell's metrics merged, and
+    only through the snapshot: the cells' sessions live and die in the
+    workers' own per-cell runs."""
     items = work_list("demo", "repro.par.testing:sim_cell",
                       [(seed, {"horizon_ns": 50_000}) for seed in range(4)])
-    runner = ParallelRunner(jobs=2, obs_metrics=True)
-    payloads = runner.run(items)
+    runner = ParallelRunner(jobs=2)
+    with observe(ObsRun()) as run:
+        payloads = runner.run(items)
     assert [p["fired"] for p in payloads] == [51] * 4
     snap = runner.obs_snapshot
     assert snap is not None
     assert snap["counters"]["par.testing.pings"] == 4 * 51
     assert snap["histograms"]["par.testing.horizon_ns"]["count"] == 4
+    assert run.sessions == []
 
 
 def test_serial_path_leaves_parent_obs_runtime_alone():
-    """jobs=1 must not arm or drain the parent's observability runtime."""
-    from repro.obs import runtime as obs_runtime
-
-    runner = ParallelRunner(jobs=1, obs_metrics=True)
+    """Outside an observed run, jobs=1 neither observes nor ships metrics."""
+    runner = ParallelRunner(jobs=1)
     runner.run(work_list("demo", "repro.par.testing:sim_cell",
                          [(0, {"horizon_ns": 10_000})]))
     assert runner.obs_snapshot is None
-    assert not obs_runtime.is_active()
+    assert obs_runtime.current is None
 
 
 def test_serial_path_preserves_observing_parent_sessions():
-    """Regression: with the parent's runtime armed (--trace/--metrics), an
-    in-process run must NOT drain the accumulated sessions — the
-    CLI's export step still needs them, including ones from experiments
+    """Regression: inside an observed run (--trace/--metrics), in-process
+    cells must join the run's sessions next to the ones already there —
+    the CLI's export step needs them all, including ones from experiments
     that ran earlier in the same invocation."""
-    from repro.obs import runtime as obs_runtime
+    import repro.par.testing as testing
 
-    obs_runtime.configure()
-    try:
+    with observe(ObsRun()) as run:
         # a session from an "earlier experiment" in the same invocation
-        import repro.par.testing as testing
-
         testing.sim_cell(7, {"horizon_ns": 5_000})
-        assert len(obs_runtime.sessions()) == 1
+        assert len(run.sessions) == 1
 
         runner = ParallelRunner(jobs=1)
         runner.run(work_list("demo", "repro.par.testing:sim_cell",
                              [(0, {"horizon_ns": 10_000}),
                               (1, {"horizon_ns": 10_000})]))
-        # worker metrics come back only from pool children; in-process
-        # cells stay in the parent's sessions for _export_observability
-        assert runner.obs_snapshot is None
-        assert len(obs_runtime.sessions()) == 3
-    finally:
-        obs_runtime.reset()
+    # worker metrics come back only from pool children; in-process
+    # cells stay in the run's sessions for _export_observability
+    assert runner.obs_snapshot is None
+    assert len(run.sessions) == 3

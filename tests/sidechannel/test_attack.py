@@ -3,6 +3,7 @@ benchmark suite)."""
 
 import pytest
 
+from repro.obs.runtime import ObsRun, observe
 from repro.sidechannel.attack import AttackResult, WebsiteFingerprinter, _znorm
 
 
@@ -65,3 +66,22 @@ def test_infer_ties_go_to_the_first_trained_site():
     for first, second in (("baidu", "google"), ("google", "baidu")):
         fp.templates = {first: same, second: same}
         assert fp.infer([0.0, 1.0, 0.0]) == first
+
+
+def test_every_boot_joins_the_observed_run_unperturbed():
+    """Each simulator the attack boots gets one session of the current
+    run (kernel bound, hooks live), and observing moves no prediction."""
+    def campaign():
+        fp = WebsiteFingerprinter(sites=("google", "youtube")).train(seed=100)
+        return [fp.run(trials_per_site=1, use_psbox=use_psbox, seed=500)
+                for use_psbox in (False, True)]
+
+    bare = campaign()
+    with observe(ObsRun()) as run:
+        observed = campaign()
+    assert len(run.sessions) == 2 + 2 + 2    # templates, then each world
+    assert all(obs.kernel is not None for obs in run.sessions)
+    assert all(obs.metrics.counters["gpu.submitted"].value > 0
+               for obs in run.sessions)
+    assert ([result.confusion for result in observed]
+            == [result.confusion for result in bare])
