@@ -154,7 +154,8 @@ class AlertEngine:
         self._watched = []       # (obs, timeline)
         self._streaks = {}       # (rule name, session, series key) -> count
         self._fired = set()      # keys currently latched (fired, not re-armed)
-        self._finalized = False
+        #: True once :meth:`finalize` ran
+        self.finalized = False
 
     # -- wiring --------------------------------------------------------------------
 
@@ -222,9 +223,9 @@ class AlertEngine:
         Callers record end-of-run facts (the unfinished-span count) into
         the timelines first; finalize is idempotent.
         """
-        if self._finalized:
+        if self.finalized:
             return self
-        self._finalized = True
+        self.finalized = True
         for obs, timeline in self._watched:
             for series in timeline.all():
                 last = series.last()

@@ -18,6 +18,7 @@ observed runs can share a process (a parallel worker runs each cell in a
 fresh one).
 """
 
+import gc
 from contextlib import contextmanager
 
 from repro.obs.alerts import AlertEngine
@@ -81,10 +82,11 @@ class ObsRun:
         Stamps each telemetry session's unfinished-span count into its
         timeline (series ``obs.unfinished_spans`` at the session's final
         virtual time), then finalizes the alert engine.  Returns the
-        engine (None without telemetry).  Idempotent via the engine.
+        engine (None without telemetry).  Idempotent: once the engine is
+        finalized, later calls stamp nothing and return it as it is.
         """
-        if self.alerts is None:
-            return None
+        if self.alerts is None or self.alerts.finalized:
+            return self.alerts
         for obs in self.sessions:
             if obs.timeline is not None:
                 obs.timeline.record("obs.unfinished_spans", obs.sim.now,
@@ -97,13 +99,30 @@ def observe(run):
     """Make ``run`` (an :class:`ObsRun`, or None) current for the block.
 
     The outer run is current again when the block exits or raises.
+
+    While a run is current, cyclic GC's full (generation 2) collections
+    are deferred: threshold 2 goes to 2**31 - 1, the largest value
+    ``gc.set_threshold`` accepts.  The run's sessions keep every
+    simulator, kernel, app and recorded span, sample and log record
+    alive until it ends, so the tracked heap only grows and a full
+    collection could only rescan it.  Young collections keep running:
+    they free each accelerator command's completion-closure cycle.  The
+    thresholds saved at entry come back on exit or raise, so nested
+    blocks defer until the outermost one ends, and unobserved code keeps
+    CPython's default policy (there, dead boots leave cycles that only
+    full collections free).  Nothing reads the collector, so no output
+    depends on when it runs.
     """
     global current
     outer, current = current, run
+    thresholds = gc.get_threshold()
+    if run is not None:
+        gc.set_threshold(thresholds[0], thresholds[1], 2**31 - 1)
     try:
         yield run
     finally:
         current = outer
+        gc.set_threshold(*thresholds)
 
 
 def install(sim, kernel=None, label=""):

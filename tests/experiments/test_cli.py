@@ -1,9 +1,11 @@
 """Tests for the `python -m repro.experiments` CLI."""
 
 import difflib
+import gc
 import importlib
 import os
 import pathlib
+import re
 
 import pytest
 
@@ -225,20 +227,26 @@ def test_report_implies_telemetry(tmp_path, capsys, monkeypatch):
 def test_profile_appends_a_cprofile_table_to_the_unchanged_report(
         capsys, monkeypatch):
     """``--profile N`` runs the subcommand under cProfile and arms no obs
-    session: stdout is the golden report byte for byte, then pstats' N
-    functions with the most self time."""
+    session: stdout is the golden report byte for byte, then one line of
+    GC time (collections per generation, total seconds) counted by a
+    ``gc.callbacks`` hook that lives only for the profiled call, then
+    pstats' N functions with the most self time."""
     from repro.obs.session import Obs
 
     installed = []
     install = Obs.install
     monkeypatch.setattr(
         Obs, "install", lambda obs: installed.append(obs) or install(obs))
+    callbacks = list(gc.callbacks)
     assert main(["fig7", "--profile", "5"]) == 0
+    assert gc.callbacks == callbacks
     assert installed == []
     out = capsys.readouterr().out
     golden = (GOLDEN_DIR / "fig7.txt").read_text()
     assert out.startswith(golden)
     table = out[len(golden):]
+    assert re.fullmatch(r"gc: \d+ gen0, \d+ gen1, \d+ gen2 collections, "
+                        r"\d+\.\d\d s", table.splitlines()[0])
     assert "Ordered by: internal time" in table
     lines = table.splitlines()
     header = next(i for i, line in enumerate(lines)
