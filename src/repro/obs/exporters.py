@@ -15,20 +15,65 @@ side by side.
 """
 
 import json
+from operator import itemgetter
 
 from repro.analysis.report import format_table
 from repro.obs.metrics import MetricsRegistry
 
 
-def _us(t_ns):
-    """Chrome trace timestamps are microseconds; keep ns resolution."""
-    return t_ns / 1000.0
+#: One JSON text per event kind.  The fixed keys are written in the order
+#: json.dumps would write them, with its ", " and ": " separators; a %s
+#: slot takes a value already encoded as JSON, or inside quotes a fixed
+#: ASCII name.
+_META = ('{"ph": "M", "pid": %d, "tid": %d, "ts": 0, "name": "%s", '
+         '"args": {"name": %s}}')
+_SPAN = ('{"ph": "%s", "cat": %s, "id": %d, "name": %s, "pid": %d, '
+         '"tid": %d, "ts": %s, "args": %s}')
+_INSTANT = ('{"ph": "i", "s": "t", "cat": %s, "name": %s, "pid": %d, '
+            '"tid": %d, "ts": %s, "args": %s}')
+_COUNTER = '{"ph": "C", "name": %s, "pid": %d, "tid": %d, "ts": %s, "args": %s}'
 
 
-def chrome_trace_events(sessions):
-    """The ``traceEvents`` list for a set of Obs sessions."""
-    events = []
-    body = []   # (ts_ns, rank, tiebreak, event) — sorted after collection
+class _Encoded(dict):
+    """``json.dumps`` of each distinct value, encoded on first use.
+
+    Keys are ``(type, value)``: 1, 1.0 and True are one dict key but
+    encode to different texts.
+    """
+
+    def __missing__(self, key):
+        text = self[key] = json.dumps(key[1])
+        return text
+
+
+def _event_texts(sessions):
+    """The JSON text of every trace event, in trace order.
+
+    Metadata comes first, then every session's spans, instants and
+    counter samples, sorted by (time, rank, order); ties keep insertion
+    order, so session order first.  Each distinct string and each
+    distinct args dict is encoded once.
+    """
+    strings = _Encoded()
+    arg_texts = {}
+
+    def args_text(args):
+        # keyed by repr, which tells 1, 1.0, True, "1" and -0.0 apart at
+        # any depth, where dict equality merges them
+        key = repr(args)
+        text = arg_texts.get(key)
+        if text is None:
+            text = arg_texts[key] = json.dumps(args)
+        return text
+
+    # Chrome trace timestamps are microseconds; t / 1000.0 keeps ns
+    # resolution.  float.__repr__ is what json's encoder writes, also for
+    # a numpy float, whose repr is "np.float64(...)".
+    ts = float.__repr__
+    texts = []
+    # (t_ns, rank, order, seq, text), sorted after collection: seq, the
+    # insertion index, settles every tie, so no text is ever compared
+    body = []
     for pid, obs in enumerate(sessions, start=1):
         tracer = obs.tracer
         tracks = sorted(
@@ -37,16 +82,13 @@ def chrome_trace_events(sessions):
             | {track for _t, track, _n, _v in tracer.samples}
         )
         tids = {track: tid for tid, track in enumerate(tracks, start=1)}
-        events.append({
-            "ph": "M", "pid": pid, "tid": 0, "ts": 0,
-            "name": "process_name", "args": {"name": obs.label or
-                                             "run-{}".format(pid)},
-        })
+        label = obs.label or "run-{}".format(pid)
+        texts.append(_META % (pid, 0, "process_name",
+                              strings[label.__class__, label]))
         for track, tid in tids.items():
-            events.append({
-                "ph": "M", "pid": pid, "tid": tid, "ts": 0,
-                "name": "thread_name", "args": {"name": track or "main"},
-            })
+            name = track or "main"
+            texts.append(_META % (pid, tid, "thread_name",
+                                  strings[name.__class__, name]))
 
         trace_end = obs.sim.now
         # span.id -> its root (the async grouping id).  ``spans`` is in
@@ -56,47 +98,51 @@ def chrome_trace_events(sessions):
         for order, span in enumerate(tracer.spans):
             root = roots[span.id] = roots.get(span.parent_id, span)
             cat = root.cat or "span"
+            cat = strings[cat.__class__, cat]
+            name = strings[span.name.__class__, span.name]
             tid = tids[span.track]
-            begin = {
-                "ph": "b", "cat": cat, "id": root.id, "name": span.name,
-                "pid": pid, "tid": tid, "ts": _us(span.start),
-                "args": dict(span.args),
-            }
-            body.append((span.start, 0, order, begin))
+            body.append((span.start, 0, order, len(body), _SPAN % (
+                "b", cat, root.id, name, pid, tid, ts(span.start / 1000.0),
+                args_text(span.args))))
             end_t = span.end
-            end_args = {}
+            end_args = "{}"
             if end_t is None:
                 # Unclosed span (dropped IPI, stuck drain): close it at the
                 # end of the trace and say so — the gap IS the finding.
                 end_t = trace_end
-                end_args["unfinished"] = True
-            end = {
-                "ph": "e", "cat": cat, "id": root.id, "name": span.name,
-                "pid": pid, "tid": tid, "ts": _us(end_t), "args": end_args,
-            }
+                end_args = '{"unfinished": true}'
             # Ends at the same instant unwind LIFO (children close before
             # parents), which keeps every async stack properly nested.
-            body.append((end_t, 2, -order, end))
+            body.append((end_t, 2, -order, len(body), _SPAN % (
+                "e", cat, root.id, name, pid, tid, ts(end_t / 1000.0),
+                end_args)))
 
         for order, (t, track, name, cat, args) in enumerate(tracer.instants):
-            body.append((t, 1, order, {
-                "ph": "i", "s": "t", "cat": cat or "event", "name": name,
-                "pid": pid, "tid": tids[track], "ts": _us(t),
-                "args": dict(args),
-            }))
+            cat = cat or "event"
+            body.append((t, 1, order, len(body), _INSTANT % (
+                strings[cat.__class__, cat], strings[name.__class__, name],
+                pid, tids[track], ts(t / 1000.0), args_text(args))))
         for order, (t, track, name, values) in enumerate(tracer.samples):
-            body.append((t, 1, order, {
-                "ph": "C", "name": name, "pid": pid, "tid": tids[track],
-                "ts": _us(t), "args": dict(values),
-            }))
+            body.append((t, 1, order, len(body), _COUNTER % (
+                strings[name.__class__, name], pid, tids[track],
+                ts(t / 1000.0), args_text(values))))
 
-    body.sort(key=lambda item: (item[0], item[1], item[2]))
-    events.extend(event for _t, _r, _o, event in body)
-    return events
+    body.sort()
+    texts.extend(map(itemgetter(4), body))
+    return texts
 
 
-#: trace events per ``json.dumps`` call: about 0.5 MB of text at a time,
-#: never the whole multi-MB document as one string
+def chrome_trace_events(sessions):
+    """The ``traceEvents`` list for a set of Obs sessions.
+
+    Parsed from the texts :func:`export_chrome_trace` writes, so the list
+    and the file cannot disagree.
+    """
+    return json.loads("[{}]".format(", ".join(_event_texts(sessions))))
+
+
+#: trace events per write: about 0.5 MB of text at a time, never the
+#: whole multi-MB document as one string
 TRACE_CHUNK = 4096
 
 
@@ -104,28 +150,28 @@ def export_chrome_trace(sessions, path):
     """Write one Chrome-trace/Perfetto JSON file covering ``sessions``.
 
     The file is the document ``{"traceEvents": [...], "displayTimeUnit":
-    "ns", "otherData": {...}}``, byte for byte what ``json.dump`` writes,
-    but encoded ``TRACE_CHUNK`` events per ``json.dumps`` call, which runs
-    json's C encoder: ``json.dump`` to a handle runs the pure-Python one.
+    "ns", "otherData": {...}}``, byte for byte what ``json.dump`` writes.
+    Each event is formatted straight from the tracer's records into its
+    JSON text, and the texts are written ``TRACE_CHUNK`` at a time: no
+    event dict is built.
 
     Returns the number of trace events written.
     """
-    events = chrome_trace_events(sessions)
+    texts = _event_texts(sessions)
     other = {
         "generator": "repro.obs",
         "sessions": [obs.label for obs in sessions],
     }
     with open(path, "w") as handle:
         handle.write('{"traceEvents": [')
-        for start in range(0, len(events), TRACE_CHUNK):
+        for start in range(0, len(texts), TRACE_CHUNK):
             if start:
                 handle.write(", ")
-            # "[e1, e2, ...]" less its brackets; ", " is json.dump's separator
-            handle.write(json.dumps(events[start:start + TRACE_CHUNK])[1:-1])
+            handle.write(", ".join(texts[start:start + TRACE_CHUNK]))
         handle.write('], "displayTimeUnit": "ns", "otherData": ')
         handle.write(json.dumps(other))
         handle.write("}")
-    return len(events)
+    return len(texts)
 
 
 # -- metrics snapshots -------------------------------------------------------------

@@ -39,6 +39,12 @@ FORMAT = "psbox-flight"
 VERSION = 1
 
 
+#: exact types ``_jsonable`` returns unchanged; members of one of these
+#: types are kept without a call (a subclass, such as a numpy float, still
+#: makes the call)
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
 def _jsonable(value):
     """``value`` reduced to JSON-safe primitives, deterministically.
 
@@ -48,9 +54,10 @@ def _jsonable(value):
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [v if type(v) in _SCALARS else _jsonable(v) for v in value]
     if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
+        return {str(k): v if type(v) in _SCALARS else _jsonable(v)
+                for k, v in value.items()}
     return "<{}>".format(type(value).__name__)
 
 
@@ -63,6 +70,47 @@ def _tail(ring, n):
     return list(islice(ring, max(len(ring) - n, 0), None))
 
 
+def _stamp(obs):
+    """What must stay equal for ``obs``'s last session snapshot to hold.
+
+    The identity and counts of everything
+    :meth:`FlightRecorder._session_snapshot` reads.  Series, the tracer's
+    instants and every log only append, and every append grows ``len``
+    or ``dropped``, so equal counts on the same objects mean equal
+    content.
+    """
+    timeline = getattr(obs, "timeline", None)
+    tracer = getattr(obs, "tracer", None)
+    kernel = getattr(obs, "kernel", None)
+    plan = getattr(obs.sim, "faults", None)
+    return (
+        obs.label, obs.sim.now, timeline, kernel, plan,
+        None if timeline is None else [
+            (len(series), series.dropped, series.disordered)
+            for series in timeline.all()],
+        None if tracer is None else len(tracer.instants),
+        None if kernel is None else [
+            (len(log), log.dropped) for log in kernel.logs()],
+        None if plan is None else (len(plan.log), plan.log.dropped),
+    )
+
+
+def _dump_text(dump, session_texts):
+    """``json.dumps(dump, sort_keys=True)``, with each session's text given.
+
+    JSON text composes: a member's text inside the document equals the
+    member's own ``json.dumps`` with the same settings.
+    """
+    members = []
+    for key in sorted(dump):
+        if key == "sessions":
+            value = "[{}]".format(", ".join(session_texts))
+        else:
+            value = json.dumps(dump[key], sort_keys=True)
+        members.append("{}: {}".format(json.dumps(key), value))
+    return "{{{}}}".format(", ".join(members))
+
+
 class FlightRecorder:
     """Bounded black-box capture with snapshot-on-trigger semantics.
 
@@ -72,6 +120,11 @@ class FlightRecorder:
     so late-booted simulators are covered.  ``out_dir`` of None keeps
     dumps in memory only (tests, the differential matrix); a path writes
     ``flight-NNN.json`` files plus a ``manifest.json`` on :meth:`flush`.
+
+    A session unchanged since the previous dump is not copied again: its
+    snapshot dict, and the JSON text written for it, are reused until its
+    stamp (:func:`_stamp`) moves.  So consecutive ``dumps`` share the
+    dicts of unchanged sessions, and every dump is read-only.
     """
 
     def __init__(self, out_dir=None, sessions=None, series_tail=256,
@@ -89,6 +142,7 @@ class FlightRecorder:
         self.suppressed = 0      # triggers past max_dumps
         self.sessions = [] if sessions is None else sessions
         self._rings = {}         # id -> (label, TelemetryRing); insertion order
+        self._cache = {}         # session -> (stamp, snapshot, its JSON text)
         self._alerts = []        # every alert seen, dump order context
 
     # -- source registration (the "note" sites) -------------------------------
@@ -143,21 +197,35 @@ class FlightRecorder:
         if len(self.dumps) >= self.max_dumps:
             self.suppressed += 1
             return None
+        entries = [self._session(obs) for obs in self.sessions]
         dump = {
             "format": FORMAT,
             "version": VERSION,
             "seq": len(self.dumps),
             "trigger": _jsonable(trigger),
-            "sessions": [self._session_snapshot(obs)
-                         for obs in self.sessions],
+            "sessions": [snap for _stamp, snap, _text in entries],
             "actions": self._actions_snapshot(),
             "alerts": list(self._alerts),
             "suppressed": self.suppressed,
         }
         self.dumps.append(dump)
         if self.out_dir is not None:
-            self._write(dump)
+            self._write(dump, [text for _stamp, _snap, text in entries])
         return dump
+
+    def _session(self, obs):
+        """``(stamp, snapshot, text)`` for ``obs``, rebuilt when stamp moved.
+
+        Keyed by the session object itself, not its ``id()``, which a
+        later session could reuse once this one is dropped.
+        """
+        stamp = _stamp(obs)
+        entry = self._cache.get(obs)
+        if entry is None or entry[0] != stamp:
+            snap = self._session_snapshot(obs)
+            entry = self._cache[obs] = (
+                stamp, snap, json.dumps(snap, sort_keys=True))
+        return entry
 
     def _session_snapshot(self, obs):
         snap = {
@@ -186,7 +254,8 @@ class FlightRecorder:
                 for t, track, name, cat, args
                 in tracer.instants[-self.events_tail:]
             ]
-        # the kernel's bounded event rings: the "recent dispatched events"
+        # the kernel's event logs (unbounded EventTraces; only an
+        # EventTrace(capacity=N) is a ring): the "recent dispatched events"
         # black box — scheduling decisions, drains, governor switches
         if getattr(obs, "kernel", None) is not None:
             for log in obs.kernel.logs():
@@ -218,15 +287,15 @@ class FlightRecorder:
                 out.append(dict(_jsonable(entry), session=label))
         return out
 
-    def _write(self, dump):
+    def _write(self, dump, session_texts):
         os.makedirs(self.out_dir, exist_ok=True)
         path = os.path.join(self.out_dir,
                             "flight-{:03d}.json".format(dump["seq"]))
         # one compact line: ``indent=`` (like any ``json.dump`` to a
         # handle) runs json's pure-Python encoder, several times slower
-        # than the C encoder this one-shot call runs
+        # than the C encoder ``json.dumps`` runs
         with open(path, "w") as handle:
-            handle.write(json.dumps(dump, sort_keys=True))
+            handle.write(_dump_text(dump, session_texts))
             handle.write("\n")
         self.paths.append(path)
         return path

@@ -1,5 +1,11 @@
 """Exporter tests: Chrome-trace JSON validity, nesting, bit-identity.
 
+The trace writer formats each event's JSON text straight from the
+tracer's records.  ``reference_trace_events`` below builds the same events
+as plain dicts; the written file must equal ``json.dumps`` of that
+reference document byte for byte, on hand-built sessions and on random
+ones.
+
 The differential test at the bottom is the layer's core promise: installing
 an Obs session — tracing off *or on* — leaves the run bit-identical to one
 without the layer (the tracer is read-only and draws no RNG).
@@ -7,8 +13,14 @@ without the layer (the tracer is read-only and draws no RNG).
 
 import io
 import json
+import os
+import tempfile
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.faults_exp import build_workload
 from repro.faults import fingerprint
@@ -141,6 +153,88 @@ def test_export_chrome_trace_writes_document(tmp_path):
 # -- the streamed writer: json.dump's bytes, one root lookup per span ---------------
 
 
+def _us(t_ns):
+    """Chrome trace timestamps are microseconds; keep ns resolution."""
+    return t_ns / 1000.0
+
+
+def reference_trace_events(sessions):
+    """The ``traceEvents`` list as event dicts: the writer's reference.
+
+    One dict per event, built the plain way; ``json.dumps`` of its
+    document is what the written file must hold.
+    """
+    events = []
+    body = []   # (ts_ns, rank, tiebreak, event) — sorted after collection
+    for pid, obs in enumerate(sessions, start=1):
+        tracer = obs.tracer
+        tracks = sorted(
+            {span.track for span in tracer.spans}
+            | {track for _t, track, _n, _c, _a in tracer.instants}
+            | {track for _t, track, _n, _v in tracer.samples}
+        )
+        tids = {track: tid for tid, track in enumerate(tracks, start=1)}
+        events.append({
+            "ph": "M", "pid": pid, "tid": 0, "ts": 0,
+            "name": "process_name", "args": {"name": obs.label or
+                                             "run-{}".format(pid)},
+        })
+        for track, tid in tids.items():
+            events.append({
+                "ph": "M", "pid": pid, "tid": tid, "ts": 0,
+                "name": "thread_name", "args": {"name": track or "main"},
+            })
+
+        trace_end = obs.sim.now
+        roots = {}
+        for order, span in enumerate(tracer.spans):
+            root = roots[span.id] = roots.get(span.parent_id, span)
+            cat = root.cat or "span"
+            tid = tids[span.track]
+            begin = {
+                "ph": "b", "cat": cat, "id": root.id, "name": span.name,
+                "pid": pid, "tid": tid, "ts": _us(span.start),
+                "args": dict(span.args),
+            }
+            body.append((span.start, 0, order, begin))
+            end_t = span.end
+            end_args = {}
+            if end_t is None:
+                end_t = trace_end
+                end_args["unfinished"] = True
+            end = {
+                "ph": "e", "cat": cat, "id": root.id, "name": span.name,
+                "pid": pid, "tid": tid, "ts": _us(end_t), "args": end_args,
+            }
+            body.append((end_t, 2, -order, end))
+
+        for order, (t, track, name, cat, args) in enumerate(tracer.instants):
+            body.append((t, 1, order, {
+                "ph": "i", "s": "t", "cat": cat or "event", "name": name,
+                "pid": pid, "tid": tids[track], "ts": _us(t),
+                "args": dict(args),
+            }))
+        for order, (t, track, name, values) in enumerate(tracer.samples):
+            body.append((t, 1, order, {
+                "ph": "C", "name": name, "pid": pid, "tid": tids[track],
+                "ts": _us(t), "args": dict(values),
+            }))
+
+    body.sort(key=lambda item: (item[0], item[1], item[2]))
+    events.extend(event for _t, _r, _o, event in body)
+    return events
+
+
+def reference_document(sessions):
+    """The whole trace document the file must hold, from the reference."""
+    return {
+        "traceEvents": reference_trace_events(sessions),
+        "displayTimeUnit": "ns",
+        "otherData": {"generator": "repro.obs",
+                      "sessions": [obs.label for obs in sessions]},
+    }
+
+
 def _root_of(span, by_id):
     """Reference async root: follow the parent links to the top."""
     seen = set()
@@ -193,21 +287,18 @@ _WRITER_CASES = {
 @pytest.mark.parametrize("case", sorted(_WRITER_CASES))
 def test_streamed_trace_matches_json_dumps_and_roots(tmp_path, case):
     sessions = _WRITER_CASES[case]()
-    events = chrome_trace_events(sessions)
-    document = {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "otherData": {"generator": "repro.obs",
-                      "sessions": [obs.label for obs in sessions]},
-    }
+    document = reference_document(sessions)
+    events = document["traceEvents"]
     path = tmp_path / "trace.json"
     assert export_chrome_trace(sessions, str(path)) == len(events)
     expected = json.dumps(document)
     assert path.read_text() == expected
-    # the writer this replaced: json.dump to a handle (Python encoder)
+    # the writer before the C encoder: json.dump to a handle (Python one)
     old = io.StringIO()
     json.dump(document, old)
     assert old.getvalue() == expected
+    # the public event list is the written texts, parsed
+    assert chrome_trace_events(sessions) == json.loads(json.dumps(events))
     if case == "chunks":
         assert len(events) > exporters.TRACE_CHUNK
 
@@ -232,12 +323,102 @@ def test_streamed_trace_matches_json_dumps_and_roots(tmp_path, case):
 def test_streamed_trace_chunk_boundaries(tmp_path, monkeypatch, chunk):
     """Any chunk size, even or ragged against the count, writes the same."""
     sessions = [_session_with_activity(), _busy_session("b", 3)]
+    expected = json.dumps(reference_document(sessions))
+    monkeypatch.setattr(exporters, "TRACE_CHUNK", chunk)
     path = tmp_path / "trace.json"
     export_chrome_trace(sessions, str(path))
-    expected = path.read_text()
-    monkeypatch.setattr(exporters, "TRACE_CHUNK", chunk)
-    export_chrome_trace(sessions, str(path))
     assert path.read_text() == expected
+
+
+# -- random sessions against the reference -----------------------------------------
+
+#: names, tracks, categories and labels: quotes, backslashes, control and
+#: non-ASCII characters, and the empty string (which falls back to a
+#: default name)
+_TEXT = st.sampled_from(["", "a", "b", 'q"uote', "back\\slash", "tab\there",
+                         "bell\x07", "nœud", "電力", "\U0001f50b"])
+#: args values that dict equality or hashing would merge: 1, 1.0 and True
+#: are one dict key, and so are 0.0 and -0.0; tuples and nested dicts
+#: carry them too
+_VALUE = st.sampled_from([1, 1.0, True, None, "1", 0.0, -0.0, 2.5,
+                          (1, 1.0), (True, "1"), {"n": 1}, {"n": True},
+                          {"n": {"m": 1.0}}])
+_ARGS = st.dictionaries(st.sampled_from(["a", "b", 'k"', "é"]), _VALUE,
+                        max_size=3)
+#: few distinct times, so spans, instants and samples tie often, within a
+#: session and across sessions
+_TIME = st.sampled_from([0, 1, 7, 1500, 250000])
+_OP = st.one_of(
+    # begin: a detached span; parent is an index into the spans so far
+    st.tuples(st.just("begin"), _TIME, _TEXT, _TEXT, _TEXT, _ARGS,
+              st.integers(-1, 6)),
+    # end: close the span at this index (no-op when out of range or
+    # closed), merging more args into it
+    st.tuples(st.just("end"), _TIME, st.integers(0, 6), _ARGS),
+    st.tuples(st.just("instant"), _TIME, _TEXT, _TEXT, _TEXT, _ARGS),
+    st.tuples(st.just("sample"), _TIME, _TEXT, _TEXT, _ARGS),
+)
+#: per session: label, ops, end time, numpy clock (np.int64 times make
+#: every ts a numpy float, whose repr is "np.float64(...)")
+_SESSION = st.tuples(_TEXT, st.lists(_OP, max_size=10), _TIME,
+                     st.booleans())
+
+
+def _scripted_session(label, ops, end, numpy_clock):
+    """One session built by replaying ``ops`` on a hand-set clock."""
+    clock = np.int64 if numpy_clock else int
+    sim = SimpleNamespace(now=clock(0), obs=None, _ctx_tracer=None)
+    obs = Obs(sim, label=label).install()
+    tracer = obs.tracer
+    spans = []
+    for op in ops:
+        sim.now = clock(op[1])
+        if op[0] == "begin":
+            _kind, _t, name, cat, track, args, parent = op
+            spans.append(tracer.begin(
+                name, cat=cat, track=track, detached=True,
+                parent=spans[parent] if 0 <= parent < len(spans) else None,
+                **args))
+        elif op[0] == "end":
+            _kind, _t, index, args = op
+            if index < len(spans):
+                tracer.end(spans[index], **args)
+        elif op[0] == "instant":
+            _kind, _t, name, cat, track, args = op
+            tracer.instant(name, cat=cat, track=track, **args)
+        else:
+            _kind, _t, name, track, values = op
+            tracer.sample(name, track=track, **values)
+    sim.now = clock(end)
+    return obs
+
+
+@given(st.lists(_SESSION, max_size=3))
+@example([
+    # an instant and a sample tie on (time, rank, order): insertion order
+    # puts the instant first, the event texts would not ("C" < "i")
+    ("", [("instant", 7, "z", "", "t", {}), ("sample", 7, "a", "t", {})],
+     7, False),
+    # args equal as dicts, different as JSON; a numpy-clock session
+    ("n", [("instant", 1, "i", "c", "", {"a": 1}),
+           ("instant", 1, "i", "c", "", {"a": 1.0}),
+           ("instant", 1, "i", "c", "", {"a": True}),
+           ("begin", 1500, "s", "", "", {"a": -0.0}, -1),
+           ("begin", 1500, "s", "", "", {"a": 0.0}, 0)], 250000, True),
+])
+@settings(max_examples=150, deadline=None)
+def test_random_sessions_write_the_reference_bytes(scripts):
+    sessions = [_scripted_session(*script) for script in scripts]
+    document = reference_document(sessions)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.json")
+        count = export_chrome_trace(sessions, path)
+        with open(path) as handle:
+            written = handle.read()
+    assert written == json.dumps(document)
+    assert count == len(document["traceEvents"])
+    assert chrome_trace_events(sessions) == json.loads(
+        json.dumps(document["traceEvents"]))
 
 
 def test_metrics_snapshot_merges_sessions(tmp_path):

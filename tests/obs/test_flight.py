@@ -3,6 +3,8 @@
 import json
 from types import SimpleNamespace
 
+import pytest
+
 from repro.check.checker import InvariantChecker
 from repro.obs import explain, flight
 from repro.obs.alerts import AlertEngine, AlertRule
@@ -194,6 +196,160 @@ class TestPersistence:
         recorder = FlightRecorder(out_dir=str(out))
         assert recorder.flush() == 0
         assert not out.exists()
+
+
+class _Kernel:
+    """The one thing a snapshot reads from a kernel: its logs."""
+
+    def __init__(self, *logs):
+        self._logs = list(logs)
+
+    def logs(self):
+        return list(self._logs)
+
+
+def _log(name, capacity, *records):
+    log = EventTrace(name, capacity)
+    for t, kind, payload in records:
+        log.log(t, kind, **payload)
+    return log
+
+
+def _world(label, recorder):
+    """A session with every source a snapshot reads, none of them empty.
+
+    Series ``w`` holds 2 points of 3, the kernel's ``smp`` log is
+    unbounded and its ``gpu.sched`` ring is full (2 of 2), and the fault
+    log holds 2 records of 3.
+    """
+    obs, _ = make_session(label, recorder=recorder)
+    obs.timeline = Timeline(capacity=3)
+    obs.timeline.record("w", 10, 1.0)
+    obs.timeline.record("w", 20, 2.0)
+    obs.tracer.instant("boot", track="t", n=1)
+    obs.bind_kernel(_Kernel(
+        _log("smp", None, (5, "pick", {"task": 1, "seq": 9})),
+        _log("gpu.sched", 2, (6, "unit", {"n": 1}), (7, "unit", {"n": 2}))))
+    obs.sim.faults = SimpleNamespace(log=_log(
+        "faults", 3, (8, "inject", {"site": "s0"}), (9, "arm", {})))
+    obs.sim.now = 30
+    return obs
+
+
+def _swap_timeline(obs):
+    """Same series, same counts, other values: only identity moves."""
+    timeline = Timeline(capacity=3)
+    for series in obs.timeline.all():
+        for t, value in series.points():
+            timeline.record(series.name, t, value + 1.0,
+                            **dict(series.labels))
+    obs.timeline = timeline
+
+
+def _swap_kernel(obs):
+    """Logs of the same names and counts, other records."""
+    obs.kernel = _Kernel(*(
+        _log(log.name, log.capacity,
+             *((t + 1, kind, payload) for t, kind, payload in log))
+        for log in obs.kernel.logs()))
+
+
+def _swap_faults(obs):
+    log = obs.sim.faults.log
+    obs.sim.faults = SimpleNamespace(log=_log(
+        log.name, log.capacity,
+        *((t, kind, dict(payload, site="other"))
+          for t, kind, payload in log)))
+
+
+def _fill_series(obs):
+    obs.timeline.record("w", 25, 2.5)
+
+
+def _fill_faults(obs):
+    obs.sim.faults.log.log(9, "arm")
+
+
+def _unbind_kernel(obs):
+    obs.kernel = None
+
+
+#: name -> (prepare before the first dump or None, the one change)
+_CHANGES = {
+    "series append": (None, lambda obs: obs.timeline.record("w", 30, 3.0)),
+    # the ring is full: len stays 3, only dropped moves
+    "full series append": (
+        _fill_series, lambda obs: obs.timeline.record("w", 30, 3.0)),
+    "disordered append": (
+        None, lambda obs: obs.timeline.record("w", 15, 9.0)),
+    # no append moves it alone; the stamp still covers what is read
+    "disordered count": (
+        None, lambda obs: setattr(obs.timeline.series("w"), "disordered", 1)),
+    "new series": (None, lambda obs: obs.timeline.record("x", 30, 1.0)),
+    "tracer instant": (None, lambda obs: obs.tracer.instant("tick", n=2)),
+    "kernel log record": (
+        None, lambda obs: obs.kernel.logs()[0].log(30, "pick", task=2)),
+    # the gpu ring is full: only its dropped moves
+    "full kernel ring record": (
+        None, lambda obs: obs.kernel.logs()[1].log(30, "unit", n=3)),
+    "fault injection": (
+        None, lambda obs: obs.sim.faults.log.log(30, "inject", site="s1")),
+    "full fault ring injection": (
+        _fill_faults,
+        lambda obs: obs.sim.faults.log.log(30, "inject", site="s1")),
+    "sim.now advances": (None, lambda obs: setattr(obs.sim, "now", 40)),
+    "kernel bound late": (
+        _unbind_kernel,
+        lambda obs: obs.bind_kernel(_Kernel(_log("smp", None)))),
+    "label renamed": (None, lambda obs: setattr(obs, "label", "a2")),
+    "timeline swapped": (None, _swap_timeline),
+    "kernel swapped": (None, _swap_kernel),
+    "fault plan swapped": (None, _swap_faults),
+}
+
+
+class TestSessionReuse:
+    """Unchanged sessions are reused; a changed one is never served stale."""
+
+    @staticmethod
+    def _assert_files_are_the_dumps(recorder):
+        for path, dump in zip(recorder.paths, recorder.dumps):
+            with open(path) as handle:
+                assert handle.read() == json.dumps(dump, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("change", sorted(_CHANGES))
+    def test_a_change_rebuilds_only_its_session(self, tmp_path, change):
+        prepare, apply = _CHANGES[change]
+        recorder = FlightRecorder(out_dir=str(tmp_path), series_tail=2,
+                                  events_tail=2)
+        changing = _world("a", recorder)
+        _world("b", recorder)              # never changes
+        if prepare is not None:
+            prepare(changing)
+        first = recorder.snapshot({"type": "test", "i": 1})["sessions"]
+        apply(changing)
+        fresh = recorder._session_snapshot(changing)
+        second = recorder.snapshot({"type": "test", "i": 2})["sessions"]
+        assert second[0] is not first[0]
+        assert second[0] == fresh != first[0]
+        assert second[1] is first[1]
+        self._assert_files_are_the_dumps(recorder)
+
+    def test_nothing_changed_shares_every_session(self, tmp_path):
+        recorder = FlightRecorder(out_dir=str(tmp_path))
+        sessions = [_world("a", recorder), _world("b", recorder)]
+        first = recorder.snapshot({"type": "test", "i": 1})
+        second = recorder.snapshot({"type": "test", "i": 2})
+        assert all(a is b for a, b in zip(first["sessions"],
+                                          second["sessions"]))
+        assert second["sessions"] == [recorder._session_snapshot(obs)
+                                      for obs in sessions]
+        self._assert_files_are_the_dumps(recorder)
+        # and an in-memory recorder keeps the same dumps
+        memory = FlightRecorder(sessions=sessions)
+        memory.snapshot({"type": "test", "i": 1})
+        memory.snapshot({"type": "test", "i": 2})
+        assert memory.dumps == recorder.dumps
 
 
 class TestJsonable:
