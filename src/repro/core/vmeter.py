@@ -8,6 +8,8 @@ with the same clock apps read via ``Kernel.now`` — the paper's
 clock_gettime() alignment.
 """
 
+from bisect import bisect_left
+
 import numpy as np
 
 
@@ -50,7 +52,15 @@ class VirtualPowerMeter:
         if component == "gps" and self.platform.gps is not None:
             return self.platform.gps.operating_windows(t0, t1)
         clipped = []
-        for start, end in self._windows[component]:
+        windows = self._windows[component]
+        # Closed windows are appended in time order and never overlap, so
+        # only the last one starting before t0 can reach into [t0, t1), and
+        # none starting at or after t1 can.
+        for index in range(max(bisect_left(windows, (t0,)) - 1, 0),
+                           len(windows)):
+            start, end = windows[index]
+            if start >= t1:
+                break
             lo, hi = max(start, t0), min(end, t1)
             if hi > lo:
                 clipped.append((lo, hi))

@@ -94,8 +94,13 @@ class CommandEngine:
         self.parallel_efficiency = parallel_efficiency
         self.completion_delay = completion_delay
         self.nominal_freq = freq_domain.opps[-1].freq_hz
+        self._freq_factors = tuple(
+            power_model.freq_factor(opp, self.nominal_freq)
+            for opp in freq_domain.opps
+        )
         self._inflight = []
-        self._current_speed = 0.0   # cycles/s per command, as of last settle
+        # cycles/s per command since the in-flight set or the OPP last changed
+        self._current_speed = 0.0
         self._completion_event = None
         self.log = EventTrace(name + ".commands")
         self.busy_trace = StepTrace(0.0, name=name + ".busy")
@@ -147,14 +152,16 @@ class CommandEngine:
             return 0.0
         idx = min(k, len(self.parallel_efficiency)) - 1
         efficiency = self.parallel_efficiency[idx]
-        return self.freq_domain.freq_hz * efficiency / k
+        domain = self.freq_domain
+        return domain.opps[domain.index].freq_hz * efficiency / k
 
     def _settle(self, now):
         """Advance progress for the elapsed interval.
 
-        Uses the speed that was in force *during* the interval (cached at
-        the previous settle), not the current one — a frequency change must
-        not retroactively re-price past execution.
+        Uses the speed that was in force *during* the interval (cached by
+        whoever last changed the in-flight set or the OPP), not the current
+        one — a frequency change must not retroactively re-price past
+        execution.  Callers refresh ``_current_speed`` afterwards.
         """
         speed = self._current_speed
         k = len(self._inflight)
@@ -163,18 +170,22 @@ class CommandEngine:
             entry.done += speed * dt / SEC
             entry.occupancy += dt / k
             entry.last_update = now
-        self._current_speed = self._speed()
 
     def _reschedule(self):
+        """Re-arm the completion check; ``_current_speed`` must be fresh."""
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None
         if not self._inflight:
             return
-        speed = self._speed()
-        soonest = min(
-            max(entry.command.cycles - entry.done, 0.0) for entry in self._inflight
-        )
+        speed = self._current_speed
+        soonest = None
+        for entry in self._inflight:
+            remaining = entry.command.cycles - entry.done
+            if remaining < 0.0:
+                remaining = 0.0
+            if soonest is None or remaining < soonest:
+                soonest = remaining
         delay = max(int(soonest / speed * SEC), 1) if speed > 0 else 1
         self._completion_event = self.sim.call_later(delay, self._check_completions)
 
@@ -208,13 +219,15 @@ class CommandEngine:
 
     def _on_freq_change(self, _opp):
         self._settle(self.sim.now)
+        self._current_speed = self._speed()
         self._reschedule()
         self._update_power()
 
     def _update_power(self):
         powers = [entry.command.power_w for entry in self._inflight]
-        watts = self.power_model.rail_power(
-            self.freq_domain.opp, self.nominal_freq, powers
+        index = self.freq_domain.index
+        watts = self.power_model.scaled_rail_power(
+            self.freq_domain.opps[index], self._freq_factors[index], powers
         )
         self.rail.set_part(self.name, watts)
         self.busy_trace.set(self.sim.now, 1.0 if self._inflight else 0.0)

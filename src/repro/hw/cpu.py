@@ -91,7 +91,8 @@ class CpuCore:
         if remaining <= 0:
             self._completion_event = self.sim.call_soon(self._complete)
             return
-        freq = self.cluster.freq_domain.freq_hz
+        domain = self.cluster.freq_domain
+        freq = domain.opps[domain.index].freq_hz
         delay = max(int(remaining / freq * SEC), 1)
         self._completion_event = self.sim.call_later(delay, self._complete)
 
@@ -147,14 +148,18 @@ class CpuCluster:
     def note_activity(self, core):
         """A core's busy/owner state changed; refresh traces and rail power."""
         now = self.sim.now
-        self.busy_traces[core.id].set(now, 1.0 if core.busy else 0.0)
+        self.busy_traces[core.id].set(now, 0.0 if core.work is None else 1.0)
         owner = core.owner_id if core.owner_id is not None else -1
         self.owner_traces[core.id].set(now, float(owner))
         self._update_power()
 
     def _update_power(self):
-        n_active = sum(1 for core in self.cores if core.busy)
-        watts = self.power_model.rail_power(self.freq_domain.opp, n_active)
+        n_active = 0
+        for core in self.cores:
+            if core.work is not None:
+                n_active += 1
+        domain = self.freq_domain
+        watts = self.power_model.rail_power(domain.opps[domain.index], n_active)
         self.rail.set_part(self.name, watts)
 
     def utilization(self, t0, t1):
@@ -172,6 +177,9 @@ class CpuCluster:
         """
         if t1 <= t0:
             return 0.0
-        return max(
-            trace.integrate(t0, t1) / (t1 - t0) for trace in self.busy_traces
-        )
+        busiest = None
+        for trace in self.busy_traces:
+            fraction = trace.integrate(t0, t1) / (t1 - t0)
+            if busiest is None or fraction > busiest:
+                busiest = fraction
+        return busiest

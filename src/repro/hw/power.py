@@ -87,10 +87,23 @@ class AccelPowerModel:
         idx = min(n_inflight, len(self.overlap_factors)) - 1
         return self.overlap_factors[idx]
 
+    def freq_factor(self, opp, nominal_freq):
+        """``(f / f_nominal) ** freq_power_exponent`` at ``opp``."""
+        return (opp.freq_hz / nominal_freq) ** self.freq_power_exponent
+
     def rail_power(self, opp, nominal_freq, command_powers):
+        return self.scaled_rail_power(
+            opp, self.freq_factor(opp, nominal_freq), command_powers
+        )
+
+    def scaled_rail_power(self, opp, freq_pf, command_powers):
+        """:meth:`rail_power` given ``opp``'s :meth:`freq_factor`.
+
+        An engine computes the factor once per OPP instead of once per
+        power update.
+        """
         if not command_powers:
             return self.idle_w + opp.static_w
-        freq_pf = (opp.freq_hz / nominal_freq) ** self.freq_power_exponent
         active = freq_pf * self.overlap_factor(len(command_powers)) * sum(
             command_powers
         )

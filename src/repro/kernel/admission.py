@@ -75,7 +75,8 @@ class AdmissionGate:
     def next_on_edge(self, app_id):
         """Absolute time the app's next on-phase begins."""
         gate = self._gates[app_id]
-        return self.sim.now - (self.sim.now % gate.period) + gate.period
+        now = self.sim.now
+        return now - (now % gate.period) + gate.period
 
     def arm(self, t):
         """Schedule one pump at time ``t`` (coalesced with earlier arms)."""

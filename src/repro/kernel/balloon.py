@@ -162,11 +162,11 @@ class BalloonScheduler:
 
     def _enqueue(self, app, unit, user_cb, **fields):
         """Queue ``unit`` for ``app`` and log its submission."""
-        unit.submit_t = self.sim.now
+        now = self.sim.now
+        unit.submit_t = now
         unit.on_complete = self._completion_wrapper(unit, user_cb)
         self._queue_for(app).pending.append(unit)
-        self.log.log(self.sim.now, "submit", app=app.id, seq=unit.seq,
-                     **fields)
+        self.log.log(now, "submit", app=app.id, seq=unit.seq, **fields)
         return unit
 
     def _completion_wrapper(self, unit, user_cb):
@@ -207,28 +207,31 @@ class BalloonScheduler:
     # -- the dispatch pump ----------------------------------------------------
 
     def _min_other_vruntime(self):
-        values = [
-            q.vruntime for q in self.queues.values()
-            if q.pending and (self.psbox_app is None
-                              or q.app.id != self.psbox_app.id)
-        ]
-        return min(values) if values else None
+        psbox_app = self.psbox_app
+        lowest = None
+        for q in self.queues.values():
+            if q.pending and (psbox_app is None or q.app.id != psbox_app.id):
+                if lowest is None or q.vruntime < lowest:
+                    lowest = q.vruntime
+        return lowest
 
     def _pick(self):
         """The pending, admitted queue with the minimal virtual share."""
+        admission = self.admission
+        gating = len(admission) > 0
         best = None
         wake = None
         for q in self.queues.values():
             if not q.pending:
                 continue
-            if self.admission.gated(q.app.id):
-                edge = self.admission.next_on_edge(q.app.id)
+            if gating and admission.gated(q.app.id):
+                edge = admission.next_on_edge(q.app.id)
                 wake = edge if wake is None else min(wake, edge)
                 continue
             if best is None or q.vruntime < best.vruntime:
                 best = q
         if wake is not None:
-            self.admission.arm(wake)
+            admission.arm(wake)
         return best
 
     def _pump(self):
@@ -297,9 +300,10 @@ class BalloonScheduler:
             self._dispatch(q, q.pending.popleft())
 
     def _dispatch(self, q, unit):
-        wait = self.sim.now - unit.submit_t
-        self.log.log(self.sim.now, "dispatch", app=unit.app_id,
-                     seq=unit.seq, wait=wait)
+        now = self.sim.now
+        wait = now - unit.submit_t
+        self.log.log(now, "dispatch", app=unit.app_id, seq=unit.seq,
+                     wait=wait)
         obs = self.sim.obs
         if obs is not None:
             obs.metrics.inc(self.device.name + ".dispatched")
@@ -315,10 +319,11 @@ class BalloonScheduler:
             self._open_window()
             self._pump_serve()
             return
+        now = self.sim.now
         self.state = DRAIN_OTHERS
-        self._drain_start_t = self.sim.now
+        self._drain_start_t = now
         self._begin_drain()
-        self.log.log(self.sim.now, "drain_others", app=self.psbox_app.id)
+        self.log.log(now, "drain_others", app=self.psbox_app.id)
         self._obs_phase(self.device.name + ".drain_others",
                         app=self.psbox_app.id)
         if self.device.is_drained:

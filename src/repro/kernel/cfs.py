@@ -96,13 +96,6 @@ class CoreScheduler:
         entity.on_rq = False
         self.rq.remove(entity)
 
-    def _update_min_vruntime(self):
-        candidates = [entity.vruntime for entity in self.rq]
-        if self.current is not None:
-            candidates.append(self.current.vruntime)
-        if candidates:
-            self.min_vruntime = max(self.min_vruntime, min(candidates))
-
     # -- billing ----------------------------------------------------------------
 
     def settle(self):
@@ -113,16 +106,27 @@ class CoreScheduler:
         the portion intentionally kept idle by the balloons" (§4.1).
         """
         now = self.sim.now
-        if self.current is not None and self.current_since is not None:
+        current = self.current
+        if current is not None and self.current_since is not None:
             delta = now - self.current_since
             if delta > 0:
-                self.current.vruntime += delta / self.current.weight
-                if self.current_task is not None:
-                    self.current_task.member_vruntime += (
-                        delta / self.current_task.weight
-                    )
+                current.vruntime += delta / current.weight
+                task = self.current_task
+                if task is not None:
+                    task.member_vruntime += delta / task.weight
         self.current_since = now
-        self._update_min_vruntime()
+        # min_vruntime = max(old, min(runqueue then current)), written as
+        # comparisons that keep the earlier value on ties, like min/max.
+        lowest = None
+        for entity in self.rq:
+            vruntime = entity.vruntime
+            if lowest is None or vruntime < lowest:
+                lowest = vruntime
+        if current is not None and (lowest is None
+                                    or current.vruntime < lowest):
+            lowest = current.vruntime
+        if lowest is not None and lowest > self.min_vruntime:
+            self.min_vruntime = lowest
 
     # -- picking ----------------------------------------------------------------
 
@@ -132,11 +136,12 @@ class CoreScheduler:
             return self.forced_entity
         best = None
         for entity in self.rq:
-            if entity.group.throttled:
+            group = entity.group
+            if group.throttled:
                 # A bandwidth throttle's off-phase: the app keeps its
                 # runqueue position but is never picked (powercap actuator).
                 continue
-            if entity.group.sandboxed and not self.smp.balloon_admissible(entity):
+            if group.sandboxed and not self.smp.balloon_admissible(entity):
                 # Sandboxed apps only ever run inside their balloon, and a
                 # balloon preempts every core — so it must be justified by
                 # the app's credit against the whole machine, not just this
@@ -204,7 +209,7 @@ class CoreScheduler:
             self.core.start(candidate.group.app.id, task.work)
         self.current_since = self.sim.now
         self._arm_tick()
-        if self.waiting_tasks():
+        if self.waiting_count():
             self.smp.offer_work(self)
 
     def _stop_current_task(self):
@@ -245,15 +250,17 @@ class CoreScheduler:
                 self._maybe_rotate_member()
                 self._arm_tick()
             return
-        if self.current is None:
+        current = self.current
+        if current is None:
             return
         best = None
         for entity in self.rq:
-            if entity is self.current or entity.group.throttled:
+            if entity is current or entity.group.throttled:
                 continue
-            if best is None or entity.vruntime < best.vruntime:
-                best = entity
-        if best is not None and best.vruntime + self.granularity < self.current.vruntime:
+            vruntime = entity.vruntime
+            if best is None or vruntime < best:
+                best = vruntime
+        if best is not None and best + self.granularity < current.vruntime:
             self.reschedule()
         else:
             self._maybe_rotate_member()
@@ -297,3 +304,13 @@ class CoreScheduler:
                 if task.runnable and task is not self.current_task:
                     waiting.append(task)
         return waiting
+
+    def waiting_count(self):
+        """``len(waiting_tasks())`` without building the list."""
+        count = 0
+        current_task = self.current_task
+        for entity in self.rq:
+            for task in entity.members:
+                if task.runnable and task is not current_task:
+                    count += 1
+        return count

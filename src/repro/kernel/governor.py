@@ -72,34 +72,33 @@ class OndemandGovernor:
     def switch_context(self, key):
         """Save the active context's OPP, restore ``key``'s OPP."""
         self._settle()
-        self.contexts[self.active].index = self.domain.index
+        domain = self.domain
+        self.contexts[self.active].index = domain.index
         state = self.context(key)
-        if not 0 <= state.index <= self.domain.max_index:
+        if not 0 <= state.index <= domain.max_index:
             raise ValueError(
                 "context {!r} restores OPP index {}, outside the domain's "
-                "OPP table 0..{}".format(key, state.index,
-                                         self.domain.max_index)
+                "OPP table 0..{}".format(key, state.index, domain.max_index)
             )
         self.active = key
         target = self._clamped(key, state.index)
         plan = self.sim.faults
         if plan is None or not plan.corrupts("governor.restore"):
-            self.domain.set_opp(target)
+            domain.set_opp(target)
         # else: the restore write was lost — the hardware keeps the previous
         # context's OPP, leaking lingering frequency state across the
         # boundary (exactly what repro.check's vstate invariant catches).
+        actual = domain.index
         self.log.log(self.sim.now, "switch", key=key, expected=target,
-                     actual=self.domain.index)
+                     actual=actual)
         obs = self.sim.obs
         if obs is not None:
-            track = "governor." + self.domain.name
+            track = "governor." + domain.name
             obs.tracer.instant("ctx.switch", cat="governor", track=track,
-                               key=str(key), expected=target,
-                               actual=self.domain.index)
-            obs.tracer.sample("opp." + self.domain.name, track=track,
-                              opp=self.domain.index)
-            obs.metrics.inc("governor.{}.switches".format(self.domain.name))
-        state.index = self.domain.index
+                               key=str(key), expected=target, actual=actual)
+            obs.tracer.sample("opp." + domain.name, track=track, opp=actual)
+            obs.metrics.inc("governor.{}.switches".format(domain.name))
+        state.index = actual
 
     # -- OPP clamping (powercap actuator hook) -----------------------------------
 
@@ -145,11 +144,13 @@ class OndemandGovernor:
 
     def _settle(self):
         now = self.sim.now
-        if now > self._last_settle:
-            util = self.utilization_fn(self._last_settle, now)
+        last = self._last_settle
+        if now > last:
+            elapsed = now - last
+            util = self.utilization_fn(last, now)
             state = self.contexts[self.active]
-            state.busy += util * (now - self._last_settle)
-            state.wall += now - self._last_settle
+            state.busy += util * elapsed
+            state.wall += elapsed
         self._last_settle = now
 
     def _on_tick(self):

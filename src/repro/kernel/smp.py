@@ -83,9 +83,6 @@ class SmpScheduler:
             self.groups[app.id] = AppGroup(app, len(self.cores))
         return self.groups[app.id]
 
-    def _entity_on(self, group, core_id):
-        return group.entities[core_id]
-
     def _place(self, task):
         """Choose a core for a waking task."""
         group = self.group_for(task.app)
@@ -95,19 +92,16 @@ class SmpScheduler:
             for sched in self.cores:
                 if sched.forced_entity is not None and sched.current_task is None:
                     return sched.core.id
-        def load(sched):
-            return len(sched.waiting_tasks()) + (1 if sched.current_task else 0)
-
-        best = min(self.cores, key=load)
-        if task.core_id is not None:
+        loads = [sched.waiting_count() + (1 if sched.current_task else 0)
+                 for sched in self.cores]
+        least = min(loads)
+        best = self.cores[loads.index(least)]
+        if task.core_id is not None and loads[task.core_id] == least:
+            # Break ties randomly so equally loaded cores share apps fairly
+            # over time (wake-balance jitter).
+            rng = self.sim.rng.stream("smp.place")
             home = self.cores[task.core_id]
-            if load(home) < load(best):
-                return home.core.id
-            if load(home) == load(best):
-                # Break ties randomly so equally loaded cores share apps
-                # fairly over time (wake-balance jitter).
-                rng = self.sim.rng.stream("smp.place")
-                return home.core.id if rng.random() < 0.5 else best.core.id
+            return home.core.id if rng.random() < 0.5 else best.core.id
         return best.core.id
 
     # -- task state transitions (called by Task) -----------------------------------
@@ -117,7 +111,7 @@ class SmpScheduler:
         core_id = self._place(task)
         self._attach(task, group, core_id)
         sched = self.cores[core_id]
-        entity = self._entity_on(group, core_id)
+        entity = group.entities[core_id]
         sched.enqueue(entity, wakeup=True)
         # Preemption decision.
         if sched.current is None or (
@@ -133,12 +127,12 @@ class SmpScheduler:
     def _attach(self, task, group, core_id):
         old = task.core_id
         if old is not None and old != core_id:
-            old_entity = self._entity_on(group, old)
+            old_entity = group.entities[old]
             if task in old_entity.members:
                 old_entity.members.remove(task)
                 if not old_entity.members and not old_entity.forced:
                     self.cores[old].dequeue(old_entity)
-        entity = self._entity_on(group, core_id)
+        entity = group.entities[core_id]
         if task not in entity.members:
             entity.members.append(task)
             floor = entity.min_member_vruntime()
@@ -156,7 +150,7 @@ class SmpScheduler:
         if task.core_id is None:
             return
         group = self.group_for(task.app)
-        entity = self._entity_on(group, task.core_id)
+        entity = group.entities[task.core_id]
         sched = self.cores[task.core_id]
         was_running = task is sched.current_task
         if was_running:
@@ -181,7 +175,7 @@ class SmpScheduler:
         """The task's compute burst completed on its core."""
         sched = self.cores[task.core_id]
         group = self.group_for(task.app)
-        entity = self._entity_on(group, task.core_id)
+        entity = group.entities[task.core_id]
         if task in entity.members:
             entity.members.remove(task)
         if not entity.members and not entity.forced:
@@ -223,7 +217,7 @@ class SmpScheduler:
         ]
         if not victims:
             return
-        victim = max(victims, key=lambda s: len(s.waiting_tasks()))
+        victim = max(victims, key=CoreScheduler.waiting_count)
         waiting = victim.waiting_tasks()
         if not waiting:
             return
@@ -238,7 +232,7 @@ class SmpScheduler:
         task = min(candidates, key=lambda t: t.member_vruntime)
         group = self.group_for(task.app)
         self._attach(task, group, sched.core.id)
-        entity = self._entity_on(group, sched.core.id)
+        entity = group.entities[sched.core.id]
         entity.vruntime = max(entity.vruntime, sched.min_vruntime)
         sched.enqueue(entity)
         sched.resched_soon()
@@ -284,9 +278,10 @@ class SmpScheduler:
     def begin_coschedule(self, group, initiator_sched):
         if self.active_cosched is not None:
             return
-        cosched = _Coschedule(group, self.sim.now)
+        now = self.sim.now
+        cosched = _Coschedule(group, now)
         self.active_cosched = cosched
-        self.log.log(self.sim.now, "cosched_begin", app=group.app.id)
+        self.log.log(now, "cosched_begin", app=group.app.id)
         obs = self.sim.obs
         if obs is not None:
             cosched.span = obs.tracer.begin(
@@ -301,25 +296,26 @@ class SmpScheduler:
         # The balloon exists from schedule-in: the observation window opens
         # now.  The few microseconds it takes remote cores to honour the IPI
         # are a (tiny, realistic) leak across the boundary.
-        cosched.window_open = self.sim.now
+        cosched.window_open = now
         for hook in self.balloon_in_hooks:
-            hook(group.app, self.sim.now)
+            hook(group.app, now)
         plan = self.sim.faults
         for sched in self.cores:
-            entity = self._entity_on(group, sched.core.id)
+            core_id = sched.core.id
+            entity = group.entities[core_id]
             entity.forced = True
             if sched is initiator_sched:
                 sched.forced_entity = entity
                 continue
-            cosched.pending_cores.add(sched.core.id)
+            cosched.pending_cores.add(core_id)
             if obs is not None:
                 # One span per shootdown IPI: begins when the IPI is sent,
                 # ends when the remote core honours it (_ipi_arrive).  A
                 # dropped IPI leaves its span open — visibly unfinished in
                 # the exported trace.
-                cosched.ipi_spans[sched.core.id] = obs.tracer.begin(
+                cosched.ipi_spans[core_id] = obs.tracer.begin(
                     "ipi.shootdown", cat="balloon", track="smp",
-                    parent=cosched.span, detached=True, core=sched.core.id,
+                    parent=cosched.span, detached=True, core=core_id,
                 )
                 obs.metrics.inc("smp.ipi.sent")
             delay = self.ipi_delay
@@ -335,7 +331,7 @@ class SmpScheduler:
         """Task shootdown on a remote core (step 2 of the protocol)."""
         if self.active_cosched is not cosched:
             return
-        entity = self._entity_on(cosched.group, sched.core.id)
+        entity = cosched.group.entities[sched.core.id]
         sched.settle()
         sched.forced_entity = entity
         sched.enqueue(entity)
@@ -362,24 +358,25 @@ class SmpScheduler:
         global_best = self._global_best_other(group)
         if global_best is None:
             return  # app is alone: nobody loses by continuing
-        all_exhausted = True
         for sched in self.cores:
-            entity = self._entity_on(group, sched.core.id)
+            entity = group.entities[sched.core.id]
             reference = sched.best_waiting_vruntime(exclude_group=group)
             if reference is None:
                 reference = global_best
             if entity.vruntime <= reference:
-                all_exhausted = False
-                break
-        if all_exhausted:
-            self.end_coschedule("credit exhausted")
+                return
+        self.end_coschedule("credit exhausted")
 
     def _global_best_other(self, group):
+        """Min vruntime runqueued outside ``group`` on any core."""
         best = None
         for sched in self.cores:
-            value = sched.best_waiting_vruntime(exclude_group=group)
-            if value is not None and (best is None or value < best):
-                best = value
+            for entity in sched.rq:
+                if entity.group is group:
+                    continue
+                vruntime = entity.vruntime
+                if best is None or vruntime < best:
+                    best = vruntime
         return best
 
     def end_coschedule(self, reason):
@@ -410,7 +407,7 @@ class SmpScheduler:
             self._redistribute_loans(group, cosched)
 
         for sched in self.cores:
-            entity = self._entity_on(group, sched.core.id)
+            entity = group.entities[sched.core.id]
             entity.forced = False
             sched.forced_entity = None
             if not entity.members:
@@ -437,7 +434,7 @@ class SmpScheduler:
         loans = []
         global_best = self._global_best_other(group)
         for sched in self.cores:
-            entity = self._entity_on(group, sched.core.id)
+            entity = group.entities[sched.core.id]
             reference = sched.best_waiting_vruntime(exclude_group=group)
             if reference is None:
                 reference = global_best
@@ -450,13 +447,13 @@ class SmpScheduler:
             return
         mean = total / len(loans)
 
-        duration = self.sim.now - cosched.started_at
+        now = self.sim.now
+        duration = now - cosched.started_at
         surcharge = 0.0
         if duration > 0 and len(self.cores) > 2:
             idle_ns = 0
             for trace in self.cluster.owner_traces:
-                for t0, t1, owner in trace.segments(
-                        cosched.started_at, self.sim.now):
+                for t0, t1, owner in trace.segments(cosched.started_at, now):
                     if owner == -1.0:
                         idle_ns += t1 - t0
             idle_cores_avg = idle_ns / duration
@@ -464,11 +461,11 @@ class SmpScheduler:
 
         shares = []
         for sched in self.cores:
-            entity = self._entity_on(group, sched.core.id)
+            entity = group.entities[sched.core.id]
             share = mean + surcharge / entity.weight
             entity.vruntime += share
             shares.append(share)
-        self.log.log(self.sim.now, "loan_redistribution", app=group.app.id,
+        self.log.log(now, "loan_redistribution", app=group.app.id,
                      total=total, surcharge=surcharge, shares=shares)
         obs = self.sim.obs
         if obs is not None:

@@ -107,10 +107,20 @@ class StepTrace:
             return 0.0
         lo, hi = self._window(t0, t1)
         if hi - lo <= 32:
-            # Few segments: the Python loop beats numpy array setup.
+            # Few segments: the Python loop beats numpy array setup.  It
+            # forms ``segments``' products in its order: change points are
+            # strictly increasing, so every inner width is positive and
+            # only the last segment can be empty.
+            times = self._times
+            values = self._values
             total = 0.0
-            for start, end, value in self.segments(t0, t1):
-                total += value * (end - start)
+            start = t0
+            for idx in range(lo, hi - 1):
+                end = times[idx + 1]
+                total += values[idx] * (end - start)
+                start = end
+            if t1 > start:
+                total += values[hi - 1 if hi > lo else lo] * (t1 - start)
             return total
         # Segment i runs [starts[i], ends[i]) with value vals[i]; the outer
         # boundaries are clipped to the query window.  Widths stay int64 so

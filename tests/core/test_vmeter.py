@@ -1,7 +1,11 @@
 """Virtual power meter tests: windows, idle fill, energy arithmetic."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.vmeter import VirtualPowerMeter
 from repro.hw.platform import Platform
@@ -102,3 +106,41 @@ def test_multi_component_energy_sums(setup):
     energy_cpu = vmeter.energy(0, SEC, component="cpu")
     energy_gpu = vmeter.energy(0, SEC, component="gpu")
     assert energy_total == pytest.approx(energy_cpu + energy_gpu)
+
+
+def _linear_windows(vmeter, component, t0, t1):
+    """The reference for ``windows``: clip every window, in order."""
+    clipped = []
+    for start, end in vmeter._windows[component]:
+        lo, hi = max(start, t0), min(end, t1)
+        if hi > lo:
+            clipped.append((lo, hi))
+    start = vmeter._open_at[component]
+    if start is not None and t1 > start:
+        lo = max(start, t0)
+        if t1 > lo:
+            clipped.append((lo, t1))
+    return clipped
+
+
+@given(st.lists(st.integers(0, 30), max_size=25), st.data())
+@settings(max_examples=200, deadline=None)
+def test_windows_match_the_linear_scan(gaps, data):
+    """Random open/close histories: zero gaps give windows that share a
+    boundary (close and reopen at one instant) and dropped zero-width
+    ones; an odd number of edges leaves the last window open."""
+    vmeter = VirtualPowerMeter(SimpleNamespace(gps=None), ("cpu",))
+    t = 0
+    edges = [0]
+    for k, gap in enumerate(gaps):
+        t += gap
+        edges.append(t)
+        if k % 2 == 0:
+            vmeter.open_window("cpu", t)
+        else:
+            vmeter.close_window("cpu", t)
+    point = st.one_of(st.integers(-10, t + 40), st.sampled_from(edges))
+    for _ in range(12):
+        t0, t1 = data.draw(point), data.draw(point)
+        assert vmeter.windows("cpu", t0, t1) == _linear_windows(
+            vmeter, "cpu", t0, t1)

@@ -18,7 +18,11 @@ After every op both must agree on:
 * every entity's vruntime — billing adds ``delta / weight`` to the
   occupying entity, and a wakeup clamps to at least
   ``min_vruntime - wakeup_grace``;
-* runqueue membership.
+* runqueue membership;
+* ``waiting_count()`` — equal to ``len(waiting_tasks())``.  Each entity
+  carries stub member tasks whose READY flag the ``wake`` op toggles, and
+  every pick or run makes one member the running task, so the census sees
+  runnable and blocked members and the current task's exclusion.
 
 This pins the pick order a faster runqueue (or a tickless CFS) must keep.
 """
@@ -34,14 +38,15 @@ from repro.kernel.cfs import CoreScheduler, GroupEntity
 WAKEUP_GRACE = 2
 
 #: one op: ("enqueue", i, wakeup) | ("dequeue", i) | ("run", i, delta)
-#: | ("throttle", i) | ("pick",); entity indices are taken modulo the
-#: number of entities
+#: | ("throttle", i) | ("wake", i, j) | ("pick",); entity and member
+#: indices are taken modulo their counts
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("enqueue"), st.integers(0, 7), st.booleans()),
         st.tuples(st.just("dequeue"), st.integers(0, 7)),
         st.tuples(st.just("run"), st.integers(0, 7), st.integers(0, 6)),
         st.tuples(st.just("throttle"), st.integers(0, 7)),
+        st.tuples(st.just("wake"), st.integers(0, 7), st.integers(0, 3)),
         st.tuples(st.just("pick"),),
     ),
     max_size=60,
@@ -99,9 +104,18 @@ class _ReferenceRunqueue:
         return next(i for i in eligible if self.vruntime[i] == lowest)
 
 
-@given(st.lists(st.integers(1, 3), min_size=1, max_size=4), _OPS)
+def _member(runnable):
+    """A stub task: what billing, member picks and the census read."""
+    return SimpleNamespace(runnable=runnable, member_vruntime=0.0,
+                           weight=1.0)
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       st.lists(st.lists(st.booleans(), max_size=3), min_size=4,
+                max_size=4),
+       _OPS)
 @settings(max_examples=200, deadline=None)
-def test_runqueue_matches_enqueue_ordered_reference(weights, ops):
+def test_runqueue_matches_enqueue_ordered_reference(weights, members, ops):
     smp = _FakeSmp()
     sched = CoreScheduler(smp, core=None, wakeup_grace=WAKEUP_GRACE)
     entities = [
@@ -109,6 +123,8 @@ def test_runqueue_matches_enqueue_ordered_reference(weights, ops):
                                     sandboxed=False), core_id=0)
         for w in weights
     ]
+    for entity, flags in zip(entities, members):
+        entity.members = [_member(flag) for flag in flags]
     model = _ReferenceRunqueue(weights)
     index = {entity: i for i, entity in enumerate(entities)}
 
@@ -125,6 +141,8 @@ def test_runqueue_matches_enqueue_ordered_reference(weights, ops):
             settle(0)
             picked = sched.pick_next()
             sched.current = picked
+            sched.current_task = (None if picked is None
+                                  else picked.pick_member())
             model.current = None if picked is None else index[picked]
         else:
             i = op[1] % len(entities)
@@ -139,8 +157,13 @@ def test_runqueue_matches_enqueue_ordered_reference(weights, ops):
                 # the entity occupies the core for ``delta`` ns, on the
                 # runqueue or not (dequeued while running)
                 sched.current = entity
+                sched.current_task = entity.pick_member()
                 model.current = i
                 settle(op[2])
+            elif kind == "wake":
+                if entity.members:
+                    task = entity.members[op[2] % len(entity.members)]
+                    task.runnable = not task.runnable
             else:
                 entity.group.throttled = not entity.group.throttled
                 model.throttled[i] = entity.group.throttled
@@ -151,3 +174,4 @@ def test_runqueue_matches_enqueue_ordered_reference(weights, ops):
         assert sorted(index[e] for e in sched.rq) == sorted(model.rq)
         assert [entity.on_rq for entity in entities] == [
             i in model.rq for i in range(len(entities))]
+        assert sched.waiting_count() == len(sched.waiting_tasks())

@@ -4,6 +4,8 @@ StepTrace carries the power rails, so its integration/resampling must be
 exact; hypothesis drives random change-point sequences through it.
 """
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,6 +148,85 @@ def test_integral_of_nonnegative_signal_is_monotone(trace_and_end):
     tr, end = trace_and_end
     end = end + 100
     assert tr.integrate(0, end // 2) <= tr.integrate(0, end) + 1e-9
+
+
+def _segment_sum(tr, t0, t1):
+    """The reference for ``integrate``'s short path: a sum over segments."""
+    total = 0.0
+    for start, end, value in tr.segments(t0, t1):
+        total += value * (end - start)
+    return total
+
+
+def _assert_within_sum_error(tr, t0, t1):
+    """numpy's dot may multiply and add in another order: allow the
+    worst-case float64 error of summing the segment products."""
+    terms = [value * (end - start)
+             for start, end, value in tr.segments(t0, t1)]
+    bound = (len(terms) + 2) * sys.float_info.epsilon * sum(map(abs, terms))
+    assert abs(tr.integrate(t0, t1) - _segment_sum(tr, t0, t1)) <= bound
+
+
+_FINITE = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def integration_queries(draw):
+    """A trace whose sets may repeat an instant (zero width, overwrite),
+    and a query ``[t0, t1)`` that may start before the first change point
+    or exactly on one, end past the last, or be empty (t1 <= t0)."""
+    tr = StepTrace(draw(_FINITE))
+    t = draw(st.integers(0, 40))
+    for dt, value in draw(st.lists(st.tuples(st.integers(0, 40), _FINITE),
+                                   max_size=45)):
+        t += dt
+        tr.set(t, value)
+    t0 = draw(st.one_of(st.integers(-60, t + 60), st.sampled_from(tr._times)))
+    t1 = draw(st.one_of(st.integers(t0 - 20, t + 200),
+                        st.sampled_from(tr._times)))
+    return tr, t0, t1
+
+
+@given(integration_queries())
+@settings(max_examples=300, deadline=None)
+def test_integrate_short_path_is_the_segment_sum_bit_for_bit(query):
+    tr, t0, t1 = query
+    lo, hi = tr._window(t0, t1)
+    if hi - lo <= 32:
+        assert tr.integrate(t0, t1).hex() == _segment_sum(tr, t0, t1).hex()
+    else:
+        _assert_within_sum_error(tr, t0, t1)
+
+
+@pytest.mark.parametrize("t0, t1", [
+    (-50, -10),        # wholly before the initial change point at 0
+    (-50, 0),
+    (-50, 25),
+    (10, 20),          # from exactly on a change point
+    (10, 10),          # empty
+    (15, 10**6),       # past the last change point
+])
+def test_integrate_edge_queries_are_the_segment_sum(t0, t1):
+    tr = StepTrace(0.7)
+    tr.set(10, 2.5)
+    tr.set(10, 1.25)   # same instant: overwrites, no zero-width segment
+    tr.set(20, 3.0)
+    assert tr.integrate(t0, t1).hex() == _segment_sum(tr, t0, t1).hex()
+
+
+@pytest.mark.parametrize("change_points", [32, 33])
+def test_integrate_at_the_numpy_switch(change_points):
+    """32 change points in the window take the Python loop, 33 numpy."""
+    tr = StepTrace(0.3)
+    for k in range(1, 41):
+        tr.set(10 * k, 1.0 / k)
+    t0, t1 = 55, 55 + 10 * (change_points - 1)
+    lo, hi = tr._window(t0, t1)
+    assert hi - lo == change_points
+    if change_points <= 32:
+        assert tr.integrate(t0, t1).hex() == _segment_sum(tr, t0, t1).hex()
+    else:
+        _assert_within_sum_error(tr, t0, t1)
 
 
 def test_event_trace_filters_by_kind_window_and_payload():
