@@ -36,6 +36,12 @@ class PsboxManager:
             sched.balloon_in_hooks.append(self._device_hook(comp, True))
             sched.balloon_out_hooks.append(self._device_hook(comp, False))
 
+    def shutdown(self):
+        """Drop the kernel back-references of the manager and its boxes."""
+        self.kernel = None
+        for psbox in self.sandboxes:
+            psbox.kernel = psbox.manager = None
+
     # -- registration / enter / leave ------------------------------------------
 
     def register(self, psbox):

@@ -129,12 +129,13 @@ _UNCAPPED_CACHE = {}
 
 def _uncapped_aggregate(seed):
     if seed not in _UNCAPPED_CACHE:
-        platform, _kernel, _apps, _boxes = _powercap_scenario(seed)
+        platform, kernel, _apps, _boxes = _powercap_scenario(seed)
         platform.sim.run(until=int(POWERCAP_MEASURE_S * SEC))
         _UNCAPPED_CACHE[seed] = sum(
             rail.mean_power(int(1.0 * SEC), int(POWERCAP_MEASURE_S * SEC))
             for rail in platform.rails.values()
         )
+        kernel.shutdown()
     return _UNCAPPED_CACHE[seed]
 
 
@@ -198,6 +199,9 @@ def run_scenario(scn, seed=0, inject=True, check=True, config=None):
     if inject and scn.faults and injections == 0:
         matches = False    # armed but never fired: the run proves nothing
     first = str(checker.report.violations[0]) if violations else ""
+    if checker is not None:
+        checker.detach()
+    work.kernel.shutdown()
     return ScenarioOutcome(
         name=scn.name, workload=scn.workload, expect=scn.expect,
         injections=injections, violations=violations, checks=checks,
@@ -259,7 +263,9 @@ def fingerprint_cell(seed, config):
 
     work = build_workload(config.get("workload", "mixed"), seed)
     work.platform.sim.run(until=work.horizon_ns)
-    return {"fingerprint": fingerprint(work.platform, work.kernel)}
+    digest = fingerprint(work.platform, work.kernel)
+    work.kernel.shutdown()
+    return {"fingerprint": digest}
 
 
 def campaign_items(seeds, scenarios=SCENARIOS):

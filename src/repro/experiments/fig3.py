@@ -53,12 +53,14 @@ def run_fig3a_spatial(seed=11, duration=1 * SEC, dt=MSEC):
     _spinner(kernel1, "proc0")
     platform1.sim.run(until=warmup + duration)
     _t, one = platform1.meter.sample("cpu", warmup, warmup + duration, dt)
+    kernel1.shutdown()
 
     platform2, kernel2 = boot(seed=seed)
     _spinner(kernel2, "proc0")
     _spinner(kernel2, "proc1")
     platform2.sim.run(until=warmup + duration)
     times, two = platform2.meter.sample("cpu", warmup, warmup + duration, dt)
+    kernel2.shutdown()
 
     return Fig3aResult(
         times=times,
@@ -104,6 +106,7 @@ def run_fig3b_requests(seed=12, dt=100_000):
     ]
     times, watts = platform.meter.sample("gpu", 0, 120 * MSEC, dt)
     overlap = max(0, min(c1.complete_t, c2.complete_t) - c2.dispatch_t)
+    kernel.shutdown()
     return Fig3bResult(commands=commands, times=times, watts=watts,
                        overlap_ns=int(overlap))
 
@@ -139,6 +142,7 @@ def run_fig3c_lingering(seed=13, dt=MSEC):
     platform1.sim.run(until=start1 + measure)
     times, after_idle = platform1.meter.sample(
         "cpu", start1, start1 + measure, dt)
+    kernel1.shutdown()
 
     # After busy: a heavy workload just finished; frequency is still high.
     platform2, kernel2 = boot(seed=seed)
@@ -150,6 +154,7 @@ def run_fig3c_lingering(seed=13, dt=MSEC):
     platform2.sim.run(until=start2 + measure)
     _t, after_busy = platform2.meter.sample(
         "cpu", start2, start2 + measure, dt)
+    kernel2.shutdown()
 
     return Fig3cResult(
         times=times,

@@ -101,6 +101,7 @@ def _run_scenario(component, main_factory, co_factories, use_psbox, seed,
             trace = (times, shares[app.id])
         else:
             trace = (None, None)
+    kernel.shutdown()
     return energy, finished_at / 1e9, trace
 
 

@@ -60,6 +60,7 @@ def run_fig7_cpu(use_psbox=True, seed=7, duration=2 * SEC, dt=MSEC):
                     s, e = max(t0, lo), min(t1, hi)
                     if e > s:
                         forced_idle += e - s
+    kernel.shutdown()
     return Fig7CpuResult(
         core_owner_segments=segments, times=times, watts=watts,
         psbox_app_id=a.id, windows=windows, forced_idle_ns=forced_idle,
@@ -105,6 +106,7 @@ def run_fig7_dsp(use_psbox=True, seed=7, duration=5 * SEC, dt=MSEC):
                 s, e = max(t0, lo), min(t1, hi)
                 if e > s:
                     foreign_overlap += e - s
+    kernel.shutdown()
     return Fig7DspResult(
         commands=commands, times=times, watts=watts, psbox_app_id=a.id,
         windows=windows, foreign_overlap_ns=foreign_overlap,
@@ -142,6 +144,7 @@ def run_fig7_gpu(use_psbox=True, seed=7, duration=2 * SEC, dt=MSEC):
         for app_id, _kind, t0, t1 in commands:
             if app_id != a.id:
                 foreign_overlap += max(0, min(t1, hi) - max(t0, lo))
+    kernel.shutdown()
     return Fig7DspResult(
         commands=commands, times=times, watts=watts, psbox_app_id=a.id,
         windows=windows, foreign_overlap_ns=foreign_overlap,
@@ -178,6 +181,7 @@ def run_fig7_wifi(use_psbox=True, seed=7, duration=3 * SEC, dt=MSEC):
         for app_id, _kind, t0, t1 in transmissions:
             if app_id != a.id:
                 foreign_overlap += max(0, min(t1, hi) - max(t0, lo))
+    kernel.shutdown()
     return Fig7DspResult(
         commands=transmissions, times=times, watts=watts,
         psbox_app_id=a.id, windows=windows,

@@ -90,5 +90,6 @@ def run_fig8(component, seed=5, phase_s=2.0, settle_s=0.4):
         )
         for app in apps
     ]
+    kernel.shutdown()
     return Fig8Result(component=component, metric=metric,
                       instances=instances)

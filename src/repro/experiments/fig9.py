@@ -51,6 +51,7 @@ def run_fig9(seed=17, budgets_w=(0.10, 0.20, 0.35, 0.55, 0.80),
             _t, total_w = platform.meter.sample("cpu", 0, duration, dt)
             trace = (times, render_w, total_w)
         vr.stop()
+        kernel.shutdown()
     return Fig9Result(
         budgets_w=list(budgets_w),
         observed_w=observed,
@@ -72,4 +73,5 @@ def fidelity_power_span(seed=18, duration_s=2.5):
         window = (int(duration * 0.4), int(duration * 0.95))
         span.append(_steady_power(vr, *window))
         vr.stop()
+        kernel.shutdown()
     return span[0], span[1]

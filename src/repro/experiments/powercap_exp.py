@@ -135,9 +135,10 @@ def run_powercap(seed=11, cap_fraction=0.70, horizon_s=HORIZON_S):
     relax_lo, relax_hi = (int(t * SEC) for t in RELAXED_WINDOW)
 
     # Phase 1 — uncapped peak over the contended window.
-    platform, _kernel, _apps, _boxes = _scenario(seed)
+    platform, kernel, _apps, _boxes = _scenario(seed)
     platform.sim.run(until=horizon_s * SEC)
     uncapped_w = _aggregate(platform, lo, hi)
+    kernel.shutdown()
 
     # Phase 2 — identical scenario under the daemon.
     cap_w = cap_fraction * uncapped_w
@@ -164,7 +165,7 @@ def run_powercap(seed=11, cap_fraction=0.70, horizon_s=HORIZON_S):
         1 for entry in controller.telemetry.records()
         if entry["action"] in ("throttle", "relax")
     )
-    return PowercapResult(
+    result = PowercapResult(
         uncapped_w=uncapped_w,
         cap_w=cap_w,
         steady_w=steady_w,
@@ -180,3 +181,5 @@ def run_powercap(seed=11, cap_fraction=0.70, horizon_s=HORIZON_S):
         throttle_actions=throttle_actions,
         telemetry_json=controller.telemetry.to_json(),
     )
+    kernel.shutdown()
+    return result

@@ -47,6 +47,7 @@ def _dispatch_latencies(component, use_psbox, seed, duration):
         box.enter()
     platform.sim.run(until=duration)
     waits = sched.dispatch_waits()
+    kernel.shutdown()
     return latency_summary(waits)
 
 
@@ -62,6 +63,7 @@ def run_sec62_latency(seed=9, duration=3 * SEC):
     _platform, kernel = boot(seed=seed)
     rows.append(LatencyRow("cpu (shootdown)", 0.0,
                            float(kernel.config.ipi_delay)))
+    kernel.shutdown()
     return rows
 
 

@@ -72,9 +72,11 @@ def run_sec63_robustness(seed=21, phase_s=2.5, settle_s=0.5):
     platform.sim.at(t1, box.enter)
     platform.sim.run(until=t3)
 
-    return Sec63Result(
+    result = Sec63Result(
         browser_before=browser.rate("gpu_commands", settle, t1),
         browser_after=browser.rate("gpu_commands", t2, t3),
         triangle_before=tri.rate("gpu_commands", settle, t1),
         triangle_after=tri.rate("gpu_commands", t2, t3),
     )
+    kernel.shutdown()
+    return result

@@ -127,6 +127,12 @@ class CommandEngine:
         """App ids of all in-flight commands (with duplicates)."""
         return [entry.command.app_id for entry in self._inflight]
 
+    def shutdown(self):
+        """Drop the frequency subscribers and in-flight completion callbacks."""
+        self.freq_domain.changed.clear()
+        for entry in self._inflight:
+            entry.command.on_complete = None
+
     def dispatch(self, command):
         """Begin executing ``command``; completion is reported via callback."""
         if not self.has_room:

@@ -145,6 +145,12 @@ class CpuCluster:
     def n_cores(self):
         return len(self.cores)
 
+    def shutdown(self):
+        """Drop the frequency subscribers and the cores' back-references."""
+        self.freq_domain.changed.clear()
+        for core in self.cores:
+            core.cluster = None
+
     def note_activity(self, core):
         """A core's busy/owner state changed; refresh traces and rail power."""
         now = self.sim.now

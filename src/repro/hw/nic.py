@@ -125,6 +125,15 @@ class WifiNic:
             pkt.app_id for pkt in self._pending_completions
         ]
 
+    def shutdown(self):
+        """Drop the ``space`` subscribers and held packets' callbacks."""
+        self.space.clear()
+        held = self._fifo + self._rx_queue + self._pending_completions + [
+            self._transmitting, self._receiving]
+        for packet in held:
+            if packet is not None:
+                packet.on_complete = None
+
     def enqueue(self, packet):
         """Accept a packet into the FIFO; returns False when full."""
         if not self.has_room:

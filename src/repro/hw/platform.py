@@ -69,6 +69,18 @@ class Platform:
         self.meter = PowerMeter(sim, self.rails,
                                 rng=sim.rng.stream("meter.noise"))
 
+    def shutdown(self):
+        """End the simulation and cut its devices' reference cycles.
+
+        The simulator drops its pending events; each device forgets its
+        signals' subscribers and the callbacks of the units it holds.
+        Rails, traces, logs and the meter stay readable.
+        """
+        self.sim.shutdown()
+        for device in (self.cpu, self.gpu, self.dsp, self.nic, self.lte):
+            if device is not None:
+                device.shutdown()
+
     def _add_rail(self, name):
         rail = PowerRail(self.sim, name)
         self.rails[name] = rail

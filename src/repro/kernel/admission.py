@@ -90,3 +90,7 @@ class AdmissionGate:
     def _fire(self):
         self._event = None
         self._pump()
+
+    def shutdown(self):
+        """Forget the pump: the scheduler's boot has ended."""
+        self._pump = None

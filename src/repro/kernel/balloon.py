@@ -164,13 +164,16 @@ class BalloonScheduler:
         """Queue ``unit`` for ``app`` and log its submission."""
         now = self.sim.now
         unit.submit_t = now
-        unit.on_complete = self._completion_wrapper(unit, user_cb)
+        unit.on_complete = self._completion_wrapper(user_cb)
         self._queue_for(app).pending.append(unit)
         self.log.log(now, "submit", app=app.id, seq=unit.seq, **fields)
         return unit
 
-    def _completion_wrapper(self, unit, user_cb):
-        def on_complete(_unit):
+    def _completion_wrapper(self, user_cb):
+        # The device hands the unit back; closing over it instead would
+        # make every unit a cycle (unit -> on_complete -> cell -> unit)
+        # that only the cyclic collector frees.
+        def on_complete(unit):
             self.log.log(self.sim.now, "complete", app=unit.app_id,
                          seq=unit.seq)
             self._on_complete(unit)
@@ -373,6 +376,24 @@ class BalloonScheduler:
 
     def _ctx_key(self):
         return "psbox.{}".format(self.psbox_app.id)
+
+    # -- teardown -------------------------------------------------------------
+
+    def shutdown(self):
+        """Cut this scheduler's cycles once its boot has ended.
+
+        Drops the kernel back-reference, the balloon hooks, the admission
+        gate's pump and the completion callbacks of units still queued
+        (the device drops those of units in flight).  Queues, bills and
+        the log stay readable.
+        """
+        self.kernel = None
+        self.balloon_in_hooks.clear()
+        self.balloon_out_hooks.clear()
+        self.admission.shutdown()
+        for q in self.queues.values():
+            for unit in q.pending:
+                unit.on_complete = None
 
     # -- metrics --------------------------------------------------------------
 

@@ -173,3 +173,34 @@ class Kernel:
     def run(self, until):
         """Advance the simulation (convenience passthrough)."""
         return self.sim.run(until=until)
+
+    def shutdown(self):
+        """End this boot: cut every reference cycle it holds.
+
+        The platform drops pending events and device callbacks, and the
+        kernel drops its subsystems' back-references, hooks and callbacks,
+        its tasks' suspended behaviours and its psbox manager's links.  A
+        boot that has been shut down is freed by reference counting as
+        soon as its owner drops it.  Everything a finished run is read for
+        stays readable and reads the same: rails and the meter, every log
+        in :meth:`logs`, tasks, app counters, psbox windows, ``sim.now``.
+        Submitting work, psbox reads and running the simulator are
+        unsupported afterwards.  A second call does nothing.
+        """
+        self.platform.shutdown()
+        if self.smp is not None:
+            self.smp.shutdown()
+        for sched in self.balloon_scheds.values():
+            sched.shutdown()
+        for task in self.tasks:
+            task.behavior.close()
+            if task.work is not None:
+                task.work.on_complete = None
+            task.kernel = task.app = None
+        for app in self.apps.values():
+            app.kernel = None
+            app.psboxes = []   # each psbox keeps its app, which readers use
+        for owner in (getattr(self, "psbox_manager", None),
+                      getattr(self, "powercap", None)):
+            if owner is not None:
+                owner.shutdown()

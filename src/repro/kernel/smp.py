@@ -76,6 +76,17 @@ class SmpScheduler:
         self.balloon_in_hooks = []
         self.balloon_out_hooks = []
 
+    def shutdown(self):
+        """Drop the hooks and the kernel, core and entity back-references."""
+        self.kernel = None
+        self.balloon_in_hooks.clear()
+        self.balloon_out_hooks.clear()
+        for sched in self.cores:
+            sched.smp = None
+        for group in self.groups.values():
+            for entity in group.entities:
+                entity.group = None
+
     # -- groups and placement ---------------------------------------------------
 
     def group_for(self, app):

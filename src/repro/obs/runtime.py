@@ -105,13 +105,14 @@ def observe(run):
     ``gc.set_threshold`` accepts.  The run's sessions keep every
     simulator, kernel, app and recorded span, sample and log record
     alive until it ends, so the tracked heap only grows and a full
-    collection could only rescan it.  Young collections keep running:
-    they free each accelerator command's completion-closure cycle.  The
-    thresholds saved at entry come back on exit or raise, so nested
-    blocks defer until the outermost one ends, and unobserved code keeps
-    CPython's default policy (there, dead boots leave cycles that only
-    full collections free).  Nothing reads the collector, so no output
-    depends on when it runs.
+    collection could only rescan it.  Young collections keep running;
+    they are cheap and find little, since a completed unit is no longer
+    a cycle.  The thresholds saved at entry come back on exit or raise,
+    so nested blocks defer until the outermost one ends, and unobserved
+    code keeps CPython's default policy (there, each owner shuts its
+    finished boot down with ``Kernel.shutdown``, and reference counting
+    frees it).  Nothing reads the collector, so no output depends on
+    when it runs.
     """
     global current
     outer, current = current, run

@@ -120,6 +120,23 @@ class BudgetNode:
         )
 
 
+def _node_from_spec(entry):
+    """One :class:`BudgetNode` and its subtree, from a nested-dict spec.
+
+    A module function, not a local one: a self-recursive closure is a
+    reference cycle (function -> cell -> function) left by every call.
+    """
+    node = BudgetNode(
+        entry["name"],
+        cap_w=entry.get("cap_w"),
+        weight=entry.get("weight", 1.0),
+        borrowable=entry.get("borrowable", True),
+    )
+    for child in entry.get("children", ()):
+        node.add_child(_node_from_spec(child))
+    return node
+
+
 class BudgetTree:
     """The budget hierarchy plus its allocation pass."""
 
@@ -142,18 +159,7 @@ class BudgetTree:
                 ],
             })
         """
-        def build(entry):
-            node = BudgetNode(
-                entry["name"],
-                cap_w=entry.get("cap_w"),
-                weight=entry.get("weight", 1.0),
-                borrowable=entry.get("borrowable", True),
-            )
-            for child in entry.get("children", ()):
-                node.add_child(build(child))
-            return node
-
-        return cls(build(spec))
+        return cls(_node_from_spec(spec))
 
     def node(self, name):
         if name not in self._nodes:

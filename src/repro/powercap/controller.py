@@ -110,6 +110,16 @@ class PowerCapController:
             state.integral = 0.0
         self._trim_w = 0.0
 
+    def shutdown(self):
+        """Drop the kernel and budget-tree back-references (boot ended).
+
+        The simulator has already killed the loop; unlike :meth:`stop`,
+        no actuator is touched, so the run's last state stays readable.
+        """
+        self.kernel = None
+        for node in self.tree.root.walk():
+            node.parent = None
+
     def _run(self):
         last = self.sim.now
         while True:

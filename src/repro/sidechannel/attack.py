@@ -132,13 +132,15 @@ class WebsiteFingerprinter:
         if use_psbox:
             _times, watts = psbox.sample("gpu", 0, self.trace_duration,
                                          self.sample_dt)
-            return _attacker_postprocess(watts)
-        accounting = PerSampleUsageAccounting(platform, "gpu",
-                                              dt=self.sample_dt)
-        _times, shares = accounting.shares(
-            [attacker.id, victim.id], 0, self.trace_duration
-        )
-        return _attacker_postprocess(shares[attacker.id])
+        else:
+            accounting = PerSampleUsageAccounting(platform, "gpu",
+                                                  dt=self.sample_dt)
+            _times, shares = accounting.shares(
+                [attacker.id, victim.id], 0, self.trace_duration
+            )
+            watts = shares[attacker.id]
+        kernel.shutdown()
+        return _attacker_postprocess(watts)
 
     def infer(self, observed):
         """1-NN DTW classification against the trained templates."""

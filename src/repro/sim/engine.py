@@ -281,3 +281,29 @@ class Simulator:
     def pending(self):
         """Number of live events still queued (O(queued) — diagnostics)."""
         return len(self._queue)
+
+    def shutdown(self):
+        """End the simulation: drop every pending event and process.
+
+        Each queued event is cancelled and loses its callback, so a
+        component that still holds a handle to one (a governor's tick, a
+        core's completion) no longer reaches itself through it; every
+        spawned process is killed; the fault plan forgets this simulator.
+        Afterwards ``run`` executes nothing, while ``now``, ``rng`` and
+        ``faults`` stay readable.  A second call does nothing.
+        """
+        queue = self._queue
+        pending = [item[2] for item in queue._heap]
+        if queue._head is not None:
+            pending.append(queue._head)
+        for event in pending:
+            event.cancel()
+            event.fn = None
+            event.args = ()
+        queue._head = None
+        queue._heap.clear()
+        for process in self.processes:
+            process.kill()
+        self.processes = []
+        if self.faults is not None:
+            self.faults.sim = None

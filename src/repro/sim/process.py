@@ -38,6 +38,11 @@ class Signal:
     def unsubscribe(self, fn):
         self._callbacks.remove(fn)
 
+    def clear(self):
+        """Forget every waiter and subscriber (the owner's boot has ended)."""
+        self._waiters = []
+        self._callbacks = []
+
     def fire(self, payload=None):
         """Resume all waiters and invoke all subscribers with ``payload``."""
         waiters, self._waiters = self._waiters, []

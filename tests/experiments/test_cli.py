@@ -228,8 +228,9 @@ def test_profile_appends_a_cprofile_table_to_the_unchanged_report(
         capsys, monkeypatch):
     """``--profile N`` runs the subcommand under cProfile and arms no obs
     session: stdout is the golden report byte for byte, then one line of
-    GC time (collections per generation, total seconds) counted by a
-    ``gc.callbacks`` hook that lives only for the profiled call, then
+    GC time (collections per generation, total seconds, objects freed)
+    counted by a ``gc.callbacks`` hook that lives only for the profiled
+    call, then
     pstats' N functions with the most self time."""
     from repro.obs.session import Obs
 
@@ -246,7 +247,8 @@ def test_profile_appends_a_cprofile_table_to_the_unchanged_report(
     assert out.startswith(golden)
     table = out[len(golden):]
     assert re.fullmatch(r"gc: \d+ gen0, \d+ gen1, \d+ gen2 collections, "
-                        r"\d+\.\d\d s", table.splitlines()[0])
+                        r"\d+\.\d\d s, \d+ objects freed",
+                        table.splitlines()[0])
     assert "Ordered by: internal time" in table
     lines = table.splitlines()
     header = next(i for i, line in enumerate(lines)

@@ -24,9 +24,17 @@ do.  A change that
 alters simulated output on purpose regenerates the constants with
 ``PYTHONPATH=src python tests/integration/test_pinned_fingerprints.py``
 and says so in CHANGES.md; any other change must pass them unedited.
+
+Each run is also a case of the boot-lifetime contract
+(:meth:`repro.kernel.kernel.Kernel.shutdown`): after shutdown the digest
+still equals the pin, a second shutdown changes nothing, and once the run
+is dropped nothing of it is left for the cyclic collector.
 """
 
+import gc
 import hashlib
+import weakref
+from collections import Counter
 
 import pytest
 
@@ -38,6 +46,7 @@ from repro.experiments.faults_exp import build_workload
 from repro.faults import fingerprint
 from repro.hw.platform import EXTENDED_COMPONENTS
 from repro.kernel.actions import Compute, SendPacket, Sleep
+from repro.kernel.kernel import Kernel
 from repro.sidechannel.attack import WebsiteFingerprinter, _camouflage
 from repro.sim.clock import SEC, from_msec, from_usec
 
@@ -83,7 +92,7 @@ def _digest(platform, kernel, boxes):
 def _workload(name):
     work = build_workload(name, 0)
     work.platform.sim.run(until=work.horizon_ns)
-    return _digest(work.platform, work.kernel, work.boxes.values())
+    return work.platform, work.kernel, list(work.boxes.values())
 
 
 def _sidechannel(site, use_psbox):
@@ -98,7 +107,7 @@ def _sidechannel(site, use_psbox):
         boxes.append(box)
     browse_website(kernel, site)
     platform.sim.run(until=WebsiteFingerprinter().trace_duration)
-    return _digest(platform, kernel, boxes)
+    return platform, kernel, boxes
 
 
 def _sender(kernel, name, device, size, gap, weight=1.0):
@@ -143,7 +152,7 @@ def _dsp_lte():
     for box in boxes:
         box.enter()
     platform.sim.run(until=int(1.5 * SEC))
-    return _digest(platform, kernel, boxes)
+    return platform, kernel, boxes
 
 
 RUNS = {
@@ -157,11 +166,66 @@ RUNS = {
 }
 
 
+def cyclic_garbage(fn):
+    """Types of what ``fn()`` leaves to the cyclic collector, by count.
+
+    The collector is off while ``fn`` runs, so only reference counting
+    frees anything, and every older object is frozen out of its view.
+    Two things count as left: whatever one collection then finds
+    (``gc.DEBUG_SAVEALL`` keeps it), and whatever of a boot that ``fn``
+    shut down is still alive once ``fn`` has returned: its kernel,
+    platform, apps, tasks and their behaviours.  The second catches what
+    the first cannot, because a suspended generator's finalizer breaks
+    its cycle during the collection, which then counts nothing.  ``fn``
+    must keep nothing it makes alive past its return.
+    """
+    shutdown = Kernel.shutdown
+    boots = []
+
+    def recording_shutdown(kernel):
+        boots.extend(weakref.ref(obj) for obj in (
+            kernel, kernel.platform, *kernel.apps.values(), *kernel.tasks,
+            *(task.behavior for task in kernel.tasks)))
+        shutdown(kernel)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.freeze()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    Kernel.shutdown = recording_shutdown
+    try:
+        fn()
+        left = Counter(type(ref()).__qualname__ for ref in boots
+                       if ref() is not None)
+        gc.collect()
+        left.update(type(obj).__qualname__ for obj in gc.garbage)
+        return left.most_common()
+    finally:
+        Kernel.shutdown = shutdown
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+
+
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_pinned_fingerprint(name):
-    assert RUNS[name]() == PINS[name]
+    assert _digest(*RUNS[name]()) == PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINS))
+def test_shutdown_keeps_the_pin_and_frees_the_boot(name):
+    def run_and_drop():
+        platform, kernel, boxes = RUNS[name]()
+        for _ in range(2):   # a second shutdown changes nothing
+            kernel.shutdown()
+            assert platform.sim.pending() == 0
+            assert _digest(platform, kernel, boxes) == PINS[name]
+
+    assert cyclic_garbage(run_and_drop) == []
 
 
 if __name__ == "__main__":
     for key in sorted(RUNS):
-        print("    {!r}: {!r},".format(key, RUNS[key]()))
+        print("    {!r}: {!r},".format(key, _digest(*RUNS[key]())))
