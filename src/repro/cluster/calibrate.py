@@ -37,6 +37,7 @@ def run_node_calibration(seed, config):
                 obs_label="cal/" + spec.name)
     node.advance(horizon_ns)
     series = node.mean_power_series(epoch_ns, horizon_ns)
+    node.shutdown()
     return {
         "node": spec.name,
         "series_w": series,

@@ -212,6 +212,20 @@ class Node:
 
     # -- the cluster-facing surface ------------------------------------------------
 
+    def shutdown(self):
+        """End this node's boot once the cluster has stopped driving it.
+
+        The node's cap loop stops first: the simulator kills the powercap
+        daemon where it stands, before any kernel part goes, and no
+        actuator is released, so the controller's ring and every kernel
+        log read as the run left them.  Then :meth:`Kernel.shutdown`
+        cuts the boot's cycles, and the node is freed by reference
+        counting once its owner drops it.  Reads (rails, logs, the
+        controller's ring and leaf states) still work; advancing does
+        not.  A second call does nothing.
+        """
+        self.kernel.shutdown()
+
     def advance(self, until_ns):
         """Run this node's simulator up to the epoch boundary."""
         self.platform.sim.run(until=until_ns)

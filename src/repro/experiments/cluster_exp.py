@@ -141,6 +141,8 @@ def run_cluster(seed=11, nodes=DEFAULT_NODES, horizon_s=DEFAULT_HORIZON_S,
             telemetry=telemetry,
         )
         result.runs[allocator.name] = cluster.run().metrics
+        for node in cluster.nodes:
+            node.shutdown()
     result.predictor = predictor.stats()
     return result, runner
 

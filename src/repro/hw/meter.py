@@ -15,6 +15,10 @@ from repro.sim.clock import USEC
 class PowerMeter:
     """Samples power rails on a uniform grid; timestamps are sim-clock times."""
 
+    #: the metrics a session binds (``obs.instruments[self]``)
+    obs_names = {"samples": ("counter", "meter.samples"),
+                 "reads": ("counter", "meter.reads")}
+
     def __init__(self, sim, rails, sample_interval=10 * USEC, noise_w=0.0,
                  rng=None):
         self.sim = sim
@@ -54,8 +58,9 @@ class PowerMeter:
             watts = plan.sample_dropout("meter.sample", watts)
         obs = self.sim.obs
         if obs is not None:
-            obs.metrics.inc("meter.samples", len(times))
-            obs.metrics.inc("meter.reads")
+            instruments = obs.instruments[self]
+            instruments["samples"].value += len(times)
+            instruments["reads"].value += 1
         return times, watts
 
     def energy(self, rail_name, t0, t1):

@@ -27,6 +27,8 @@ class AccelScheduler(BalloonScheduler):
         self._window_billed_to = None
         self._drain_idle_ns = 0.0
         self._drain_last_t = None
+        self.obs_names["submitted"] = ("counter",
+                                       engine.name + ".submitted")
 
     def submit(self, app, kind, cycles, power_w, on_complete=None):
         """Enqueue one command on behalf of ``app``."""
@@ -34,7 +36,7 @@ class AccelScheduler(BalloonScheduler):
                                 on_complete)
         obs = self.sim.obs
         if obs is not None:
-            obs.metrics.inc(self.device.name + ".submitted")
+            obs.instruments[self]["submitted"].value += 1
         self._pump()
         return command
 

@@ -75,6 +75,18 @@ class BalloonScheduler:
         self._fault_hold_until = None
         self._fault_site = name + ".drain"
         self._phase_span = None   # obs: span of the current balloon phase
+        # obs names, built once: each phase span's name, and the metrics
+        # a session binds (``obs.instruments[self]``)
+        dev = device.name
+        self._phase_names = {phase: dev + "." + phase for phase in
+                             ("drain_others", "serve", "drain_psbox")}
+        self.obs_names = {
+            "dispatched": ("counter", dev + ".dispatched"),
+            "dispatch_wait_ns": ("histogram", dev + ".dispatch_wait_ns"),
+            "drain_ns": ("histogram", dev + ".drain_ns"),
+            "balloons": ("counter", dev + ".balloons"),
+            "window_ns": ("histogram", dev + ".window_ns"),
+        }
 
     # -- what differs per device (defaults fit an accelerator) ----------------
 
@@ -113,22 +125,25 @@ class BalloonScheduler:
 
     # -- observability and fault hooks ----------------------------------------
 
-    def _obs_phase(self, name, **args):
+    def _obs_phase(self, phase, **args):
         """Close the current balloon-phase span and open the next.
 
         The drain_others -> serve -> drain_psbox progression becomes a
-        chain of sibling spans on this device's track; passing None just
-        closes the chain (balloon over).
+        chain of sibling spans (``<device>.<phase>``) on this device's
+        track; passing None just closes the chain (balloon over).
         """
         obs = self.sim.obs
         if obs is None:
             return
-        obs.tracer.end(self._phase_span)
+        tracer = obs.instruments[self].tracer
+        if tracer is None:
+            return
+        tracer.end(self._phase_span)
         self._phase_span = None
-        if name is not None:
-            self._phase_span = obs.tracer.begin(
-                name, cat="balloon", track=self.device.name, detached=True,
-                **args
+        if phase is not None:
+            self._phase_span = tracer.begin(
+                self._phase_names[phase], cat="balloon",
+                track=self.device.name, detached=True, **args
             )
 
     def _fault_held(self):
@@ -290,8 +305,7 @@ class BalloonScheduler:
         if should_yield:
             self.state = DRAIN_PSBOX
             self.log.log(self.sim.now, "drain_psbox", app=self.psbox_app.id)
-            self._obs_phase(self.device.name + ".drain_psbox",
-                            app=self.psbox_app.id)
+            self._obs_phase("drain_psbox", app=self.psbox_app.id)
             if self.device.is_drained:
                 if self._fault_held():
                     return
@@ -309,8 +323,9 @@ class BalloonScheduler:
                      wait=wait)
         obs = self.sim.obs
         if obs is not None:
-            obs.metrics.inc(self.device.name + ".dispatched")
-            obs.metrics.observe(self.device.name + ".dispatch_wait_ns", wait)
+            instruments = obs.instruments[self]
+            instruments["dispatched"].value += 1
+            instruments["dispatch_wait_ns"].observe(wait)
         self._start(q, unit)
 
     # -- balloon phase transitions --------------------------------------------
@@ -327,8 +342,7 @@ class BalloonScheduler:
         self._drain_start_t = now
         self._begin_drain()
         self.log.log(now, "drain_others", app=self.psbox_app.id)
-        self._obs_phase(self.device.name + ".drain_others",
-                        app=self.psbox_app.id)
+        self._obs_phase("drain_others", app=self.psbox_app.id)
         if self.device.is_drained:
             if self._fault_held():
                 return
@@ -343,17 +357,17 @@ class BalloonScheduler:
         self.state = SERVE
         obs = self.sim.obs
         if obs is not None:
+            instruments = obs.instruments[self]
             if self._drain_start_t is not None:
-                obs.metrics.observe(self.device.name + ".drain_ns",
-                                    now - self._drain_start_t)
-            obs.metrics.inc(self.device.name + ".balloons")
+                instruments["drain_ns"].observe(now - self._drain_start_t)
+            instruments["balloons"].value += 1
         self._drain_start_t = None
         self._window_open_t = now
         self._flush_remaining = len(q.pending)
         if self.state_holder is not None:
             self._switch_context(self._ctx_key())
         self.log.log(now, "window_open", app=self.psbox_app.id)
-        self._obs_phase(self.device.name + ".serve", app=self.psbox_app.id)
+        self._obs_phase("serve", app=self.psbox_app.id)
         for hook in self.balloon_in_hooks:
             hook(self.psbox_app, now)
 
@@ -366,8 +380,8 @@ class BalloonScheduler:
         self.log.log(now, "window_close", app=self.psbox_app.id, **fields)
         obs = self.sim.obs
         if obs is not None and self._window_open_t is not None:
-            obs.metrics.observe(self.device.name + ".window_ns",
-                                now - self._window_open_t)
+            obs.instruments[self]["window_ns"].observe(
+                now - self._window_open_t)
         self._obs_phase(None)
         for hook in self.balloon_out_hooks:
             hook(self.psbox_app, now)

@@ -60,6 +60,9 @@ class GroupEntity:
 class CoreScheduler:
     """One scheduler instance: a runqueue of group entities on one core."""
 
+    #: the metrics a session binds (``obs.instruments[self]``)
+    obs_names = {"dispatches": ("counter", "cfs.dispatches")}
+
     def __init__(self, smp, core, tick_period=from_msec(1),
                  granularity=from_msec(1.5), wakeup_grace=from_msec(2)):
         self.smp = smp
@@ -205,7 +208,7 @@ class CoreScheduler:
             task.state = "running"
             obs = self.sim.obs
             if obs is not None:
-                obs.metrics.inc("cfs.dispatches")
+                obs.instruments[self]["dispatches"].value += 1
             self.core.start(candidate.group.app.id, task.work)
         self.current_since = self.sim.now
         self._arm_tick()

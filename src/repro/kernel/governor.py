@@ -55,6 +55,16 @@ class OndemandGovernor:
         self.active = WORLD
         self.clamps = {}
         self.log = EventTrace("governor." + domain.name)
+        # obs names, built once: the track and counter-track names, and
+        # the metrics a session binds (``obs.instruments[self]``)
+        self._track = "governor." + domain.name
+        self._opp_sample = "opp." + domain.name
+        self.obs_names = {
+            "switches": ("counter",
+                         "governor.{}.switches".format(domain.name)),
+            "transitions": ("counter",
+                            "governor.{}.transitions".format(domain.name)),
+        }
         self._last_settle = sim.now
         domain.set_opp(initial_index)
         self._tick_event = sim.call_later(tick, self._on_tick)
@@ -93,11 +103,15 @@ class OndemandGovernor:
                      actual=actual)
         obs = self.sim.obs
         if obs is not None:
-            track = "governor." + domain.name
-            obs.tracer.instant("ctx.switch", cat="governor", track=track,
-                               key=str(key), expected=target, actual=actual)
-            obs.tracer.sample("opp." + domain.name, track=track, opp=actual)
-            obs.metrics.inc("governor.{}.switches".format(domain.name))
+            instruments = obs.instruments[self]
+            tracer = instruments.tracer
+            if tracer is not None:
+                tracer.instant("ctx.switch", cat="governor",
+                               track=self._track, key=str(key),
+                               expected=target, actual=actual)
+                tracer.sample(self._opp_sample, track=self._track,
+                              opp=actual)
+            instruments["switches"].value += 1
         state.index = actual
 
     # -- OPP clamping (powercap actuator hook) -----------------------------------
@@ -190,13 +204,15 @@ class OndemandGovernor:
         self.domain.set_opp(index)
         obs = self.sim.obs
         if obs is not None and self.domain.index != previous:
-            track = "governor." + self.domain.name
-            obs.tracer.instant("opp.transition", cat="governor", track=track,
-                               index=self.domain.index, ctx=str(self.active))
-            obs.tracer.sample("opp." + self.domain.name, track=track,
-                              opp=self.domain.index)
-            obs.metrics.inc("governor.{}.transitions".format(
-                self.domain.name))
+            instruments = obs.instruments[self]
+            tracer = instruments.tracer
+            if tracer is not None:
+                index = self.domain.index
+                tracer.instant("opp.transition", cat="governor",
+                               track=self._track, index=index,
+                               ctx=str(self.active))
+                tracer.sample(self._opp_sample, track=self._track, opp=index)
+            instruments["transitions"].value += 1
 
     def stop(self):
         if self._tick_event is not None:

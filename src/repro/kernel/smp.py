@@ -60,6 +60,16 @@ class _Coschedule:
 class SmpScheduler:
     """Owns the per-core schedulers and all cross-core policy."""
 
+    #: the metrics a session binds (``obs.instruments[self]``)
+    obs_names = {
+        "balloons": ("counter", "smp.balloons"),
+        "ipi_sent": ("counter", "smp.ipi.sent"),
+        "ipi_arrived": ("counter", "smp.ipi.arrived"),
+        "shootdown_latency_ns": ("histogram", "smp.shootdown_latency_ns"),
+        "balloon_ns": ("histogram", "smp.balloon_ns"),
+        "loan_total": ("histogram", "smp.loan_total"),
+    }
+
     def __init__(self, kernel, cluster, ipi_delay=from_usec(15),
                  loans_enabled=True):
         self.kernel = kernel
@@ -295,15 +305,18 @@ class SmpScheduler:
         self.log.log(now, "cosched_begin", app=group.app.id)
         obs = self.sim.obs
         if obs is not None:
-            cosched.span = obs.tracer.begin(
-                "balloon.cpu", cat="balloon", track="smp", app=group.app.id
-            )
-            obs.metrics.inc("smp.balloons")
-            if self.loans_enabled:
+            instruments = obs.instruments[self]
+            tracer = instruments.tracer
+            if tracer is not None:
+                cosched.span = tracer.begin(
+                    "balloon.cpu", cat="balloon", track="smp",
+                    app=group.app.id)
+            instruments["balloons"].value += 1
+            if tracer is not None and self.loans_enabled:
                 # The initial scheduling loan is granted at shootdown and
                 # settled by loan redistribution at schedule-out.
-                obs.tracer.instant("loan.grant", cat="loan", track="smp",
-                                   app=group.app.id)
+                tracer.instant("loan.grant", cat="loan", track="smp",
+                               app=group.app.id)
         # The balloon exists from schedule-in: the observation window opens
         # now.  The few microseconds it takes remote cores to honour the IPI
         # are a (tiny, realistic) leak across the boundary.
@@ -324,11 +337,12 @@ class SmpScheduler:
                 # ends when the remote core honours it (_ipi_arrive).  A
                 # dropped IPI leaves its span open — visibly unfinished in
                 # the exported trace.
-                cosched.ipi_spans[core_id] = obs.tracer.begin(
-                    "ipi.shootdown", cat="balloon", track="smp",
-                    parent=cosched.span, detached=True, core=core_id,
-                )
-                obs.metrics.inc("smp.ipi.sent")
+                if tracer is not None:
+                    cosched.ipi_spans[core_id] = tracer.begin(
+                        "ipi.shootdown", cat="balloon", track="smp",
+                        parent=cosched.span, detached=True, core=core_id,
+                    )
+                instruments["ipi_sent"].value += 1
             delay = self.ipi_delay
             if plan is not None:
                 if plan.drops("smp.ipi"):
@@ -350,10 +364,13 @@ class SmpScheduler:
         cosched.pending_cores.discard(sched.core.id)
         obs = self.sim.obs
         if obs is not None:
-            obs.tracer.end(cosched.ipi_spans.pop(sched.core.id, None))
-            obs.metrics.inc("smp.ipi.arrived")
-            obs.metrics.observe("smp.shootdown_latency_ns",
-                                self.sim.now - cosched.started_at)
+            instruments = obs.instruments[self]
+            if instruments.tracer is not None:
+                instruments.tracer.end(
+                    cosched.ipi_spans.pop(sched.core.id, None))
+            instruments["ipi_arrived"].value += 1
+            instruments["shootdown_latency_ns"].observe(
+                self.sim.now - cosched.started_at)
 
     def cosched_tick(self, group):
         """Periodic end-of-balloon check (step 4: schedule out when no
@@ -400,13 +417,16 @@ class SmpScheduler:
         self.log.log(now, "cosched_end", app=group.app.id, reason=reason)
         obs = self.sim.obs
         if obs is not None:
-            for span in cosched.ipi_spans.values():
-                # A still-open IPI span at schedule-out means the shootdown
-                # never arrived (dropped in transit).
-                obs.tracer.end(span, dropped=True)
-            cosched.ipi_spans.clear()
-            obs.tracer.end(cosched.span, reason=reason)
-            obs.metrics.observe("smp.balloon_ns", now - cosched.started_at)
+            instruments = obs.instruments[self]
+            tracer = instruments.tracer
+            if tracer is not None:
+                for span in cosched.ipi_spans.values():
+                    # A still-open IPI span at schedule-out means the
+                    # shootdown never arrived (dropped in transit).
+                    tracer.end(span, dropped=True)
+                cosched.ipi_spans.clear()
+                tracer.end(cosched.span, reason=reason)
+            instruments["balloon_ns"].observe(now - cosched.started_at)
         if cosched.window_open is not None:
             for hook in self.balloon_out_hooks:
                 hook(group.app, now)
@@ -480,10 +500,12 @@ class SmpScheduler:
                      total=total, surcharge=surcharge, shares=shares)
         obs = self.sim.obs
         if obs is not None:
-            obs.tracer.instant("loan.settle", cat="loan", track="smp",
-                               app=group.app.id, total=total,
-                               surcharge=surcharge)
-            obs.metrics.observe("smp.loan_total", total)
+            instruments = obs.instruments[self]
+            if instruments.tracer is not None:
+                instruments.tracer.instant(
+                    "loan.settle", cat="loan", track="smp", app=group.app.id,
+                    total=total, surcharge=surcharge)
+            instruments["loan_total"].observe(total)
 
     # -- bandwidth throttling (powercap actuator hook) ---------------------------------
 

@@ -154,6 +154,8 @@ class AlertEngine:
         self._watched = []       # (obs, timeline)
         self._streaks = {}       # (rule name, session, series key) -> count
         self._fired = set()      # keys currently latched (fired, not re-armed)
+        # series name -> the streaming rules that watch it, in rule order
+        self._watching = {}
         #: True once :meth:`finalize` ran
         self.finalized = False
 
@@ -161,6 +163,7 @@ class AlertEngine:
 
     def add_rule(self, rule):
         self.rules.append(rule)
+        self._watching.clear()
         return rule
 
     def watch(self, obs):
@@ -187,8 +190,15 @@ class AlertEngine:
     # -- evaluation ------------------------------------------------------------------
 
     def _on_sample(self, obs, series, t_ns, value):
-        for rule in self.rules:
-            if rule.at_end or not rule.matches(series):
+        # only the rules that watch this series name, in rule order: the
+        # same rules fire in the same order as a scan of every rule
+        rules = self._watching.get(series.name)
+        if rules is None:
+            rules = self._watching[series.name] = [
+                rule for rule in self.rules
+                if not rule.at_end and rule.series == series.name]
+        for rule in rules:
+            if not rule.matches(series):
                 continue
             key = (rule.name, obs.label, series.key)
             if rule.breached(value):

@@ -15,23 +15,26 @@ side by side.
 """
 
 import json
-from operator import itemgetter
 
 from repro.analysis.report import format_table
 from repro.obs.metrics import MetricsRegistry
 
 
-#: One JSON text per event kind.  The fixed keys are written in the order
-#: json.dumps would write them, with its ", " and ": " separators; a %s
-#: slot takes a value already encoded as JSON, or inside quotes a fixed
+#: The JSON texts of the trace events.  The fixed keys are written in the
+#: order json.dumps would write them, with its ", " and ": " separators; a
+#: %s slot takes a value already encoded as JSON, or inside quotes a fixed
 #: ASCII name.
 _META = ('{"ph": "M", "pid": %d, "tid": %d, "ts": 0, "name": "%s", '
          '"args": {"name": %s}}')
-_SPAN = ('{"ph": "%s", "cat": %s, "id": %d, "name": %s, "pid": %d, '
-         '"tid": %d, "ts": %s, "args": %s}')
+#: The heads of the body events: one per (kind, category, name, track) of
+#: a session, with the values filled in (a % in them doubled), leaving
+#: %%d for a span's async id and %%s for its ts and args texts.
+_SPAN = ('{"ph": "%s", "cat": %s, "id": %%d, "name": %s, "pid": %d, '
+         '"tid": %d, "ts": %%s, "args": %%s}')
 _INSTANT = ('{"ph": "i", "s": "t", "cat": %s, "name": %s, "pid": %d, '
-            '"tid": %d, "ts": %s, "args": %s}')
-_COUNTER = '{"ph": "C", "name": %s, "pid": %d, "tid": %d, "ts": %s, "args": %s}'
+            '"tid": %d, "ts": %%s, "args": %%s}')
+_COUNTER = ('{"ph": "C", "name": %s, "pid": %d, "tid": %d, "ts": %%s, '
+            '"args": %%s}')
 
 
 class _Encoded(dict):
@@ -46,13 +49,41 @@ class _Encoded(dict):
         return text
 
 
-def _event_texts(sessions):
-    """The JSON text of every trace event, in trace order.
+class _Heads(dict):
+    """The head of each (kind, JSON category, JSON name, tid) of one pid,
+    built on first use."""
+
+    def __init__(self, pid):
+        super().__init__()
+        self.pid = pid
+
+    def __missing__(self, key):
+        kind, cat, name, tid = key
+        # the head is a format string: a % in a JSON text is doubled
+        cat = cat.replace("%", "%%")
+        name = name.replace("%", "%%")
+        if kind == "i":
+            text = _INSTANT % (cat, name, self.pid, tid)
+        elif kind == "C":
+            text = _COUNTER % (name, self.pid, tid)
+        else:
+            text = _SPAN % (kind, cat, name, self.pid, tid)
+        self[key] = text
+        return text
+
+
+def _trace_records(sessions):
+    """The metadata texts and the sorted body records of a trace.
 
     Metadata comes first, then every session's spans, instants and
     counter samples, sorted by (time, rank, order); ties keep insertion
-    order, so session order first.  Each distinct string and each
-    distinct args dict is encoded once.
+    order, so session order first.  A body record is ``(t_ns, rank,
+    order, seq, head, span_id, args_text)``: ``seq``, the insertion
+    index, settles every tie, so nothing after it is ever compared.
+    ``span_id`` is None for instants and samples, whose heads have no id
+    slot.  Each distinct string, head and args dict is encoded once, and
+    every args dict before anything is written, so an args value json
+    cannot encode raises before the file exists.
     """
     strings = _Encoded()
     arg_texts = {}
@@ -66,13 +97,7 @@ def _event_texts(sessions):
             text = arg_texts[key] = json.dumps(args)
         return text
 
-    # Chrome trace timestamps are microseconds; t / 1000.0 keeps ns
-    # resolution.  float.__repr__ is what json's encoder writes, also for
-    # a numpy float, whose repr is "np.float64(...)".
-    ts = float.__repr__
-    texts = []
-    # (t_ns, rank, order, seq, text), sorted after collection: seq, the
-    # insertion index, settles every tie, so no text is ever compared
+    meta = []
     body = []
     for pid, obs in enumerate(sessions, start=1):
         tracer = obs.tracer
@@ -83,13 +108,14 @@ def _event_texts(sessions):
         )
         tids = {track: tid for tid, track in enumerate(tracks, start=1)}
         label = obs.label or "run-{}".format(pid)
-        texts.append(_META % (pid, 0, "process_name",
-                              strings[label.__class__, label]))
+        meta.append(_META % (pid, 0, "process_name",
+                             strings[label.__class__, label]))
         for track, tid in tids.items():
             name = track or "main"
-            texts.append(_META % (pid, tid, "thread_name",
-                                  strings[name.__class__, name]))
+            meta.append(_META % (pid, tid, "thread_name",
+                                 strings[name.__class__, name]))
 
+        heads = _Heads(pid)
         trace_end = obs.sim.now
         # span.id -> its root (the async grouping id).  ``spans`` is in
         # begin order and a parent begins before its children, so the
@@ -101,9 +127,9 @@ def _event_texts(sessions):
             cat = strings[cat.__class__, cat]
             name = strings[span.name.__class__, span.name]
             tid = tids[span.track]
-            body.append((span.start, 0, order, len(body), _SPAN % (
-                "b", cat, root.id, name, pid, tid, ts(span.start / 1000.0),
-                args_text(span.args))))
+            body.append((span.start, 0, order, len(body),
+                         heads["b", cat, name, tid], root.id,
+                         args_text(span.args)))
             end_t = span.end
             end_args = "{}"
             if end_t is None:
@@ -113,23 +139,51 @@ def _event_texts(sessions):
                 end_args = '{"unfinished": true}'
             # Ends at the same instant unwind LIFO (children close before
             # parents), which keeps every async stack properly nested.
-            body.append((end_t, 2, -order, len(body), _SPAN % (
-                "e", cat, root.id, name, pid, tid, ts(end_t / 1000.0),
-                end_args)))
+            body.append((end_t, 2, -order, len(body),
+                         heads["e", cat, name, tid], root.id, end_args))
 
         for order, (t, track, name, cat, args) in enumerate(tracer.instants):
             cat = cat or "event"
-            body.append((t, 1, order, len(body), _INSTANT % (
-                strings[cat.__class__, cat], strings[name.__class__, name],
-                pid, tids[track], ts(t / 1000.0), args_text(args))))
+            cat = strings[cat.__class__, cat]
+            name = strings[name.__class__, name]
+            tid = tids[track]
+            body.append((t, 1, order, len(body), heads["i", cat, name, tid],
+                         None, args_text(args)))
         for order, (t, track, name, values) in enumerate(tracer.samples):
-            body.append((t, 1, order, len(body), _COUNTER % (
-                strings[name.__class__, name], pid, tids[track],
-                ts(t / 1000.0), args_text(values))))
+            name = strings[name.__class__, name]
+            tid = tids[track]
+            body.append((t, 1, order, len(body), heads["C", "", name, tid],
+                         None, args_text(values)))
 
     body.sort()
-    texts.extend(map(itemgetter(4), body))
-    return texts
+    return meta, body
+
+
+def _trace_chunks(meta, body):
+    """The event texts, joined ``TRACE_CHUNK`` at a time, in trace order.
+
+    A body record's text is formatted only when its chunk is: no list of
+    every event text ever exists.  Chrome trace timestamps are
+    microseconds; t / 1000.0 keeps ns resolution.  float.__repr__ is what
+    json's encoder writes, also for a numpy float, whose repr is
+    "np.float64(...)".  Records at one instant usually share the time
+    object, so each run of them formats its ts once.
+    """
+    ts = float.__repr__
+    chunk = TRACE_CHUNK
+    for start in range(0, len(meta), chunk):
+        yield ", ".join(meta[start:start + chunk])
+    last_t = ts_text = None
+    for start in range(0, len(body), chunk):
+        texts = []
+        for t, _rank, _order, _seq, head, span_id, args in \
+                body[start:start + chunk]:
+            if t is not last_t:
+                last_t = t
+                ts_text = ts(t / 1000.0)
+            texts.append(head % (ts_text, args) if span_id is None
+                         else head % (span_id, ts_text, args))
+        yield ", ".join(texts)
 
 
 def chrome_trace_events(sessions):
@@ -138,7 +192,8 @@ def chrome_trace_events(sessions):
     Parsed from the texts :func:`export_chrome_trace` writes, so the list
     and the file cannot disagree.
     """
-    return json.loads("[{}]".format(", ".join(_event_texts(sessions))))
+    return json.loads("[{}]".format(
+        ", ".join(_trace_chunks(*_trace_records(sessions)))))
 
 
 #: trace events per write: about 0.5 MB of text at a time, never the
@@ -151,27 +206,28 @@ def export_chrome_trace(sessions, path):
 
     The file is the document ``{"traceEvents": [...], "displayTimeUnit":
     "ns", "otherData": {...}}``, byte for byte what ``json.dump`` writes.
-    Each event is formatted straight from the tracer's records into its
-    JSON text, and the texts are written ``TRACE_CHUNK`` at a time: no
-    event dict is built.
+    The events are sorted as compact records, and each ``TRACE_CHUNK``
+    of them is formatted into JSON text just before it is written: no
+    event dict, and no list of every event text, is built.
 
     Returns the number of trace events written.
     """
-    texts = _event_texts(sessions)
-    other = {
+    meta, body = _trace_records(sessions)
+    other = json.dumps({
         "generator": "repro.obs",
         "sessions": [obs.label for obs in sessions],
-    }
+    })
     with open(path, "w") as handle:
         handle.write('{"traceEvents": [')
-        for start in range(0, len(texts), TRACE_CHUNK):
-            if start:
-                handle.write(", ")
-            handle.write(", ".join(texts[start:start + TRACE_CHUNK]))
+        separator = ""
+        for text in _trace_chunks(meta, body):
+            handle.write(separator)
+            handle.write(text)
+            separator = ", "
         handle.write('], "displayTimeUnit": "ns", "otherData": ')
-        handle.write(json.dumps(other))
+        handle.write(other)
         handle.write("}")
-    return len(texts)
+    return len(meta) + len(body)
 
 
 # -- metrics snapshots -------------------------------------------------------------

@@ -62,12 +62,13 @@ def _jsonable(value):
 
 
 def _tail(ring, n):
-    """The last ``n`` items of a sized iterable, oldest first.
+    """An iterator over the last ``n`` items of a sized iterable, oldest
+    first.
 
-    Only the tail is copied: ``islice`` steps over the head in C instead
-    of copying the whole ring (a kernel log, a series) to slice the copy.
+    Nothing is copied: ``islice`` steps over the head in C, and the
+    caller converts each tail item as it reads it.
     """
-    return list(islice(ring, max(len(ring) - n, 0), None))
+    return islice(ring, max(len(ring) - n, 0), None)
 
 
 def _stamp(obs):
@@ -237,20 +238,25 @@ class FlightRecorder:
             "injections": [],
         }
         timeline = getattr(obs, "timeline", None)
+        # each point, instant and log record is converted in one pass:
+        # a series point (t, v) becomes [t, v], and a payload or args
+        # dict is _jsonable's dict branch, inlined
         if timeline is not None:
             for series in timeline.all():
-                points = _tail(series, self.series_tail)
                 snap["series"].append({
                     "name": series.name,
                     "labels": dict(series.labels),
                     "dropped": series.dropped,
                     "disordered": series.disordered,
-                    "points": [[t, v] for t, v in points],
+                    "points": list(map(list, _tail(series,
+                                                   self.series_tail))),
                 })
         tracer = getattr(obs, "tracer", None)
         if tracer is not None:
             snap["instants"] = [
-                [t, track, name, cat, _jsonable(args)]
+                [t, track, name, cat,
+                 {str(k): v if type(v) in _SCALARS else _jsonable(v)
+                  for k, v in args.items()}]
                 for t, track, name, cat, args
                 in tracer.instants[-self.events_tail:]
             ]
@@ -259,16 +265,17 @@ class FlightRecorder:
         # black box — scheduling decisions, drains, governor switches
         if getattr(obs, "kernel", None) is not None:
             for log in obs.kernel.logs():
-                records = _tail(log, self.events_tail)
                 # "seq" labels come from process-global counters (see
                 # repro.faults.diff) — strip them so dumps from the same
                 # seed are byte-identical run to run
                 snap["logs"][log.name] = {
                     "retained": len(log),
                     "dropped": log.dropped,
-                    "tail": [[t, kind, _jsonable(
-                        {k: v for k, v in payload.items() if k != "seq"})]
-                             for t, kind, payload in records],
+                    "tail": [
+                        [t, kind,
+                         {str(k): v if type(v) in _SCALARS else _jsonable(v)
+                          for k, v in payload.items() if k != "seq"}]
+                        for t, kind, payload in _tail(log, self.events_tail)],
                 }
         plan = getattr(obs.sim, "faults", None)
         if plan is not None:
@@ -283,8 +290,11 @@ class FlightRecorder:
         """Actuator decisions from every noted controller ring, tails."""
         out = []
         for label, ring in self._rings.values():
-            for entry in ring.records()[-self.events_tail:]:
-                out.append(dict(_jsonable(entry), session=label))
+            for entry in _tail(ring, self.events_tail):
+                action = {str(k): v if type(v) in _SCALARS else _jsonable(v)
+                          for k, v in entry.items()}
+                action["session"] = label
+                out.append(action)
         return out
 
     def _write(self, dump, session_texts):

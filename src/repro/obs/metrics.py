@@ -43,8 +43,14 @@ class Gauge:
     def set(self, value):
         value = float(value)
         self.value = value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        # what min()/max() keep, compared inline: the old bound stays
+        # unless the value beats it (so a NaN never replaces a bound)
+        low = self.min
+        if low is None or value < low:
+            self.min = value
+        high = self.max
+        if high is None or value > high:
+            self.max = value
         self.updates += 1
 
 
@@ -82,8 +88,12 @@ class Histogram:
         self.count += 1
         self.total += value * weight
         self.wtotal += weight
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        low = self.min
+        if low is None or value < low:
+            self.min = value
+        high = self.max
+        if high is None or value > high:
+            self.max = value
 
     @property
     def mean(self):
@@ -154,16 +164,27 @@ class MetricsRegistry:
             metric = self.histograms[name] = Histogram(name)
         return metric
 
-    # -- one-call conveniences (what instrumentation sites use) ---------------------
+    # -- one-call conveniences (sites that bind no handle use these) -----------------
+    # Each looks its metric up inline: one frame, not a handle call and a
+    # method call on top.
 
     def inc(self, name, n=1):
-        self.counter(name).inc(n)
+        metric = self.counters.get(name)
+        if metric is None:
+            metric = self.counters[name] = Counter(name)
+        metric.value += n
 
     def set(self, name, value):
-        self.gauge(name).set(value)
+        metric = self.gauges.get(name)
+        if metric is None:
+            metric = self.gauges[name] = Gauge(name)
+        metric.set(value)
 
     def observe(self, name, value, weight=1.0):
-        self.histogram(name).observe(value, weight)
+        metric = self.histograms.get(name)
+        if metric is None:
+            metric = self.histograms[name] = Histogram(name)
+        metric.observe(value, weight)
 
     # -- export ---------------------------------------------------------------------
 

@@ -11,6 +11,48 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
 
+class Instruments(dict):
+    """One component's bound handles in one session, each made at first use.
+
+    ``names`` is the component's ``obs_names``: key -> ``(kind, name)``
+    with kind ``"counter"``, ``"gauge"`` or ``"histogram"``, or ``("series",
+    name, labels)``.  ``self[key]`` creates that metric or series in the
+    session the first time and returns the handle from then on (one
+    dict lookup), so a metric nothing touches is never created and never
+    exported.  ``tracer`` is the session's tracer if it records, else
+    None: the tracer's ``enabled`` flag, latched when the component first
+    binds, as the event loop latches it per run.
+    """
+
+    def __init__(self, obs, names):
+        super().__init__()
+        self.obs = obs
+        self.names = names
+        self.tracer = obs.tracer if obs.tracer.enabled else None
+
+    def __missing__(self, key):
+        kind, name, *labels = self.names[key]
+        if kind == "series":
+            handle = self.obs.timeline.series(name, **labels[0])
+        else:
+            handle = getattr(self.obs.metrics, kind)(name)
+        self[key] = handle
+        return handle
+
+
+class _Bindings(dict):
+    """``Obs.instruments``: each component's :class:`Instruments`, keyed
+    by the component, made at its first site."""
+
+    def __init__(self, obs):
+        super().__init__()
+        self.obs = obs
+
+    def __missing__(self, owner):
+        instruments = self[owner] = Instruments(self.obs, owner.obs_names)
+        return instruments
+
+
 class Obs:
     """One run's observability context (tracing + metrics + telemetry).
 
@@ -21,6 +63,12 @@ class Obs:
     no session at all still pays only the one branch it always did.
     ``flight`` is the run's :class:`~repro.obs.flight.FlightRecorder`, or
     None; trigger sites read it inside the same guard.
+
+    ``instruments[component]`` is that component's :class:`Instruments`
+    in this session: a hot site binds its metrics, series and latched
+    tracer there once per session instead of looking a metric up by a
+    name built on every event (DESIGN.md §5h).  The table belongs to the
+    session, so no handle outlives it or reaches another simulator's.
     """
 
     def __init__(self, sim, label="", tracing=True, timeline=None,
@@ -33,6 +81,7 @@ class Obs:
         self.timeline = timeline
         self.flight = flight
         self.kernel = None
+        self.instruments = _Bindings(self)
 
     def install(self):
         """Publish as ``sim.obs``; returns self."""

@@ -117,11 +117,16 @@ class Timeline:
     def record(self, name, t_ns, value, **labels):
         """Append one sample and notify subscribers; returns the series."""
         series = self.series(name, **labels)
+        self.add(series, t_ns, value)
+        return series
+
+    def add(self, series, t_ns, value):
+        """:meth:`record` into a series a site already holds (one of this
+        timeline's: a bound handle), without looking it up again."""
         series.append(t_ns, value)
         if self._subscribers:
             for fn in tuple(self._subscribers):
                 fn(series, int(t_ns), float(value))
-        return series
 
     def subscribe(self, fn):
         """Call ``fn(series, t_ns, value)`` on every future sample.

@@ -125,7 +125,8 @@ class Tracer:
             return None
         self._seen_spans = True
         if parent is None:
-            parent = self.current
+            stack = self._stack
+            parent = stack[-1] if stack else self._event_ctx
         span_id = self._next_id
         self._next_id = span_id + 1
         span = Span(

@@ -78,6 +78,26 @@ class PowerCapController:
                     "binding target {!r} is not a leaf".format(binding.node)
                 )
         self._states = {b.node: _LeafState() for b in self.bindings}
+        # the metrics and series a session binds (``obs.instruments[self]``),
+        # named once per daemon and leaf
+        names = self.obs_names = {
+            "ticks": ("counter", "powercap.ticks"),
+            "aggregate_w": ("gauge", "powercap.aggregate_w"),
+            "aggregate_series": ("series", "powercap.aggregate_w", {}),
+            "cap_series": ("series", "powercap.cap_w", {}),
+            "compliance_series": ("series", "powercap.compliance_err", {}),
+        }
+        for action in ("throttle", "relax"):
+            names[action] = ("counter", "powercap.actions." + action)
+        for node in self._states:
+            names["level", node] = ("gauge", "powercap.{}.level".format(node))
+            names["grant_w", node] = ("gauge",
+                                      "powercap.{}.grant_w".format(node))
+            names["measured_w", node] = (
+                "histogram", "powercap.{}.measured_w".format(node))
+            for series in ("leaf_level", "leaf_grant_w", "leaf_measured_w"):
+                names[series, node] = ("series", "powercap." + series,
+                                       {"leaf": node})
         self._trim_w = 0.0       # outer integrator on the aggregate error
         self._proc = None
         self.ticks = 0
@@ -161,10 +181,13 @@ class PowerCapController:
         if obs is not None:
             if obs.flight is not None:
                 obs.flight.note_ring(self.telemetry, obs.label)
-            tick_span = obs.tracer.begin(
-                "powercap.tick", cat="powercap", track="powercap",
-                detached=True, tick=self.ticks)
-            obs.metrics.inc("powercap.ticks")
+            instruments = obs.instruments[self]
+            tracer = instruments.tracer
+            if tracer is not None:
+                tick_span = tracer.begin(
+                    "powercap.tick", cat="powercap", track="powercap",
+                    detached=True, tick=self.ticks)
+            instruments["ticks"].value += 1
 
         measured = {}
         demands = {}
@@ -237,37 +260,37 @@ class PowerCapController:
             )
             if obs is not None:
                 if action != "hold":
-                    obs.metrics.inc("powercap.actions." + action)
+                    instruments[action].value += 1
                 node = binding.node
-                obs.metrics.set("powercap.{}.level".format(node), state.level)
-                obs.metrics.set("powercap.{}.grant_w".format(node), grant)
-                obs.metrics.observe("powercap.{}.measured_w".format(node),
-                                    measured[node], weight=dt_s)
+                instruments["level", node].set(state.level)
+                instruments["grant_w", node].set(grant)
+                instruments["measured_w", node].observe(measured[node], dt_s)
                 timeline = obs.timeline
                 if timeline is not None:
-                    timeline.record("powercap.leaf_level", t1, state.level,
-                                    leaf=node)
-                    timeline.record("powercap.leaf_grant_w", t1, grant,
-                                    leaf=node)
-                    timeline.record("powercap.leaf_measured_w", t1,
-                                    measured[node], leaf=node)
+                    timeline.add(instruments["leaf_level", node], t1,
+                                 state.level)
+                    timeline.add(instruments["leaf_grant_w", node], t1, grant)
+                    timeline.add(instruments["leaf_measured_w", node], t1,
+                                 measured[node])
         self.telemetry.record(
             t1, root.name, aggregate, root.cap_w, "aggregate", 0.0
         )
         if obs is not None:
-            obs.metrics.set("powercap.aggregate_w", aggregate)
-            obs.tracer.sample("powercap.aggregate_w", track="powercap",
+            instruments["aggregate_w"].set(aggregate)
+            if tracer is not None:
+                tracer.sample("powercap.aggregate_w", track="powercap",
                               watts=round(aggregate, 4))
             timeline = obs.timeline
             if timeline is not None:
-                timeline.record("powercap.aggregate_w", t1, aggregate)
+                timeline.add(instruments["aggregate_series"], t1, aggregate)
                 if root.cap_w is not None:
-                    timeline.record("powercap.cap_w", t1, root.cap_w)
-                    timeline.record(
-                        "powercap.compliance_err", t1,
+                    timeline.add(instruments["cap_series"], t1, root.cap_w)
+                    timeline.add(
+                        instruments["compliance_series"], t1,
                         (aggregate - root.cap_w) / root.cap_w
                         if root.cap_w else 0.0)
-            obs.tracer.end(tick_span, aggregate_w=round(aggregate, 4),
+            if tracer is not None:
+                tracer.end(tick_span, aggregate_w=round(aggregate, 4),
                            cap_w=root.cap_w)
 
 

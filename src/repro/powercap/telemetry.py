@@ -29,6 +29,10 @@ class TelemetryRing:
     def __len__(self):
         return len(self._entries)
 
+    def __iter__(self):
+        """The retained entries, oldest first (``records()`` unfiltered)."""
+        return iter(self._entries)
+
     def record(self, t, node, measured_w, budget_w, action, level):
         """Append one decision; overwrites the oldest entry when full."""
         entry = {

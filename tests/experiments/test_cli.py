@@ -174,18 +174,55 @@ def test_stdout_matches_golden(name, capsys):
             name, "".join(diff)), pytrace=False)
 
 
+#: sha256 of stdout and of every file that ``cluster --nodes 2 --telemetry
+#: tele --report --flight fl --bench bench.json`` writes, in ``sha256sum``
+#: format; regenerate (only for a change meant to alter the evidence) by
+#: running that command in an empty directory, then ``sha256sum`` over
+#: its stdout (listed as ``stdout``), ``bench.json``, ``tele/*`` and ``fl/*``
+CLUSTER_EVIDENCE = GOLDEN_DIR / "cluster_evidence.sha256"
+
+
+def _sha256_tree(root):
+    """``{relative posix path: sha256}`` of every file under ``root``."""
+    import hashlib
+
+    return {
+        path.relative_to(root).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*")) if path.is_file()}
+
+
 def test_cluster_telemetry_report_writes_the_bundle(tmp_path, capsys,
                                                     monkeypatch):
-    """The tentpole surface end to end: ``cluster --telemetry --report``."""
+    """The tentpole surface end to end: ``cluster --telemetry --report
+    --flight``, pinned byte for byte.
+
+    Output directories are relative, so stdout names no temporary path
+    and every byte of it, the telemetry bundle, the flight dumps with
+    their manifest and the bench JSON must hash to the committed digests.
+    """
+    import hashlib
     import json
 
     monkeypatch.chdir(tmp_path)
     out_dir = tmp_path / "tele"
-    assert main(["cluster", "--nodes", "2", "--telemetry", str(out_dir),
-                 "--report", "--bench", str(tmp_path / "bench.json")]) == 0
+    assert main(["cluster", "--nodes", "2", "--telemetry", "tele",
+                 "--report", "--flight", "fl",
+                 "--bench", "bench.json"]) == 0
     out = capsys.readouterr().out
     assert "telemetry:" in out
     assert "SLO report" in out
+
+    written = _sha256_tree(tmp_path)
+    written["stdout"] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    pinned = {}
+    for line in CLUSTER_EVIDENCE.read_text().splitlines():
+        digest, name = line.split("  ", 1)
+        pinned[name] = digest
+    assert sorted(written) == sorted(pinned)
+    changed = sorted(name for name in pinned if written[name] != pinned[name])
+    assert changed == [], "evidence differs from {}: {}".format(
+        CLUSTER_EVIDENCE.name, changed)
 
     # OpenMetrics: valid terminator, per-session cluster series
     om = (out_dir / "metrics.om").read_text()

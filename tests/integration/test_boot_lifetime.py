@@ -12,6 +12,7 @@ counting.
 import pytest
 
 from repro.apps.base import App
+from repro.experiments.cluster_exp import run_cluster
 from repro.experiments.common import boot
 from repro.experiments.faults_exp import build_workload, run_scenario
 from repro.faults import scenario
@@ -63,6 +64,16 @@ def test_shutdown_drops_balloon_hooks_that_reach_the_kernel():
         kernel.shutdown()
 
     assert cyclic_garbage(run) == []
+
+
+def test_unobserved_cluster_leaves_no_cyclic_garbage():
+    # ``cluster --nodes 1 --jobs 1``: each calibration cell and each
+    # allocator run shuts its nodes down, cap loop first
+    results = []
+    assert cyclic_garbage(
+        lambda: results.append(run_cluster(nodes=1, jobs=1))) == []
+    result, _runner = results[0]
+    assert set(result.runs) == {"pi", "waterfill"}
 
 
 def test_completed_units_leave_no_cyclic_garbage_on_a_live_board():

@@ -105,6 +105,62 @@ class TestStreamingEvaluation:
         assert len(engine.alerts) == 1
         assert engine.alerts[0].labels == {"node": "a"}
 
+        # the engine evaluates a sample only against the rules watching
+        # its series: the same alerts, in the same order, as a scan of
+        # every rule, with several rules per series, label filters, an
+        # at_end rule, a series no rule watches and a rule added mid-stream
+        rules = [
+            AlertRule("w.hi", series="w", op=">", threshold=1.0,
+                      for_samples=2),
+            AlertRule("v.lo", series="v", op="<", threshold=0.0),
+            AlertRule("w.a", series="w", op=">=", threshold=2.0,
+                      labels=(("node", "a"),)),
+            AlertRule("w.end", series="w", op=">", threshold=0.0,
+                      at_end=True),
+            AlertRule("w.abs", series="w", op="abs>", threshold=2.5),
+            # two rules that fire on the same samples, listed out of name
+            # order: rule order decides which alert comes first
+            AlertRule("w.z", series="w", op=">", threshold=0.5),
+            AlertRule("w.b", series="w", op=">", threshold=0.4),
+        ]
+        late = AlertRule("v.hi", series="v", op=">", threshold=1.0,
+                         for_samples=2)
+        samples = [(t, ("w", "v", "u")[t % 3], (t * 7 % 11) / 2 - 1.5,
+                    ("a", "b")[t // 3 % 2]) for t in range(60)]
+
+        def stream(engine, obs):
+            for t, name, value, node in samples:
+                if t == 30:
+                    engine.add_rule(late)
+                obs.timeline.record(name, t, value, node=node)
+            engine.finalize()
+            return [(a.rule, a.t_ns, a.labels, a.streak)
+                    for a in engine.alerts]
+
+        obs, engine = make_session(rules=rules)
+        fired = stream(engine, obs)
+
+        def every_rule(self, obs, series, t_ns, value):
+            for rule in self.rules:
+                if rule.at_end or not rule.matches(series):
+                    continue
+                key = (rule.name, obs.label, series.key)
+                if rule.breached(value):
+                    streak = self._streaks.get(key, 0) + 1
+                    self._streaks[key] = streak
+                    if streak >= rule.for_samples and key not in self._fired:
+                        self._fired.add(key)
+                        self._fire(rule, obs, series, t_ns, value, streak)
+                else:
+                    self._streaks[key] = 0
+                    self._fired.discard(key)
+
+        obs, reference = make_session(rules=rules)
+        reference._on_sample = every_rule.__get__(reference)
+        assert fired == stream(reference, obs)
+        assert {name for name, *_rest in fired} == {
+            "w.hi", "v.lo", "w.a", "w.end", "w.abs", "w.z", "w.b", "v.hi"}
+
     def test_alert_emits_tracer_instant(self):
         rule = AlertRule("hot", series="w", op=">", threshold=1.0)
         obs, engine = make_session(rules=[rule])

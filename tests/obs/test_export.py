@@ -319,6 +319,17 @@ def test_streamed_trace_matches_json_dumps_and_roots(tmp_path, case):
         assert len(set(roots)) < len(spans)      # some spans do nest
 
 
+def test_unencodable_args_raise_before_the_trace_exists(tmp_path):
+    """Every args dict is encoded before the file is opened, so an args
+    value json cannot encode leaves no partial trace behind."""
+    obs = _session_with_activity()
+    obs.tracer.instant("bad", track="smp", payload=object())
+    path = tmp_path / "trace.json"
+    with pytest.raises(TypeError):
+        export_chrome_trace([obs], str(path))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 7])
 def test_streamed_trace_chunk_boundaries(tmp_path, monkeypatch, chunk):
     """Any chunk size, even or ragged against the count, writes the same."""
@@ -333,10 +344,11 @@ def test_streamed_trace_chunk_boundaries(tmp_path, monkeypatch, chunk):
 # -- random sessions against the reference -----------------------------------------
 
 #: names, tracks, categories and labels: quotes, backslashes, control and
-#: non-ASCII characters, and the empty string (which falls back to a
-#: default name)
+#: non-ASCII characters, % signs (the writer's heads are format strings)
+#: and the empty string (which falls back to a default name)
 _TEXT = st.sampled_from(["", "a", "b", 'q"uote', "back\\slash", "tab\there",
-                         "bell\x07", "nœud", "電力", "\U0001f50b"])
+                         "bell\x07", "nœud", "電力", "\U0001f50b", "50%",
+                         "%s%d"])
 #: args values that dict equality or hashing would merge: 1, 1.0 and True
 #: are one dict key, and so are 0.0 and -0.0; tuples and nested dicts
 #: carry them too

@@ -7,15 +7,23 @@ accelerators and NIC, governor transitions, fault injections, and checker
 violations as tagged trace events.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+from repro.apps.cpu_apps import dedup
+from repro.apps.gpu_apps import cube
 from repro.check import CheckViolation, InvariantChecker
 from repro.experiments.common import boot
 from repro.experiments.faults_exp import build_workload
 from repro.faults import scenario
 from repro.hw.platform import Platform
 from repro.kernel.kernel import Kernel
-from repro.obs import Obs
+from repro.obs import Obs, metrics_snapshot, render_openmetrics
+from repro.obs.timeline import Timeline
 from repro.sim.clock import from_msec
 
 
@@ -165,3 +173,92 @@ def test_powercap_control_loop_traced():
     assert any(name.endswith(".level") for name in gauges)
     assert any(name == "powercap.aggregate_w"
                for _t, _tr, name, _v in obs.tracer.samples)
+
+
+# -- bound instruments: lazy, and owned by one session ------------------------------
+
+
+def test_untouched_metrics_and_series_are_never_created():
+    """A site binds each metric at its first touch, not its component's
+    whole set: a GPU app without a psbox makes the GPU scheduler's
+    dispatch metrics but none of its balloon ones, and an uncapped
+    powercap daemon records its aggregate but no cap series."""
+    platform, kernel = boot(seed=3)
+    obs = Obs(platform.sim, timeline=Timeline()).install()
+    obs.bind_kernel(kernel)
+    dedup(kernel, iterations=40).create_psbox(("cpu",)).enter()
+    cube(kernel, frames=20)
+    platform.sim.run(until=from_msec(300))
+    snap = metrics_snapshot([obs])["merged"]
+    names = {name for kind in ("counters", "gauges", "histograms")
+             for name in snap[kind]}
+    assert {"gpu.submitted", "gpu.dispatched", "gpu.dispatch_wait_ns",
+            "smp.balloons", "governor.cpu.switches"} <= names
+    assert not {"gpu.balloons", "gpu.drain_ns", "gpu.window_ns",
+                "governor.gpu.switches"} & names
+    text = render_openmetrics([obs])
+    assert "gpu_submitted" in text and "gpu_balloons" not in text
+
+    work = build_workload("powercap", 0)
+    work.controller.tree.root.cap_w = None
+    obs = Obs(work.platform.sim, timeline=Timeline()).install()
+    work.platform.sim.run(until=from_msec(300))
+    series = set(obs.timeline.names())
+    assert "powercap.aggregate_w" in series
+    assert not {"powercap.cap_w", "powercap.compliance_err"} & series
+    assert "powercap.actions.relax" not in obs.metrics.counters
+
+
+def _counts(registry):
+    """Counter values and histogram counts of one registry."""
+    counts = {name: c.value for name, c in registry.counters.items()}
+    counts.update((name, h.count) for name, h in registry.histograms.items())
+    return counts
+
+
+def test_a_new_session_on_one_simulator_binds_its_own_handles():
+    """Handles live in the session: once a second session replaces the
+    first on a running simulator, the first stops counting and the
+    second counts exactly the events after the swap."""
+    half = from_msec(400)
+    reference = build_workload("mixed", 0)
+    whole = Obs(reference.platform.sim, tracing=False).install()
+    reference.platform.sim.run(until=half)
+    at_half = _counts(whole.metrics)
+    reference.platform.sim.run(until=reference.horizon_ns)
+    at_end = _counts(whole.metrics)
+
+    work = build_workload("mixed", 0)
+    first = Obs(work.platform.sim, tracing=False).install()
+    work.platform.sim.run(until=half)
+    second = Obs(work.platform.sim, tracing=False).install()
+    work.platform.sim.run(until=work.horizon_ns)
+    assert _counts(first.metrics) == at_half
+    after = _counts(second.metrics)
+    assert after and after == {
+        name: at_end[name] - at_half.get(name, 0) for name in after}
+    assert all(at_end[name] == at_half.get(name, 0)
+               for name in set(at_end) - set(after))
+
+
+def observed_counts():
+    """The metrics snapshot of one traced mixed-board run, as JSON."""
+    work = build_workload("mixed", 0)
+    obs = Obs(work.platform.sim, tracing=True,
+              timeline=Timeline()).install()
+    obs.bind_kernel(work.kernel)
+    work.platform.sim.run(until=work.horizon_ns)
+    return json.dumps(obs.metrics.snapshot(), sort_keys=True)
+
+
+def test_two_runs_in_one_process_count_what_a_fresh_process_counts():
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))))
+    fresh = subprocess.run(
+        [sys.executable, "-c", "from tests.obs.test_instrumentation "
+         "import observed_counts; print(observed_counts())"],
+        cwd=root, capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(root, "src"), root]))).stdout
+    assert observed_counts() + "\n" == fresh
+    assert observed_counts() + "\n" == fresh

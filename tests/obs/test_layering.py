@@ -7,8 +7,9 @@ inside a function counts as much as one at the top.
 
 The same packages keep §5h's dormant-cost rule: each instrumentation site
 reads ``sim.obs`` once into a local and touches the session's tracer,
-metrics, timeline or flight recorder only behind an ``is not None``
-guard, so an unobserved run pays one read and one branch per site.
+metrics, timeline, flight recorder or bound instruments only behind an
+``is not None`` guard, so an unobserved run pays one read and one
+branch per site.
 """
 
 import ast
@@ -95,7 +96,7 @@ def test_the_check_sees_every_import_form(tmp_path):
 # -- the one-branch dormant-cost rule ------------------------------------------------
 
 #: the session parts a site may touch only behind its guard
-SESSION_PARTS = ("tracer", "metrics", "timeline", "flight")
+SESSION_PARTS = ("tracer", "metrics", "timeline", "flight", "instruments")
 
 #: functions that read ``.obs``, per module: a new instrumentation site
 #: changes a count here, so it shows up in review
@@ -195,7 +196,7 @@ def _obs_sites(tree):
 
     A site is a function that reads ``.obs``.  It must read it once, as
     ``name = <sim>.obs``, and touch ``name.tracer``/``.metrics``/
-    ``.timeline``/``.flight`` only behind a guard.
+    ``.timeline``/``.flight``/``.instruments`` only behind a guard.
     """
     sites, problems = 0, []
     for func in ast.walk(tree):
