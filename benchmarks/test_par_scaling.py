@@ -4,14 +4,14 @@ Emits ``BENCH_par.json`` at the repo root — the scaling data point the
 parallel runner promises: the full fault-scenario campaign at two seeds
 run serially, fanned across the spawn pool at 2 and 4 jobs (timed through
 :func:`repro.par.executors.run_spawn` directly), run through the runner's
-own choice at ``jobs=4`` (``auto``: the cost model decides whether a pool
-can pay for its interpreter boots on this host), then replayed from a
-warm result cache.  One untimed pass of the same cells runs first, so the
-serial row is not also paying the process's import and cache warm-up.
-Pool speedup depends on the machine's core count, so the spawn rows carry
-honest timings without assertions; ``auto`` is the row with a contract —
-it must never be meaningfully slower than serial, because on hosts where
-the pool cannot win the cost model must pick ``inline``.
+own choice at ``jobs=4`` (``auto``: a pool whenever the host has more than
+one core, else inline), then replayed from a warm result cache.  One
+untimed pass of the same cells runs first, so the serial row is not also
+paying the process's import and cache warm-up.  Pool speedup depends on
+the machine's core count, so the spawn rows carry honest timings without
+assertions; ``auto`` is the row with a contract — it must never be
+meaningfully slower than serial: on a 1-core host it runs inline, and on
+a multicore host the pool overlaps cells.
 """
 
 import json
@@ -67,9 +67,6 @@ def test_bench_par_scaling_and_emit_json(tmp_path):
     # imports and cold caches, and the auto row after it looks faster than
     # the same inline path really is
     ParallelRunner(jobs=1).run(_cells())
-    # the serial baseline also warms the in-process cost model, so the
-    # auto run below decides from a measured per-cell estimate — exactly
-    # what a second invocation on a real host would see
     serial_s, serial_payloads, serial_runner = _timed_run(jobs=1)
     jobs2_s, jobs2_payloads = _timed_spawn(jobs=2)
     jobs4_s, jobs4_payloads = _timed_spawn(jobs=4)
@@ -81,11 +78,10 @@ def test_bench_par_scaling_and_emit_json(tmp_path):
     assert auto_payloads == serial_payloads
 
     # the bugfix contract: whatever path auto resolves to, the run pays
-    # (almost) nothing beyond the cells' own cost.  On a 1-core host that
-    # means auto refused the pool; on multicore the pool overlaps cells and
-    # the overhead goes *negative*.  The old behaviour — spawn on a host
-    # with no spare cores — pays workers x ~1 s of interpreter boot here
-    # and fails by an order of magnitude.
+    # (almost) nothing beyond the cells' own cost.  On a 1-core host auto
+    # refuses the pool; on multicore the pool overlaps cells and the
+    # overhead goes *negative*.  A spawn on a host with no spare cores
+    # would pay every worker's interpreter boot here and fail.
     auto_overhead_s = auto_s - auto_runner.stats.cell_wall_s
     assert auto_overhead_s <= AUTO_OVERHEAD_FRAC * auto_s + \
         AUTO_OVERHEAD_FLOOR_S, (

@@ -239,16 +239,9 @@ def _result_cache(args):
 
 def _print_par_stats(runner, jobs, cache):
     """Runner stats go to stderr: the stdout report must stay byte-identical
-    between serial and parallel runs (the differential test's contract).
-    The merged worker metrics exist only when cells ran in a spawn pool
-    (in-process cells register with the parent's observed run instead), so
-    they go to stderr for the same reason."""
+    between serial and parallel runs (the differential test's contract)."""
     if jobs > 1 or cache is not None:
         print(runner.stats.summary(), file=sys.stderr)
-    if runner.obs_snapshot is not None:
-        from repro.obs import format_metrics_table
-
-        print(format_metrics_table(runner.obs_snapshot), file=sys.stderr)
 
 
 def _print_campaign_table(campaign):
@@ -519,7 +512,6 @@ def _export_observability(args, run):
         export_chrome_trace,
         export_metrics,
         format_metrics_table,
-        metrics_snapshot,
     )
 
     sessions = run.sessions
@@ -528,9 +520,10 @@ def _export_observability(args, run):
         print("trace: {} events from {} sessions -> {}".format(
             count, len(sessions), args.trace))
     if args.metrics:
-        export_metrics(sessions, args.metrics)
+        # the merged block folds the run's registries, pool cells' included
+        snapshot = export_metrics(sessions, args.metrics, run.registries)
         print("metrics snapshot -> {}".format(args.metrics))
-        print(format_metrics_table(metrics_snapshot(sessions)))
+        print(format_metrics_table(snapshot))
     if args.telemetry is not None:
         _export_telemetry(args, run)
 

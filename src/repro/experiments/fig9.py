@@ -23,11 +23,6 @@ class Fig9Result:
     rendering_watts: object = None
     total_watts: object = None
 
-    @property
-    def power_span(self):
-        low = min(self.observed_w)
-        return max(self.observed_w) / low if low > 0 else float("inf")
-
 
 def _steady_power(vr, t0, t1):
     """Mean observed rendering power over a window (psbox reading)."""

@@ -10,12 +10,6 @@ class SidechannelResult:
     without_psbox: object      # AttackResult
     with_psbox: object         # AttackResult
 
-    @property
-    def mitigation_factor(self):
-        if self.with_psbox.success_rate == 0:
-            return float("inf")
-        return self.without_psbox.success_rate / self.with_psbox.success_rate
-
 
 def run_sidechannel(sites=None, trials_per_site=3, seed=1000):
     """Run the fingerprinting campaign in both worlds."""

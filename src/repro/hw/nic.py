@@ -164,10 +164,6 @@ class WifiNic:
         self._maybe_start_rx()
         return packet
 
-    @property
-    def rx_busy(self):
-        return self._receiving is not None
-
     def _maybe_start_rx(self):
         if self._receiving is not None or not self._rx_queue:
             return

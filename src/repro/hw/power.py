@@ -51,21 +51,6 @@ class CpuPowerModel:
         return opp.static_w + opp.uncore_w + n_active * opp.core_active_w
 
 
-def _default_gpu_opps():
-    return (
-        OperatingPoint(200e6, core_active_w=0.0, uncore_w=0.0, static_w=0.05),
-        OperatingPoint(400e6, core_active_w=0.0, uncore_w=0.0, static_w=0.09),
-        OperatingPoint(532e6, core_active_w=0.0, uncore_w=0.0, static_w=0.13),
-    )
-
-
-def _default_dsp_opps():
-    return (
-        OperatingPoint(400e6, core_active_w=0.0, uncore_w=0.0, static_w=0.06),
-        OperatingPoint(750e6, core_active_w=0.0, uncore_w=0.0, static_w=0.12),
-    )
-
-
 @dataclass(frozen=True)
 class AccelPowerModel:
     """Accelerator rail power (GPU/DSP).
@@ -76,7 +61,7 @@ class AccelPowerModel:
     — the blurry-request-boundary entanglement of Figure 3(b).
     """
 
-    opps: tuple = field(default_factory=_default_gpu_opps)
+    opps: tuple
     idle_w: float = 0.05
     overlap_factors: tuple = (1.0, 0.85, 0.78, 0.72)
     freq_power_exponent: float = 1.6

@@ -233,19 +233,29 @@ def export_chrome_trace(sessions, path):
 # -- metrics snapshots -------------------------------------------------------------
 
 
-def metrics_snapshot(sessions):
+def metrics_snapshot(sessions, registries=None):
     """JSON-ready snapshot: per-session metrics plus a merged rollup.
+
+    ``merged`` folds ``registries`` in order with ``merge_from``: by
+    default each session's, and from the CLI its run's
+    :attr:`~repro.obs.runtime.ObsRun.registries`, which also hold the
+    metrics of cells that ran in pool workers at their place in the
+    serial order.  ``sessions`` (in-process ones only) give the
+    per-session entries.
 
     ``unfinished_spans`` counts the spans still open at snapshot time, per
     session and summed — the aggregate the exporter's per-span
     ``unfinished: true`` annotations never provided, and the number the
     alert engine's trace-liveness rule watches.
     """
+    if registries is None:
+        registries = [obs.metrics for obs in sessions]
     merged = MetricsRegistry()
+    for registry in registries:
+        merged.merge_from(registry)
     per_session = []
     unfinished_total = 0
     for obs in sessions:
-        merged.merge_from(obs.metrics)
         unfinished = obs.tracer.unfinished_count()
         unfinished_total += unfinished
         per_session.append({
@@ -259,9 +269,9 @@ def metrics_snapshot(sessions):
             "unfinished_spans": unfinished_total}
 
 
-def export_metrics(sessions, path):
+def export_metrics(sessions, path, registries=None):
     """Write the metrics snapshot as JSON; returns the snapshot dict."""
-    snap = metrics_snapshot(sessions)
+    snap = metrics_snapshot(sessions, registries)
     with open(path, "w") as handle:
         json.dump(snap, handle, indent=2, sort_keys=True)
     return snap

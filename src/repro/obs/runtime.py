@@ -15,7 +15,8 @@ engine, its flight recorder and its label counts.  :data:`current` is the
 only module-level state, and only :func:`observe` assigns it, restoring
 the outer run when the block exits — so nothing outlives its run, and two
 observed runs can share a process (a parallel worker runs each cell in a
-fresh one).
+fresh one and ships its metrics home, into the parent run's
+``registries``).
 """
 
 import gc
@@ -45,6 +46,12 @@ class ObsRun:
     the run's sessions (dumps to ``flight_dir`` when given, in memory
     otherwise); each session carries it as ``obs.flight``, where the alert
     engine and the invariant checker trigger it.
+
+    ``registries`` is what the merged metrics fold, in run order: each
+    session's registry from its install, and the registries of each cell
+    that ran in a pool worker, which the parallel runner appends where
+    the cell's inline sessions would have been.  A pool cell's sessions
+    stay in the worker, so ``sessions`` lists in-process sessions only.
     """
 
     def __init__(self, tracing=False, telemetry=False, rules=None,
@@ -52,6 +59,7 @@ class ObsRun:
         self.tracing = tracing
         self.telemetry = telemetry
         self.sessions = []       # Obs sessions in boot order
+        self.registries = []     # metrics registries in run order
         self.alerts = AlertEngine(rules) if telemetry else None
         self.flight = (FlightRecorder(out_dir=flight_dir,
                                       sessions=self.sessions)
@@ -72,6 +80,7 @@ class ObsRun:
         if kernel is not None:
             obs.bind_kernel(kernel)
         self.sessions.append(obs)
+        self.registries.append(obs.metrics)
         if self.alerts is not None:
             self.alerts.watch(obs)
         return obs

@@ -94,22 +94,6 @@ class Tracer:
             return self._stack[-1]
         return self._event_ctx
 
-    def _enter_event(self, ctx):
-        """Called by the simulator before dispatching an event."""
-        self._event_ctx = ctx
-        if self._stack:
-            # A previous handler left scoped spans open: they stay open (the
-            # owner holds their handles) but must not leak as parents into
-            # an unrelated event cascade.  Mutate in place — the run loop
-            # holds a reference to this exact list.
-            del self._stack[:]
-
-    def _exit_event(self):
-        """Called by the simulator after an event handler returns."""
-        self._event_ctx = None
-        if self._stack:
-            del self._stack[:]
-
     # -- spans ---------------------------------------------------------------------
 
     def begin(self, name, cat="", track="", parent=None, detached=False,

@@ -8,8 +8,8 @@ such a work-list either inline or on a pool of spawn-started workers
 parallel output is byte-identical to the serial run; a content-addressed
 cache keyed on (experiment, seed, config hash, code fingerprint) lets
 re-runs and resumed soaks skip completed cells.  Callers only say how
-many jobs they allow: a persisted cost model decides whether a pool's
-spawn boots would beat just running inline.
+many jobs they allow; the runner uses a pool whenever the host's cores,
+the jobs and the cells all allow more than one worker.
 
 Typical use::
 
@@ -22,16 +22,13 @@ Typical use::
 """
 
 from repro.par.cache import MISS, ResultCache, code_fingerprint, config_hash
-from repro.par.cost import CostModel, shared_model
 from repro.par.executors import choose_backend
-from repro.par.metrics import merge_snapshots
 from repro.par.runner import ParallelRunner, RunStats, effective_jobs
 from repro.par.shard import WorkItem, merge_results, work_list
 from repro.par.worker import CellError, resolve_runner, run_cell, run_shard
 
 __all__ = [
     "CellError",
-    "CostModel",
     "MISS",
     "ParallelRunner",
     "ResultCache",
@@ -42,10 +39,8 @@ __all__ = [
     "config_hash",
     "effective_jobs",
     "merge_results",
-    "merge_snapshots",
     "resolve_runner",
     "run_cell",
     "run_shard",
-    "shared_model",
     "work_list",
 ]

@@ -9,10 +9,10 @@ invalidates the whole cache at once — deliberately coarse, because a cell's
 behaviour can depend on any module the simulation transitively imports.
 
 Entries are one JSON file per cell under ``root/<experiment>/<kk>/<key>.json``
-(two-level fan-out keeps directories small on big sweeps).  Every file the
-package writes — cache entries and the cost model beside them — goes
-through :func:`write_atomic`, so a killed soak never leaves a torn file
-behind and a cache directory shared across users stays readable.
+(two-level fan-out keeps directories small on big sweeps).  Every entry
+is written through :func:`write_atomic`, so a killed soak never leaves a
+torn file behind and a cache directory shared across users stays
+readable.
 """
 
 import hashlib

@@ -16,19 +16,17 @@ output.
 Events are plain dicts:
 
 * ``{"ok": True, "cell": {"index", "payload", "wall_s"}, "metrics": ...}``
-  — one finished cell; ``metrics`` is a per-cell ``repro.obs`` snapshot
-  from pool children of an observing parent (``None`` inline, where cells
-  register with the parent's observed run directly);
+  — one finished cell; ``metrics`` is the list of the cell's session
+  :class:`~repro.obs.metrics.MetricsRegistry` objects from pool children
+  of an observing parent (``None`` inline, where cells register with the
+  parent's observed run directly);
 * ``{"ok": False, "index": i, "error": "..."}`` — the cell's runner
   raised :class:`~repro.par.worker.CellError`; the message carries the
   cell identity.  Any *other* exception (a bad runner spec, a dead
   worker pool) is a programming error and propagates.
 
-:func:`choose_backend` is the only thing that picks between them: inline
-unless a real pool is possible (cores, jobs, and cells all > 1) *and* the
-cost model's measured per-cell estimate projects a saving that clears the
-spawn-boot bill.  That single comparison is the fix for BENCH_par.json's
-parallel-slower-than-serial regression.
+:func:`choose_backend` is the only thing that picks between them: a pool
+exactly when it can overlap cells (cores, jobs and cells all > 1).
 """
 
 import os
@@ -36,31 +34,15 @@ import sys
 
 from repro.par.worker import CellError, run_cell, run_shard, worker_init
 
-#: what one spawned worker's interpreter boot costs, dominated by the
-#: ``import repro`` a fresh interpreter pays before its first cell
-SPAWN_BOOT_S = 1.0
 
+def choose_backend(n_cells, jobs, cpu_count=None):
+    """``"spawn"`` when a pool can overlap cells, else ``"inline"``.
 
-def choose_backend(n_cells, jobs, cpu_count=None, est_cell_s=None):
-    """Pick ``"inline"`` or ``"spawn"`` from measured capacity.
-
-    ``inline`` whenever a pool cannot help (one core, one job, one cell)
-    or the cost model projects the spawn boots outweigh the parallel
-    saving; ``spawn`` otherwise.  With no estimate yet the choice is
-    optimistic (``spawn`` when a pool is possible) — the run itself then
-    records the costs that inform the next decision.
+    A pool needs more than one core, one job and one cell.  The choice
+    reads nothing else, so a run does not depend on what ran before it.
     """
     cores = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    workers = min(jobs, max(1, cores), n_cells)
-    if workers <= 1:
-        return "inline"
-    if est_cell_s is None:
-        return "spawn"
-    serial_s = est_cell_s * n_cells
-    saved_s = serial_s - serial_s / workers
-    if saved_s > SPAWN_BOOT_S * workers:
-        return "spawn"
-    return "inline"
+    return "spawn" if min(jobs, cores, n_cells) > 1 else "inline"
 
 
 def run_inline(specs):
@@ -102,10 +84,9 @@ def run_spawn(specs, jobs, observe=False):
     shared call queue hands an idle worker the oldest unstarted cell, so
     a skewed cell never strands the rest behind it.  Events stream back
     through ``as_completed``, in completion order.  Every worker pays an
-    interpreter boot (importing ``repro`` is the bulk of it), which is
-    why :func:`choose_backend` only picks this path when the cost model
-    says the workload amortises it.  ``observe`` runs every cell inside a
-    fresh metrics-only obs run and ships its snapshot home with the cell.
+    interpreter boot (importing ``repro`` is the bulk of it).  ``observe``
+    runs every cell inside a fresh metrics-only obs run and ships its
+    metrics registries home with the cell.
     """
     from concurrent.futures import ProcessPoolExecutor, as_completed
     from multiprocessing import get_context

@@ -6,12 +6,16 @@ and returns their payloads *in work-list order* — the merge sorts by
 shard key, never completion order, so with deterministic cells the
 output is byte-identical to a serial run whichever path ran.
 
-The path is chosen per run by measurement, not by the caller: inline (no
-pool, zero overhead) unless the host has spare cores *and* the persisted
-cost model projects that the parallel saving clears the spawn-boot bill.
-That is the measured-cost fix for the parallel-slower-than-serial
-regression BENCH_par.json recorded.  The pool hands each idle worker the
-next unstarted cell, so a skewed cell never strands the workers behind it.
+The path is chosen per run, not by the caller: a spawn pool when the
+host's cores, the jobs and the cells all allow more than one worker,
+else inline (no pool, zero overhead).  The choice reads nothing a
+previous run left behind.  The pool hands each idle worker the next
+unstarted cell, so a skewed cell never strands the workers behind it.
+
+Inside an observed run, pool cells ship their metrics home and the
+runner folds them into the run in work-list order, at the point where
+``run()`` returns, which is where the inline path's sessions land.  So
+the merged metrics are the serial ones whichever path ran.
 
 A :class:`~repro.par.cache.ResultCache` short-circuits completed cells
 before anything is dispatched, and fresh results are *streamed* back:
@@ -27,9 +31,7 @@ from time import perf_counter
 
 from repro.obs import runtime as obs_runtime
 from repro.par.cache import MISS
-from repro.par.cost import shared_model
 from repro.par.executors import choose_backend, run_inline, run_spawn
-from repro.par.metrics import merge_snapshots
 from repro.par.shard import merge_results
 from repro.par.worker import CellError
 
@@ -93,10 +95,6 @@ class ParallelRunner:
         self.jobs = jobs
         self.cache = cache
         self.stats = RunStats(jobs=jobs)
-        #: merged per-worker ``repro.obs`` metrics of an observed run
-        #: (subprocess runs only; in-process cells register with the
-        #: current run directly)
-        self.obs_snapshot = None
 
     def run(self, items):
         """Execute every cell; returns payloads ordered by work-list index.
@@ -109,7 +107,7 @@ class ParallelRunner:
         items = list(items)
         start = perf_counter()
         self.stats = RunStats(jobs=self.jobs, cells=len(items))
-        self.obs_snapshot = None
+        obs_run = obs_runtime.current
 
         indexed = []      # (index, payload) from cache and executor alike
         todo = []
@@ -122,18 +120,15 @@ class ParallelRunner:
         self.stats.cached = len(indexed)
         self.stats.executed = len(todo)
 
-        cost = shared_model(self.cache)
-        estimate = cost.estimate(todo[0].experiment) if todo else None
-        backend = choose_backend(len(todo), self.jobs, est_cell_s=estimate)
+        backend = choose_backend(len(todo), self.jobs)
         self.stats.backend = backend
 
         failures = []
         by_index = {item.index: item for item in todo}
-        metric_snaps = {}
+        registries = {}
         if todo:
             specs = [item.spec() for item in todo]
-            events = (run_spawn(specs, self.jobs,
-                                obs_runtime.current is not None)
+            events = (run_spawn(specs, self.jobs, obs_run is not None)
                       if backend == "spawn" else run_inline(specs))
             for event in events:
                 if not event["ok"]:
@@ -142,18 +137,14 @@ class ParallelRunner:
                 cell = event["cell"]
                 index = cell["index"]
                 self.stats.cell_wall_s += cell["wall_s"]
-                cost.observe(by_index[index].experiment, cell["wall_s"])
                 indexed.append((index, cell["payload"]))
                 if self.cache is not None:
                     # streamed write-back: a later failure cannot lose it
                     self.cache.put(by_index[index], cell["payload"])
-                if event.get("metrics"):
-                    metric_snaps[index] = event["metrics"]
-        if metric_snaps:
-            # merge in index order so last-writer gauges stay deterministic
-            self.obs_snapshot = merge_snapshots(
-                [metric_snaps[index] for index in sorted(metric_snaps)])
-        cost.save()
+                if event["metrics"] is not None:
+                    registries[index] = event["metrics"]
+        for index in sorted(registries):
+            obs_run.registries.extend(registries[index])
 
         self.stats.failed = len(failures)
         if self.cache is not None:

@@ -22,7 +22,11 @@ def sleep_cell(seed, config):
 
 
 def sim_cell(seed, config):
-    """Boot a real :class:`Simulator` and run a chained-event loop."""
+    """Boot a real :class:`Simulator` and run a chained-event loop.
+
+    Inside an observed run it records a counter, a histogram and a gauge
+    (the seed: last writer wins, so the merge order shows).
+    """
     from repro.obs import runtime as obs_runtime
     from repro.sim.engine import Simulator
 
@@ -39,6 +43,7 @@ def sim_cell(seed, config):
     if obs is not None:
         obs.metrics.inc("par.testing.pings", fired[0])
         obs.metrics.observe("par.testing.horizon_ns", sim.now)
+        obs.metrics.set("par.testing.seed", seed)
     return {"seed": seed, "now": sim.now, "fired": fired[0]}
 
 

@@ -8,10 +8,14 @@ runner, and ships back a JSON-able payload.  Nothing live (simulators,
 kernels, RNG registries) is ever pickled.
 
 When the parent observes, the worker runs each cell inside a fresh
-metrics-only :class:`~repro.obs.runtime.ObsRun` and returns that run's
-merged snapshot alongside the result — that is how per-worker
-``repro.obs`` metrics reach the parent's aggregate.  The run ends with
-the cell, so nothing carries over into the next cell the worker picks up.
+metrics-only :class:`~repro.obs.runtime.ObsRun` and returns the cell's
+metrics alongside the result: its sessions'
+:class:`~repro.obs.metrics.MetricsRegistry` objects in boot order, which
+pickle with their raw histogram samples.  The parent folds them into its
+own run where a serial run would have recorded the cell, so its merged
+metrics take the very ``merge_from`` calls a serial run makes.  The run
+ends with the cell, so nothing carries over into the next cell the
+worker picks up.
 """
 
 import importlib
@@ -19,7 +23,6 @@ import sys
 from time import perf_counter
 
 from repro.obs import runtime as obs_runtime
-from repro.obs.exporters import metrics_snapshot
 
 
 class CellError(RuntimeError):
@@ -61,19 +64,17 @@ def run_cell(spec):
 def run_shard(spec, observe=False):
     """Run one cell spec; the pool's unit of dispatch.
 
-    Returns ``{"cell": {...}, "metrics": merged-snapshot-or-None}``.  With
+    Returns ``{"cell": {...}, "metrics": registries-or-None}``.  With
     ``observe`` the cell runs inside a fresh metrics-only
-    :class:`~repro.obs.runtime.ObsRun`, and ``metrics`` is the merged
-    snapshot of its sessions (None when the cell booted no simulator).
+    :class:`~repro.obs.runtime.ObsRun`, and ``metrics`` is that run's
+    registries in boot order (None when the cell booted no simulator).
     """
     if not observe:
         return {"cell": run_cell(spec), "metrics": None}
     run = obs_runtime.ObsRun()
     with obs_runtime.observe(run):
         cell = run_cell(spec)
-    metrics = (metrics_snapshot(run.sessions)["merged"] if run.sessions
-               else None)
-    return {"cell": cell, "metrics": metrics}
+    return {"cell": cell, "metrics": run.registries or None}
 
 
 def worker_init(sys_path_entries):

@@ -12,8 +12,8 @@ behaviour (the sha256 differential tests pin this down bit for bit):
   session once per call and enters a dedicated loop (fast / traced),
   instead of re-reading ``self.obs`` for every event.  Installing a
   session or toggling ``tracer.enabled`` mid-handler therefore takes
-  effect at the next ``run``/``step`` call — nothing in the tree does
-  this, and sessions are documented as install-before-run;
+  effect at the next ``run`` call — nothing in the tree does this, and
+  sessions are documented as install-before-run;
 * **lazy trace bookkeeping** — with tracing enabled the loop pays one
   flag check per event until the first span begins
   (``tracer._seen_spans``); only after that does it stamp scheduling
@@ -60,7 +60,7 @@ class Simulator:
         self.obs = None
         # The active tracer when scheduling-context stamping may be needed
         # (session installed with tracing enabled), else None.  Set by
-        # Obs.install and re-latched by run()/step().
+        # Obs.install and re-latched by run().
         self._ctx_tracer = None
 
     @property
@@ -221,9 +221,10 @@ class Simulator:
         else:
             # Traced loop: until the first span begins, one flag check per
             # event is the entire tracing cost.  Afterwards each event
-            # resets the per-cascade state the way _enter_event used to —
-            # the reset folds into the *next* event's prologue (and the
-            # finally below), which nothing can observe in between.
+            # resets the per-cascade state (its scheduling context, an
+            # empty scope stack) — the reset folds into the *next* event's
+            # prologue (and the finally below), which nothing can observe
+            # in between.
             stack = tracer._stack
             try:
                 while True:
@@ -253,30 +254,6 @@ class Simulator:
         if until is not None and until > self._now:
             self._now = until
         return self._now
-
-    def step(self):
-        """Run a single event; return False when the queue is empty."""
-        tracer = self._latch_dispatch()
-        event = self._queue.pop()
-        if event is None:
-            return False
-        self._now = event.time
-        if tracer is None:
-            event.fn(*event.args)
-        else:
-            self._dispatch(event, tracer)
-        return True
-
-    def _dispatch(self, event, tracer):
-        """A traced ``step()``: resume the event's trace context around it."""
-        tracer._enter_event(getattr(event, "ctx", None))
-        try:
-            event.fn(*event.args)
-        finally:
-            # A raising handler must still close the tracer's event scope:
-            # callers that catch and keep stepping would otherwise see this
-            # event's context leak into every later cascade.
-            tracer._exit_event()
 
     def pending(self):
         """Number of live events still queued (O(queued) — diagnostics)."""

@@ -62,10 +62,6 @@ class StepTrace:
     def last_value(self):
         return self._values[-1]
 
-    @property
-    def last_time(self):
-        return self._times[-1]
-
     def __len__(self):
         return len(self._times)
 

@@ -9,6 +9,8 @@ import pytest
 
 from repro.experiments.faults_exp import run_faults, run_scenario, soak_seeds
 from repro.faults import scenario
+from repro.obs import metrics_snapshot
+from repro.obs.runtime import ObsRun, observe
 
 
 @pytest.mark.parametrize("name, expect_invariant", [
@@ -42,6 +44,20 @@ def test_armed_scenario_that_never_fires_is_a_mismatch():
     outcome = run_scenario(never, seed=0)
     assert outcome.injections == 0
     assert not outcome.matches
+
+
+def test_a_second_observed_run_records_what_the_first_did():
+    """Regression: the uncapped powercap measurement was memoised per
+    seed, so a second observed run in one process recorded one boot fewer
+    than the first, and other counts."""
+    snapshots = []
+    for _ in range(2):
+        with observe(ObsRun()) as run:
+            run_scenario(scenario("powercap-stale"), seed=0)
+        snapshots.append(metrics_snapshot(run.sessions))
+    # the uncapped measurement's boot, then the capped scenario's
+    assert len(snapshots[0]["sessions"]) == 2
+    assert snapshots[1] == snapshots[0]
 
 
 def test_campaign_runs_a_named_subset():

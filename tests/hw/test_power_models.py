@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hw.gpu import default_gpu_opps
 from repro.hw.power import AccelPowerModel, CpuPowerModel, NicPowerModel, OperatingPoint
 
 
@@ -36,21 +37,21 @@ class TestCpuPowerModel:
 
 class TestAccelPowerModel:
     def test_no_commands_is_idle_plus_static(self):
-        model = AccelPowerModel()
+        model = AccelPowerModel(default_gpu_opps())
         opp = model.opps[0]
         assert model.rail_power(opp, opp.freq_hz, []) == pytest.approx(
             model.idle_w + opp.static_w
         )
 
     def test_overlap_factor_below_one_for_concurrency(self):
-        model = AccelPowerModel()
+        model = AccelPowerModel(default_gpu_opps())
         assert model.overlap_factor(1) == 1.0
         assert model.overlap_factor(2) < 1.0
         assert model.overlap_factor(99) <= model.overlap_factor(2)
 
     def test_request_entanglement_subadditive(self):
         """P(two commands) < P(cmd1 alone) + P(cmd2 alone) - idle."""
-        model = AccelPowerModel()
+        model = AccelPowerModel(default_gpu_opps())
         opp = model.opps[-1]
         nominal = opp.freq_hz
         both = model.rail_power(opp, nominal, [0.5, 0.7])
@@ -60,7 +61,7 @@ class TestAccelPowerModel:
         assert both < one + other - base
 
     def test_frequency_scales_active_power_superlinearly(self):
-        model = AccelPowerModel()
+        model = AccelPowerModel(default_gpu_opps())
         low, high = model.opps[0], model.opps[-1]
         p_low = model.rail_power(low, high.freq_hz, [1.0]) - low.static_w
         p_high = model.rail_power(high, high.freq_hz, [1.0]) - high.static_w
@@ -68,7 +69,7 @@ class TestAccelPowerModel:
         assert ratio > high.freq_hz / low.freq_hz
 
     def test_zero_inflight_overlap_factor(self):
-        assert AccelPowerModel().overlap_factor(0) == 0.0
+        assert AccelPowerModel(default_gpu_opps()).overlap_factor(0) == 0.0
 
 
 class TestNicPowerModel:

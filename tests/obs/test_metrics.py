@@ -1,6 +1,11 @@
 """Metrics unit tests: counters, gauges, weighted histograms, merging."""
 
+import json
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
 
@@ -102,6 +107,60 @@ def test_registry_merge_semantics():
     assert a.gauge("g").min == 0.5
     assert a.gauge("g").max == 4.0
     assert a.histogram("h").count == 2
+
+
+#: one recorded sample: an integer count (what every counter site adds), a
+#: gauge write or a weighted histogram observation
+_SAMPLES = st.one_of(
+    st.tuples(st.just("inc"), st.sampled_from("ab"), st.integers(0, 2**40)),
+    st.tuples(st.just("set"), st.sampled_from("ab"),
+              st.floats(allow_nan=False)),
+    st.tuples(st.just("observe"), st.sampled_from("ab"),
+              st.floats(allow_nan=False, allow_infinity=False),
+              st.floats(min_value=0.0, max_value=1e6)),
+)
+
+
+def _feed(registry, samples):
+    for kind, name, *args in samples:
+        getattr(registry, kind)(name, *args)
+
+
+def _split(items, cuts):
+    """``items`` cut into contiguous runs at each index in ``cuts``."""
+    bounds = [0] + sorted(min(cut, len(items)) for cut in cuts) + [len(items)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples=st.lists(_SAMPLES, max_size=60),
+       session_cuts=st.lists(st.integers(0, 60), max_size=6),
+       cell_cuts=st.lists(st.integers(0, 7), max_size=3))
+def test_registries_split_into_cells_merge_like_one(samples, session_cuts,
+                                                    cell_cuts):
+    """What a pool run folds equals one registry fed every sample.
+
+    The samples are split into sessions and the sessions into cells.
+    Each cell's registries are pickled, as a pool worker returns them,
+    and every registry is merged in order with ``merge_from``.  The
+    snapshot JSON must equal that of one registry fed every sample in
+    order.  Gauge values leave out NaN: a session whose first write is
+    NaN keeps NaN bounds, so a split moves a NaN gauge's envelope.  No
+    site writes one.
+    """
+    flat = MetricsRegistry()
+    _feed(flat, samples)
+    sessions = []
+    for chunk in _split(samples, session_cuts):
+        registry = MetricsRegistry()
+        _feed(registry, chunk)
+        sessions.append(registry)
+    merged = MetricsRegistry()
+    for cell in _split(sessions, cell_cuts):
+        for registry in pickle.loads(pickle.dumps(cell)):
+            merged.merge_from(registry)
+    assert (json.dumps(merged.snapshot(), sort_keys=True)
+            == json.dumps(flat.snapshot(), sort_keys=True))
 
 
 def test_snapshot_shape():

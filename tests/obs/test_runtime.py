@@ -157,7 +157,8 @@ def test_an_observed_worker_cell_runs_deferred_and_restores(
     spec = {"index": 0, "experiment": "sim", "seed": 1, "config": {},
             "runner": "repro.par.testing:sim_cell"}
     shard = run_shard(spec, observe=True)
-    assert shard["metrics"]["counters"]["par.testing.pings"] > 0
+    [registry] = shard["metrics"]
+    assert registry.counters["par.testing.pings"].value > 0
     assert gc.get_threshold() == thresholds
     run_shard(spec, observe=False)
     assert seen == [thresholds[:2] + (DEFERRED,), thresholds]

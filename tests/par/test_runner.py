@@ -5,10 +5,15 @@ Pool tests here use the tiny spawn-safe runners from
 ``test_par_differential.py``.
 """
 
+import argparse
 import io
+import json
 
 import pytest
 
+import repro.par.testing as testing
+from repro.experiments import __main__ as cli
+from repro.obs import metrics_snapshot
 from repro.obs import runtime as obs_runtime
 from repro.obs.runtime import ObsRun, observe
 from repro.par import (
@@ -164,28 +169,78 @@ def test_invalid_runner_spec():
 
 
 def test_worker_obs_metrics_aggregate(force_spawn):
-    """An observing parent gets every pool cell's metrics merged, and
-    only through the snapshot: the cells' sessions live and die in the
-    workers' own per-cell runs."""
+    """An observing parent gets every pool cell's metrics in its run, with
+    their raw samples, so quantiles stay exact; the cells' sessions live
+    and die in the workers' own per-cell runs."""
     items = work_list("demo", "repro.par.testing:sim_cell",
                       [(seed, {"horizon_ns": 50_000}) for seed in range(4)])
     runner = ParallelRunner(jobs=2)
     with observe(ObsRun()) as run:
         payloads = runner.run(items)
     assert [p["fired"] for p in payloads] == [51] * 4
-    snap = runner.obs_snapshot
-    assert snap is not None
-    assert snap["counters"]["par.testing.pings"] == 4 * 51
-    assert snap["histograms"]["par.testing.horizon_ns"]["count"] == 4
     assert run.sessions == []
+    assert len(run.registries) == 4
+    merged = metrics_snapshot(run.sessions, run.registries)["merged"]
+    assert merged["counters"]["par.testing.pings"] == 4 * 51
+    horizon = merged["histograms"]["par.testing.horizon_ns"]
+    assert horizon["count"] == 4
+    assert horizon["p50"] == horizon["p99"] == 50_000.0
+    assert merged["gauges"]["par.testing.seed"] == {
+        "value": 3.0, "min": 0.0, "max": 3.0}
+
+
+def _sandwich_export(backend, force_backend, tmp_path, monkeypatch, capsys):
+    """One parent session, 4 runner cells, another parent session, then
+    the CLI's ``--metrics m.json`` export; returns the file's merged
+    block, the printed text and the run."""
+    force_backend(backend)
+    cells = work_list("demo", "repro.par.testing:sim_cell",
+                      [(seed, {"horizon_ns": 10_000 * (seed + 1)})
+                       for seed in range(4)])
+    with observe(ObsRun()) as run:
+        testing.sim_cell(7, {"horizon_ns": 5_000})
+        runner = ParallelRunner(jobs=2)
+        runner.run(cells)
+        testing.sim_cell(8, {"horizon_ns": 7_000})
+    assert runner.stats.backend == backend
+    out_dir = tmp_path / backend
+    out_dir.mkdir()
+    monkeypatch.chdir(out_dir)
+    capsys.readouterr()
+    cli._export_observability(
+        argparse.Namespace(trace=None, metrics="m.json", telemetry=None), run)
+    with open("m.json") as handle:
+        merged = json.load(handle)["merged"]
+    return (json.dumps(merged, indent=2, sort_keys=True),
+            capsys.readouterr().out, run)
+
+
+def test_pool_metrics_fold_in_where_inline_cells_record_them(
+        force_backend, tmp_path, monkeypatch, capsys):
+    """``--jobs N --metrics`` writes what ``--jobs 1`` writes: the pool
+    cells' registries join the run in work-list order, between the parent
+    sessions recorded before and after the runner, where the inline
+    path's sessions land."""
+    inline = _sandwich_export("inline", force_backend, tmp_path,
+                              monkeypatch, capsys)
+    spawn = _sandwich_export("spawn", force_backend, tmp_path,
+                             monkeypatch, capsys)
+    assert '"par.testing.pings"' in inline[0]
+    assert spawn[0] == inline[0]
+    assert spawn[1] == inline[1]
+    # sessions list in-process sessions only
+    assert len(inline[2].sessions) == 6
+    assert len(spawn[2].sessions) == 2
+    assert ([registry.snapshot() for registry in spawn[2].registries]
+            == [registry.snapshot() for registry in inline[2].registries])
 
 
 def test_serial_path_leaves_parent_obs_runtime_alone():
     """Outside an observed run, jobs=1 neither observes nor ships metrics."""
     runner = ParallelRunner(jobs=1)
-    runner.run(work_list("demo", "repro.par.testing:sim_cell",
-                         [(0, {"horizon_ns": 10_000})]))
-    assert runner.obs_snapshot is None
+    payloads = runner.run(work_list("demo", "repro.par.testing:sim_cell",
+                                    [(0, {"horizon_ns": 10_000})]))
+    assert payloads[0]["fired"] == 11
     assert obs_runtime.current is None
 
 
@@ -194,8 +249,6 @@ def test_serial_path_preserves_observing_parent_sessions():
     cells must join the run's sessions next to the ones already there —
     the CLI's export step needs them all, including ones from experiments
     that ran earlier in the same invocation."""
-    import repro.par.testing as testing
-
     with observe(ObsRun()) as run:
         # a session from an "earlier experiment" in the same invocation
         testing.sim_cell(7, {"horizon_ns": 5_000})
@@ -205,7 +258,7 @@ def test_serial_path_preserves_observing_parent_sessions():
         runner.run(work_list("demo", "repro.par.testing:sim_cell",
                              [(0, {"horizon_ns": 10_000}),
                               (1, {"horizon_ns": 10_000})]))
-    # worker metrics come back only from pool children; in-process
-    # cells stay in the run's sessions for _export_observability
-    assert runner.obs_snapshot is None
+    # in-process cells stay in the run's sessions for
+    # _export_observability, and nothing else joins its registries
     assert len(run.sessions) == 3
+    assert run.registries == [obs.metrics for obs in run.sessions]

@@ -66,17 +66,6 @@ def test_cancelled_event_does_not_fire():
     assert seen == []
 
 
-def test_step_runs_one_event():
-    sim = Simulator()
-    seen = []
-    sim.call_later(1, seen.append, "a")
-    sim.call_later(2, seen.append, "b")
-    assert sim.step()
-    assert seen == ["a"]
-    assert sim.step()
-    assert not sim.step()
-
-
 def test_events_fire_in_causal_order():
     sim = Simulator()
     seen = []
@@ -125,9 +114,8 @@ def test_pending_excludes_cancelled_events():
 
 
 def test_dispatch_restores_tracer_scope_when_handler_raises():
-    """Regression: a raising handler skipped tracer._exit_event, leaking
-    its event context into every later cascade for callers that catch and
-    keep stepping."""
+    """Regression: a raising handler must not leak its event context into
+    every later cascade for callers that catch and keep running."""
     from repro.obs import Obs
 
     sim = Simulator()
@@ -144,15 +132,9 @@ def test_dispatch_restores_tracer_scope_when_handler_raises():
         sim.run()
     # The event scope must be closed despite the exception ...
     assert obs.tracer.current is None
-    # ... so stepping on works and the next cascade starts clean.
+    # ... so running on works and the next cascade starts clean.
     sim.run()
     assert fired == ["after"]
-    assert obs.tracer.current is None
-    # A traced step() takes Simulator._dispatch, which closes it too.
-    with obs.tracer.span("cause"):
-        sim.call_later(1, boom)      # the event carries "cause" as context
-    with pytest.raises(RuntimeError):
-        sim.step()
     assert obs.tracer.current is None
 
 
