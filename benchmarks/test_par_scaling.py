@@ -4,10 +4,11 @@ Emits ``BENCH_par.json`` at the repo root — the scaling data point the
 parallel runner promises: the full fault-scenario campaign at two seeds
 run serially, fanned across the spawn pool at 2 and 4 jobs (timed through
 :func:`repro.par.executors.run_spawn` directly), run through the runner's
-own choice at ``jobs=4`` (``auto``: a pool whenever the host has more than
-one core, else inline), then replayed from a warm result cache.  One
-untimed pass of the same cells runs first, so the serial row is not also
-paying the process's import and cache warm-up.  Pool speedup depends on
+own choice at ``jobs=4`` (``auto``: a pool of one worker per core, at most
+four, whenever the host has more than one core, else inline), then
+replayed from a warm result cache.  One untimed pass of the same cells
+runs first, so the serial row is not also paying the process's import
+and cache warm-up.  Pool speedup depends on
 the machine's core count, so the spawn rows carry honest timings without
 assertions; ``auto`` is the row with a contract — it must never be
 meaningfully slower than serial: on a 1-core host it runs inline, and on

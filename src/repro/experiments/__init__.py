@@ -1,43 +1,30 @@
-"""Experiment drivers: one per table/figure of the paper's evaluation.
+"""Experiment drivers, one module per ``python -m repro.experiments``
+subcommand (DESIGN.md maps them to the paper).
 
-Each driver returns a plain result object carrying the same rows/series the
-paper reports; the benchmark harness prints and sanity-checks them.  See
-DESIGN.md's per-experiment index for the mapping.
+A driver's ``result(args)`` computes its subcommand from the CLI's parsed
+arguments (the figure drivers take none), and ``render(result)`` returns
+the text the CLI prints for it.
 """
 
-from repro.experiments.fig3 import (
-    run_fig3a_spatial,
-    run_fig3b_requests,
-    run_fig3c_lingering,
-)
-from repro.experiments.fig6 import FIG6_SCENARIOS, run_fig6_row
-from repro.experiments.fig7 import (
-    run_fig7_cpu,
-    run_fig7_dsp,
-    run_fig7_gpu,
-    run_fig7_wifi,
-)
-from repro.experiments.fig8 import FIG8_SCENARIOS, run_fig8
-from repro.experiments.fig9 import run_fig9
-from repro.experiments.sec62 import run_sec62_latency, run_sec62_throughput
-from repro.experiments.sec63 import run_sec63_robustness
-from repro.experiments.sidechannel_exp import run_sidechannel
+import importlib
 
-__all__ = [
-    "FIG6_SCENARIOS",
-    "FIG8_SCENARIOS",
-    "run_fig3a_spatial",
-    "run_fig3b_requests",
-    "run_fig3c_lingering",
-    "run_fig6_row",
-    "run_fig7_cpu",
-    "run_fig7_dsp",
-    "run_fig7_gpu",
-    "run_fig7_wifi",
-    "run_fig8",
-    "run_fig9",
-    "run_sec62_latency",
-    "run_sec62_throughput",
-    "run_sec63_robustness",
-    "run_sidechannel",
-]
+#: subcommand -> the module that computes and renders it
+DRIVERS = {
+    "cluster": "repro.experiments.cluster_exp",
+    "faults": "repro.experiments.faults_exp",
+    "fig3": "repro.experiments.fig3",
+    "fig6": "repro.experiments.fig6",
+    "fig7": "repro.experiments.fig7",
+    "fig8": "repro.experiments.fig8",
+    "fig9": "repro.experiments.fig9",
+    "powercap": "repro.experiments.powercap_exp",
+    "sec62": "repro.experiments.sec62",
+    "sec63": "repro.experiments.sec63",
+    "sidechannel": "repro.experiments.sidechannel_exp",
+    "sweep": "repro.experiments.sweep",
+}
+
+
+def driver(name):
+    """The driver module of subcommand ``name``, imported on first use."""
+    return importlib.import_module(DRIVERS[name])

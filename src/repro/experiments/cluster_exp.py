@@ -23,6 +23,7 @@ are written as ``BENCH_cluster.json`` so CI can diff and archive them.
 import json
 from dataclasses import dataclass, field
 
+from repro.analysis.report import format_table
 from repro.cluster import (
     Cluster,
     ClusterConfig,
@@ -39,6 +40,7 @@ from repro.cluster import (
     placements_by_node,
     standard_mix,
 )
+from repro.par import ResultCache
 
 #: default shape of the acceptance run
 DEFAULT_NODES = 8
@@ -49,7 +51,7 @@ DEFAULT_BENCH_PATH = "BENCH_cluster.json"
 
 @dataclass
 class ClusterExperimentResult:
-    """Everything one cluster campaign produced (all JSON-able)."""
+    """Everything one cluster campaign produced (JSON-able but ``par``)."""
 
     seed: int
     nodes: int
@@ -63,6 +65,8 @@ class ClusterExperimentResult:
     placement: dict = field(default_factory=dict)
     runs: dict = field(default_factory=dict)     # allocator -> metrics
     predictor: dict = field(default_factory=dict)
+    #: the calibration runner's RunStats (stderr only, never benched)
+    par: object = field(default=None, compare=False, repr=False)
 
     def bench(self):
         """The ``BENCH_cluster.json`` payload (stable key order)."""
@@ -153,3 +157,40 @@ def write_bench(result, path=DEFAULT_BENCH_PATH):
         json.dump(result.bench(), handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
+
+
+def result(args):
+    """The campaign at ``--nodes`` (default 8), calibration over ``--jobs``."""
+    campaign, runner = run_cluster(
+        nodes=args.nodes or DEFAULT_NODES, jobs=args.jobs,
+        cache=ResultCache(args.cache) if args.cache else None)
+    campaign.par = runner.stats
+    return campaign
+
+
+def render(result):
+    rows = [[name,
+             "{:+.2f}%".format(m["compliance_pct"]),
+             "{:.2f}%".format(m["mean_abs_error_pct"]),
+             "{:+.2f}%".format(m["max_overshoot_pct"]),
+             "{:.3f} W".format(m["redistributed_slack_w"]),
+             str(m["throttle_actions"])]
+            for name, m in sorted(result.runs.items())]
+    return format_table(
+        ["quantity", "value"],
+        [["nodes", str(result.nodes)],
+         ["instances placed", "{}/{}".format(result.placement["placed"],
+                                             result.instances)],
+         ["peak concurrent users", "{:,}".format(result.peak_users)],
+         ["uncapped cluster peak", "{:.2f} W".format(result.uncapped_peak_w)],
+         ["datacenter budget (70%)", "{:.2f} W".format(result.budget_w)],
+         ["spill rate", "{:.1%}".format(result.placement["spill_rate"])],
+         ["placement balance CV", "{:.3f}".format(
+             result.placement["balance_cv"])]],
+        title="Cluster — {} nodes under one budget".format(result.nodes),
+    ) + "\n" + format_table(
+        ["allocator", "compliance", "abs err", "max over", "slack moved",
+         "actions"],
+        rows,
+        title="Global allocators, head to head",
+    ) + "\n"

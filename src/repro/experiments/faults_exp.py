@@ -22,10 +22,11 @@ Two workloads back the matrix:
 when any scenario misses its expectation.
 """
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from repro.analysis.report import format_table
 from repro.apps.base import App
 from repro.check import InvariantChecker
 from repro.experiments.common import boot
@@ -35,7 +36,7 @@ from repro.experiments.powercap_exp import (
     build_budget_tree,
 )
 from repro.faults import DETECTED, SCENARIOS, TOLERATED, TaskCrashInjector, scenario
-from repro.par import ParallelRunner, work_list
+from repro.par import ParallelRunner, ResultCache, work_list
 from repro.kernel.actions import Compute, SendPacket, Sleep, SubmitAccel
 from repro.powercap import PowerCapController
 from repro.sim.clock import SEC, from_msec, from_usec
@@ -312,3 +313,50 @@ def campaign_summary_lines(campaign):
                          outcome.first_violation))
     return lines
 
+
+# -- the subcommand ---------------------------------------------------------------
+
+
+@dataclass
+class SoakResult:
+    """What one ``faults`` invocation ran: one campaign per seed."""
+
+    campaigns: list
+    #: the runner's RunStats: wall times, so not part of the result's value
+    par: object = field(default=None, compare=False)
+
+    @property
+    def ok(self):
+        return all(campaign.ok for campaign in self.campaigns)
+
+
+def result(args):
+    """One campaign at seed 0, or ``--seeds N`` drawn from ``--entropy``."""
+    seeds = [0] if args.seeds is None else soak_seeds(args.seeds,
+                                                       args.entropy)
+    campaigns, runner = run_faults_parallel(
+        seeds, jobs=args.jobs,
+        cache=ResultCache(args.cache) if args.cache else None)
+    return SoakResult(campaigns, par=runner.stats)
+
+
+def render(result):
+    """A table for one campaign; a summary per campaign for a soak."""
+    if len(result.campaigns) != 1:
+        return "".join(line + "\n" for campaign in result.campaigns
+                       for line in campaign_summary_lines(campaign))
+    campaign, = result.campaigns
+    lines = [format_table(
+        ["scenario", "workload", "injections", "violations", "outcome"],
+        [[o.name, o.workload, str(o.injections), str(o.violations),
+          o.outcome + ("" if o.matches else " (MISMATCH!)")]
+         for o in campaign.outcomes],
+        title="Fault campaign — seed {}".format(campaign.seed),
+    )]
+    lines += ["  {}: first violation {}".format(o.name, o.first_violation)
+              for o in campaign.outcomes if o.first_violation]
+    lines.append("campaign {}: {}/{} scenarios matched expectations".format(
+        "ok" if campaign.ok else "FAILED",
+        len(campaign.outcomes) - len(campaign.mismatches),
+        len(campaign.outcomes)))
+    return "\n".join(lines) + "\n"

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.report import format_series, format_table
 from repro.apps.base import App
 from repro.experiments.common import boot
 from repro.kernel.actions import Compute, Sleep
@@ -73,7 +74,7 @@ def run_fig3a_spatial(seed=11, duration=1 * SEC, dt=MSEC):
 
 @dataclass
 class Fig3bResult:
-    commands: list                      # (seq, kind, dispatch_t, notify_t)
+    commands: list                      # (n, kind, dispatch_t, notify_t)
     times: np.ndarray
     watts: np.ndarray
     overlap_ns: int                     # cmd 1 / cmd 2 in-flight overlap
@@ -100,9 +101,12 @@ def run_fig3b_requests(seed=12, dt=100_000):
                       on_complete=on_done)
     platform.sim.run(until=120 * MSEC)
 
+    # Commands are numbered 1-3 as in the figure: ``Command.seq`` counts
+    # every command this process ever built, so it depends on what ran
+    # before this boot.
     commands = [
-        (c.seq, c.kind, c.dispatch_t, notify.get(c.seq))
-        for c in (c1, c2, c3)
+        (n, c.kind, c.dispatch_t, notify.get(c.seq))
+        for n, c in enumerate((c1, c2, c3), start=1)
     ]
     times, watts = platform.meter.sample("gpu", 0, 120 * MSEC, dt)
     overlap = max(0, min(c1.complete_t, c2.complete_t) - c2.dispatch_t)
@@ -163,3 +167,27 @@ def run_fig3c_lingering(seed=13, dt=MSEC):
         mean_after_idle=float(after_idle.mean()),
         mean_after_busy=float(after_busy.mean()),
     )
+
+
+def result(args=None):
+    """The ``fig3`` subcommand: panels (a), (b) and (c), in that order."""
+    return run_fig3a_spatial(), run_fig3b_requests(), run_fig3c_lingering()
+
+
+def render(result):
+    a, b, c = result
+    return "\n".join([
+        format_table(
+            ["series", "mean W"],
+            [["2 instances", "{:.2f}".format(a.mean_two)],
+             ["1 instance doubled", "{:.2f}".format(a.mean_one_doubled)]],
+            title="Fig 3a — spatial concurrency",
+        ),
+        "doubling overestimates by {:+.0f}%\n".format(a.overestimate_pct),
+        "Fig 3b — commands 1/2 overlap for {:.1f} ms".format(
+            b.overlap_ns / 1e6),
+        format_series(b.watts, label="GPU W"),
+        "\nFig 3c — after idle {:.2f} W vs after busy {:.2f} W "
+        "({:+.0f}%)".format(c.mean_after_idle, c.mean_after_busy,
+                            c.lingering_pct),
+    ]) + "\n"

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from repro.accounting import PerSampleUsageAccounting
 from repro.analysis.energy import percent_delta
+from repro.analysis.report import format_table
 from repro.apps.cpu_apps import bodytrack, calib3d, dedup
 from repro.apps.dsp_apps import dgemm, monte, sgemm
 from repro.apps.gpu_apps import gpu_browser, magic, triangle
@@ -135,3 +136,23 @@ def run_fig6_row(component, seed=3, horizon_s=14, keep_traces=False,
 
     return Fig6Row(component=component, alone=alone,
                    psbox_cells=psbox_cells, baseline_cells=baseline_cells)
+
+
+def result(args=None):
+    """The ``fig6`` subcommand: one row per component."""
+    return [run_fig6_row(component) for component in FIG6_SCENARIOS]
+
+
+def render(result):
+    tables = []
+    for row in result:
+        rows = [["alone", "{:.0f}".format(row.alone.energy_j * 1000), "--"]]
+        for mechanism, cells in (("psbox ", row.psbox_cells),
+                                 ("existing ", row.baseline_cells)):
+            rows += [[mechanism + cell.label,
+                      "{:.0f}".format(cell.energy_j * 1000),
+                      "{:+.1f}%".format(cell.delta_pct)] for cell in cells]
+        tables.append(format_table(
+            ["scenario", "mJ", "delta"], rows,
+            title="Fig 6 — {} row".format(row.component)))
+    return "".join(table + "\n\n" for table in tables)

@@ -88,32 +88,19 @@ def run_fig7_dsp(use_psbox=True, seed=7, duration=5 * SEC, dt=MSEC):
         box.enter()
     platform.sim.run(until=duration)
 
-    dispatches = {}
-    commands = []
-    for t, kind, payload in platform.dsp.log:
-        if kind == "dispatch":
-            dispatches[payload["seq"]] = (t, payload)
-        elif kind == "complete" and payload["seq"] in dispatches:
-            t0, info = dispatches.pop(payload["seq"])
-            commands.append((info["app"], info["cmd_kind"], t0, t))
+    commands = _engine_commands(platform.dsp.log)
     times, watts = platform.meter.sample("dsp", 0, duration, dt)
     windows = box.vmeter.windows("dsp", 0, duration) if use_psbox else []
-
-    foreign_overlap = 0
-    for lo, hi in windows:
-        for app_id, _kind, t0, t1 in commands:
-            if app_id != a.id:
-                s, e = max(t0, lo), min(t1, hi)
-                if e > s:
-                    foreign_overlap += e - s
     kernel.shutdown()
     return Fig7DspResult(
         commands=commands, times=times, watts=watts, psbox_app_id=a.id,
-        windows=windows, foreign_overlap_ns=foreign_overlap,
+        windows=windows,
+        foreign_overlap_ns=_foreign_overlap(windows, commands, a.id),
     )
 
 
 def _engine_commands(log):
+    """``(app_id, kind, dispatch_t, complete_t)`` of each finished command."""
     dispatches = {}
     commands = []
     for t, kind, payload in log:
@@ -121,8 +108,15 @@ def _engine_commands(log):
             dispatches[payload["seq"]] = (t, payload)
         elif kind == "complete" and payload["seq"] in dispatches:
             t0, info = dispatches.pop(payload["seq"])
-            commands.append((info["app"], info.get("cmd_kind", ""), t0, t))
+            commands.append((info["app"], info["cmd_kind"], t0, t))
     return commands
+
+
+def _foreign_overlap(windows, commands, app_id):
+    """Other apps' in-flight time inside the psbox's windows."""
+    return sum(max(0, min(t1, hi) - max(t0, lo))
+               for lo, hi in windows
+               for owner, _kind, t0, t1 in commands if owner != app_id)
 
 
 def run_fig7_gpu(use_psbox=True, seed=7, duration=2 * SEC, dt=MSEC):
@@ -139,15 +133,11 @@ def run_fig7_gpu(use_psbox=True, seed=7, duration=2 * SEC, dt=MSEC):
     commands = _engine_commands(platform.gpu.log)
     times, watts = platform.meter.sample("gpu", 0, duration, dt)
     windows = box.vmeter.windows("gpu", 0, duration) if use_psbox else []
-    foreign_overlap = 0
-    for lo, hi in windows:
-        for app_id, _kind, t0, t1 in commands:
-            if app_id != a.id:
-                foreign_overlap += max(0, min(t1, hi) - max(t0, lo))
     kernel.shutdown()
     return Fig7DspResult(
         commands=commands, times=times, watts=watts, psbox_app_id=a.id,
-        windows=windows, foreign_overlap_ns=foreign_overlap,
+        windows=windows,
+        foreign_overlap_ns=_foreign_overlap(windows, commands, a.id),
     )
 
 
@@ -176,14 +166,23 @@ def run_fig7_wifi(use_psbox=True, seed=7, duration=3 * SEC, dt=MSEC):
             transmissions.append((info["app"], "tx", t0, t))
     times, watts = platform.meter.sample("wifi", 0, duration, dt)
     windows = box.vmeter.windows("wifi", 0, duration) if use_psbox else []
-    foreign_overlap = 0
-    for lo, hi in windows:
-        for app_id, _kind, t0, t1 in transmissions:
-            if app_id != a.id:
-                foreign_overlap += max(0, min(t1, hi) - max(t0, lo))
     kernel.shutdown()
     return Fig7DspResult(
         commands=transmissions, times=times, watts=watts,
         psbox_app_id=a.id, windows=windows,
-        foreign_overlap_ns=foreign_overlap,
+        foreign_overlap_ns=_foreign_overlap(windows, transmissions, a.id),
     )
+
+
+def result(args=None):
+    """The ``fig7`` subcommand: the paper's CPU and DSP panels, with psbox."""
+    return run_fig7_cpu(use_psbox=True), run_fig7_dsp(use_psbox=True)
+
+
+def render(result):
+    cpu, dsp = result
+    return ("Fig 7 CPU — {} balloons, {:.0f} ms forced idle\n"
+            "Fig 7 DSP — {} balloons, foreign overlap in windows: "
+            "{:.1f} ms\n").format(len(cpu.windows), cpu.forced_idle_ns / 1e6,
+                                  len(dsp.windows),
+                                  dsp.foreign_overlap_ns / 1e6)

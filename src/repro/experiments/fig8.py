@@ -7,6 +7,7 @@ sandboxed instance should lose throughput, the others stay put.
 
 from dataclasses import dataclass
 
+from repro.analysis.report import format_table
 from repro.apps.cpu_apps import calib3d
 from repro.apps.dsp_apps import sgemm
 from repro.apps.gpu_apps import cube
@@ -93,3 +94,21 @@ def run_fig8(component, seed=5, phase_s=2.0, settle_s=0.4):
     kernel.shutdown()
     return Fig8Result(component=component, metric=metric,
                       instances=instances)
+
+
+def result(args=None):
+    """The ``fig8`` subcommand: one panel per component."""
+    return [run_fig8(component) for component in FIG8_SCENARIOS]
+
+
+def render(result):
+    tables = []
+    for panel in result:
+        rows = [[i.name + ("*" if i.sandboxed else ""),
+                 "{:.1f}".format(i.before), "{:.1f}".format(i.after),
+                 "{:+.1f}%".format(-i.loss_pct)]
+                for i in panel.instances]
+        tables.append(format_table(
+            ["instance", "before", "after", "change"], rows,
+            title="Fig 8 — {}".format(panel.component)))
+    return "".join(table + "\n\n" for table in tables)

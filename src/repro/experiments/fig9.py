@@ -70,3 +70,19 @@ def fidelity_power_span(seed=18, duration_s=2.5):
         vr.stop()
         kernel.shutdown()
     return span[0], span[1]
+
+
+def result(args=None):
+    """The ``fig9`` subcommand: the open-loop fidelity power span, then the
+    closed-loop budget sweep."""
+    return fidelity_power_span(), run_fig9()
+
+
+def render(result):
+    (low, high), sweep = result
+    lines = ["Fig 9 — fidelity span {:.0f}..{:.0f} mW = {:.1f}x".format(
+        low * 1000, high * 1000, high / low)]
+    lines += ["  budget {:.2f} W -> observed {:.3f} W at fidelity {}".format(
+        budget, watts, level) for budget, watts, level
+        in zip(sweep.budgets_w, sweep.observed_w, sweep.fidelity)]
+    return "\n".join(lines) + "\n"

@@ -21,6 +21,7 @@ platform cap of 70% of that peak.  The run demonstrates the three claims:
 
 from dataclasses import dataclass
 
+from repro.analysis.report import format_table
 from repro.apps.cpu_apps import bodytrack, calib3d
 from repro.apps.gpu_apps import magic
 from repro.apps.wifi_apps import scp
@@ -183,3 +184,28 @@ def run_powercap(seed=11, cap_fraction=0.70, horizon_s=HORIZON_S):
     )
     kernel.shutdown()
     return result
+
+
+def result(args=None):
+    """The ``powercap`` subcommand, at the default 70% cap."""
+    return run_powercap()
+
+
+def render(result):
+    return format_table(
+        ["quantity", "value"],
+        [["uncapped aggregate", "{:.2f} W".format(result.uncapped_w)],
+         ["platform cap (70%)", "{:.2f} W".format(result.cap_w)],
+         ["steady aggregate", "{:.2f} W".format(result.steady_w)],
+         ["cap compliance", "{:+.1f}%".format(result.compliance_pct)],
+         ["aggregate after B idles", "{:.2f} W".format(result.relaxed_w)],
+         ["tenant A grant gain", "{:+.2f} W".format(result.tenant_a_gain_w)],
+         ["throttle/relax actions", str(result.throttle_actions)]],
+        title="Power capping — hierarchical budget enforcement",
+    ) + "\n" + format_table(
+        ["leaf", "grant contended", "grant after B idles"],
+        [[leaf, "{:.2f} W".format(result.grants_contended[leaf]),
+          "{:.2f} W".format(result.grants_relaxed[leaf])]
+         for leaf in sorted(result.grants_contended)],
+        title="Per-leaf grants (slack redistribution)",
+    ) + "\n"

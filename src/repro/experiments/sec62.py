@@ -87,3 +87,20 @@ def run_sec62_throughput(seed=5):
                 (o.loss_pct for o in result.others), default=0.0),
         ))
     return rows
+
+
+def result(args=None):
+    """The ``sec62`` subcommand: latency rows, then throughput rows."""
+    return run_sec62_latency(), run_sec62_throughput()
+
+
+def render(result):
+    latency, throughput = result
+    lines = ["latency {:<16} {:8.2f} -> {:8.2f} ms".format(
+        row.component, row.mean_without_ns / 1e6, row.mean_with_ns / 1e6)
+        for row in latency]
+    lines += ["throughput {:<6} total loss {:5.1f}%  (sandboxed "
+              "{:5.1f}%)".format(row.component, row.total_loss_pct,
+                                 row.sandboxed_loss_pct)
+              for row in throughput]
+    return "\n".join(lines) + "\n"

@@ -80,3 +80,12 @@ def run_sec63_robustness(seed=21, phase_s=2.5, settle_s=0.5):
     )
     kernel.shutdown()
     return result
+
+
+def result(args=None):
+    return run_sec63_robustness()
+
+
+def render(result):
+    return "Sec 6.3 — browser {:.1f}x slower, triangle {:+.1f}%\n".format(
+        result.browser_slowdown, -result.triangle_loss_pct)

@@ -2,20 +2,20 @@
 
 ``python -m repro.experiments sweep --jobs N`` runs every figure and
 section experiment — plus a powercap cap-fraction sweep — as independent
-:mod:`repro.par` cells, inline or on the spawn pool.  Each cell captures
-the stdout its experiment would have printed; the merge re-emits the
-captured text in work-list order, so ``--jobs 8`` output is byte-identical
-to ``--jobs 1`` (which runs the same cells in-process).
+:mod:`repro.par` cells, inline or on the spawn pool.  Each cell returns
+the text its subcommand prints (its driver's ``render(result())``); the
+merge re-emits the texts in work-list order, so ``--jobs 8`` output is
+byte-identical to ``--jobs 1`` (which runs the same cells in-process).
 
 Cells are addressed by name: the plain experiment subcommands (``fig3`` ..
 ``sidechannel``) and ``powercap@<fraction>`` for the cap sweep.  With
 ``--cache DIR`` a finished sweep replays from the result cache instantly.
 """
 
-import contextlib
-import io
+from dataclasses import dataclass, field
 
-from repro.par import ParallelRunner, work_list
+from repro.experiments import driver
+from repro.par import ParallelRunner, ResultCache, work_list
 
 #: the dotted entry point spawn-started workers import
 CELL_RUNNER = "repro.experiments.sweep:run_sweep_cell"
@@ -34,29 +34,27 @@ def cell_names():
     ]
 
 
-def _powercap_cell(fraction):
+def _powercap_line(fraction):
     from repro.experiments.powercap_exp import run_powercap
 
     result = run_powercap(cap_fraction=fraction)
-    print("cap {:>3.0%} of peak: uncapped {:.2f} W  cap {:.2f} W  "
-          "steady {:.2f} W  compliance {:+.1f}%  throttle/relax {}".format(
-              fraction, result.uncapped_w, result.cap_w, result.steady_w,
-              result.compliance_pct, result.throttle_actions))
+    return ("cap {:>3.0%} of peak: uncapped {:.2f} W  cap {:.2f} W  "
+            "steady {:.2f} W  compliance {:+.1f}%  throttle/relax {}\n"
+            .format(fraction, result.uncapped_w, result.cap_w,
+                    result.steady_w, result.compliance_pct,
+                    result.throttle_actions))
 
 
 def run_sweep_cell(seed, config):
-    """Spawn-safe cell runner: one experiment, stdout captured as text."""
+    """Spawn-safe cell runner: one experiment, rendered as text."""
     del seed    # sweep cells carry their seeds internally
     name = config["cell"]
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        if name.startswith("powercap@"):
-            _powercap_cell(float(name.split("@", 1)[1]))
-        else:
-            from repro.experiments.__main__ import EXPERIMENTS
-
-            EXPERIMENTS[name]()
-    return {"cell": name, "text": buffer.getvalue()}
+    if name.startswith("powercap@"):
+        text = _powercap_line(float(name.split("@", 1)[1]))
+    else:
+        module = driver(name)
+        text = module.render(module.result())
+    return {"cell": name, "text": text}
 
 
 def sweep_items(names=None):
@@ -72,9 +70,26 @@ def sweep_items(names=None):
                      [(0, {"cell": name}) for name in names])
 
 
-def run_sweep(names=None, jobs=1, cache=None):
-    """Run the sweep; returns ``(payloads-in-order, runner)``."""
-    runner = ParallelRunner(jobs=jobs, cache=cache)
-    payloads = runner.run(sweep_items(names))
-    return payloads, runner
+@dataclass
+class SweepResult:
+    payloads: list      # {"cell": name, "text": rendered} in work-list order
+    #: the runner's RunStats: wall times, so not part of the result's value
+    par: object = field(default=None, compare=False)
 
+
+def result(args):
+    """Every cell, or the ``--only`` subset, over ``--jobs`` workers."""
+    try:
+        items = sweep_items(args.only.split(",") if args.only else None)
+    except ValueError as exc:
+        # unknown --only cells: a clean CLI error, not a CellError from
+        # deep inside a worker
+        raise SystemExit("error: {}".format(exc))
+    runner = ParallelRunner(
+        jobs=args.jobs, cache=ResultCache(args.cache) if args.cache else None)
+    return SweepResult(runner.run(items), par=runner.stats)
+
+
+def render(result):
+    return "".join("== {} ==\n{}".format(payload["cell"], payload["text"])
+                   for payload in result.payloads)

@@ -25,8 +25,9 @@ Events are plain dicts:
   cell identity.  Any *other* exception (a bad runner spec, a dead
   worker pool) is a programming error and propagates.
 
-:func:`choose_backend` is the only thing that picks between them: a pool
-exactly when it can overlap cells (cores, jobs and cells all > 1).
+:func:`choose_backend` is the only thing that picks between them and
+sizes the pool: a pool exactly when it can overlap cells (cores, jobs and
+cells all > 1), with no more workers than cores.
 """
 
 import os
@@ -36,13 +37,16 @@ from repro.par.worker import CellError, run_cell, run_shard, worker_init
 
 
 def choose_backend(n_cells, jobs, cpu_count=None):
-    """``"spawn"`` when a pool can overlap cells, else ``"inline"``.
+    """``("spawn", workers)`` when a pool can overlap cells, else
+    ``("inline", 1)``.
 
-    A pool needs more than one core, one job and one cell.  The choice
+    A pool needs more than one core, one job and one cell, and it gets
+    one worker per core, job or cell, whichever is fewest.  The choice
     reads nothing else, so a run does not depend on what ran before it.
     """
     cores = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
-    return "spawn" if min(jobs, cores, n_cells) > 1 else "inline"
+    workers = min(jobs, cores, n_cells)
+    return ("spawn", workers) if workers > 1 else ("inline", 1)
 
 
 def run_inline(specs):

@@ -120,7 +120,7 @@ class ParallelRunner:
         self.stats.cached = len(indexed)
         self.stats.executed = len(todo)
 
-        backend = choose_backend(len(todo), self.jobs)
+        backend, workers = choose_backend(len(todo), self.jobs)
         self.stats.backend = backend
 
         failures = []
@@ -128,7 +128,7 @@ class ParallelRunner:
         registries = {}
         if todo:
             specs = [item.spec() for item in todo]
-            events = (run_spawn(specs, self.jobs, obs_run is not None)
+            events = (run_spawn(specs, workers, obs_run is not None)
                       if backend == "spawn" else run_inline(specs))
             for event in events:
                 if not event["ok"]:

@@ -19,12 +19,7 @@ from repro.powercap.actuators import (
     CfsBandwidthActuator,
     GovernorClampActuator,
 )
-from repro.powercap.budget import (
-    BudgetNode,
-    BudgetTree,
-    allocate_snapshot,
-    waterfill,
-)
+from repro.powercap.budget import BudgetNode, BudgetTree, waterfill
 from repro.powercap.controller import (
     ControllerConfig,
     LeafBinding,
@@ -34,7 +29,6 @@ from repro.powercap.telemetry import TelemetryRing
 
 __all__ = [
     "Actuator",
-    "allocate_snapshot",
     "BalloonAdmissionActuator",
     "BudgetNode",
     "BudgetTree",

@@ -166,24 +166,6 @@ class BudgetTree:
             raise KeyError("no budget node {!r}".format(name))
         return self._nodes[name]
 
-    def snapshot(self):
-        """The tree as the nested-dict spec :meth:`from_spec` accepts.
-
-        The snapshot is freshly built, JSON-able, and shares no state with
-        the live tree — hand it to :func:`allocate_snapshot` (or across a
-        process boundary) without any daemon or ``BudgetNode`` in sight.
-        """
-        def capture(node):
-            entry = {"name": node.name, "weight": node.weight,
-                     "borrowable": node.borrowable}
-            if node.cap_w is not None:
-                entry["cap_w"] = node.cap_w
-            if node.children:
-                entry["children"] = [capture(c) for c in node.children]
-            return entry
-
-        return capture(self.root)
-
     def __contains__(self, name):
         return name in self._nodes
 
@@ -258,64 +240,3 @@ class BudgetTree:
                 extra[i] += slack * weights[i] / taker_weight
         for child, b, e in zip(children, base, extra):
             self._distribute(child, b + e, demands, grants)
-
-
-def _snapshot_demand(entry, demands):
-    children = entry.get("children")
-    if not children:
-        return max(0.0, demands.get(entry["name"], 0.0))
-    return sum(_snapshot_demand(child, demands) for child in children)
-
-
-def _snapshot_distribute(entry, available, demands, grants):
-    grants[entry["name"]] = available
-    children = entry.get("children")
-    if not children:
-        return
-    child_demand = [_snapshot_demand(child, demands) for child in children]
-    weights = [child.get("weight", 1.0) for child in children]
-    caps = [child.get("cap_w") for child in children]
-    borrowable = [child.get("borrowable", True) for child in children]
-    entitled = [
-        min(d, cap if cap is not None else _INF)
-        for d, cap in zip(child_demand, caps)
-    ]
-    base = waterfill(entitled, weights, available)
-    slack = available - sum(base)
-    extra = [0.0] * len(children)
-    if slack > 0:
-        overflow = [
-            d - e if may_borrow and cap is not None else 0.0
-            for d, e, cap, may_borrow
-            in zip(child_demand, entitled, caps, borrowable)
-        ]
-        extra = waterfill(overflow, weights, slack)
-        slack -= sum(extra)
-    if slack > 0:
-        takers = [i for i, may_borrow in enumerate(borrowable) if may_borrow]
-        taker_weight = sum(weights[i] for i in takers)
-        for i in takers:
-            extra[i] += slack * weights[i] / taker_weight
-    for child, b, e in zip(children, base, extra):
-        _snapshot_distribute(child, b + e, demands, grants)
-
-
-def allocate_snapshot(snapshot, demands, available=None):
-    """One water-filling allocation pass over a budget-tree *snapshot*.
-
-    ``snapshot`` is the nested-dict spec form (what
-    :meth:`BudgetTree.snapshot` returns and :meth:`BudgetTree.from_spec`
-    accepts); ``demands`` maps leaf names to watts.  Returns
-    ``{node name: granted watts}`` for every node — the same grants a live
-    :class:`BudgetTree` would compute — without instantiating a tree, a
-    controller, or any simulator state.  Pure: neither the snapshot nor
-    the demand mapping is mutated, so a cluster-level caller can rerun it
-    against one captured snapshot as often as it likes.
-    """
-    grants = {}
-    if available is None:
-        root_demand = _snapshot_demand(snapshot, demands)
-        cap = snapshot.get("cap_w")
-        available = cap if cap is not None else root_demand
-    _snapshot_distribute(snapshot, max(0.0, float(available)), demands, grants)
-    return grants

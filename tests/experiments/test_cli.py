@@ -1,37 +1,32 @@
-"""Tests for the `python -m repro.experiments` CLI."""
+"""Tests for the `python -m repro.experiments` CLI and its drivers."""
 
+import dataclasses
 import difflib
 import gc
-import importlib
+import hashlib
+import json
 import os
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
-from repro.experiments.__main__ import EXPERIMENTS, main
+from repro.experiments import DRIVERS, driver
+from repro.experiments.__main__ import build_parser, main
 
-#: every subcommand and the driver module backing it
-DRIVER_MODULES = {
-    "fig3": "repro.experiments.fig3",
-    "fig6": "repro.experiments.fig6",
-    "fig7": "repro.experiments.fig7",
-    "fig8": "repro.experiments.fig8",
-    "fig9": "repro.experiments.fig9",
-    "sec62": "repro.experiments.sec62",
-    "sec63": "repro.experiments.sec63",
-    "sidechannel": "repro.experiments.sidechannel_exp",
-    "powercap": "repro.experiments.powercap_exp",
-    "faults": "repro.experiments.faults_exp",
-    "sweep": "repro.experiments.sweep",
-    "cluster": "repro.experiments.cluster_exp",
-}
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+#: subcommands whose stdout is committed, and whose full-precision result
+#: is pinned in ``golden/results.sha256``
+GOLDEN_FAST = ("fig3", "fig6", "fig7", "fig8", "fig9", "sec62", "sec63",
+               "powercap", "faults", "sidechannel")
 
 
 def test_list_prints_registry(capsys):
     assert main(["--list"]) == 0
     out = capsys.readouterr().out
-    for name in EXPERIMENTS:
+    for name in DRIVERS:
         assert name in out
 
 
@@ -67,7 +62,9 @@ def test_counts_below_one_are_usage_errors(argv, capsys):
 
 
 def test_registry_covers_every_eval_section():
-    assert set(EXPERIMENTS) == set(DRIVER_MODULES)
+    """Every paper figure and section has a golden; cluster and sweep are
+    the two subcommands without one."""
+    assert set(DRIVERS) == set(GOLDEN_FAST) | {"cluster", "sweep"}
 
 
 def test_sweep_items_validates_names():
@@ -120,21 +117,21 @@ def test_faults_exits_0_when_every_scenario_matches(monkeypatch, capsys):
     assert "campaign ok: 14/14" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name", sorted(DRIVER_MODULES))
+@pytest.mark.parametrize("name", sorted(DRIVERS))
 def test_driver_module_imports(name):
-    """Every registered subcommand's driver imports cleanly."""
-    module = importlib.import_module(DRIVER_MODULES[name])
-    assert module is not None
+    """Every registered subcommand's driver imports cleanly and has the
+    driver contract: ``result(args)`` and ``render(result)``."""
+    module = driver(name)
+    assert callable(module.result) and callable(module.render)
 
 
 def test_run_one_experiment(capsys):
+    """The CLI prints a subcommand's block as the golden tests compose it."""
     assert main(["sec63"]) == 0
-    out = capsys.readouterr().out
-    assert "browser" in out
-    assert "triangle" in out
+    assert capsys.readouterr().out == (GOLDEN_DIR / "sec63.txt").read_text()
 
 
-@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+@pytest.mark.parametrize("name", sorted(DRIVERS))
 def test_run_every_experiment(name, capsys):
     """Full smoke over every subcommand (slow; nightly CI sets the gate)."""
     if not os.environ.get("PSBOX_SMOKE_ALL"):
@@ -143,23 +140,80 @@ def test_run_every_experiment(name, capsys):
     assert name in capsys.readouterr().out
 
 
-GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+def cli_block(name, text):
+    """The CLI's stdout for one subcommand that rendered ``text``."""
+    rule = "#" * 72
+    return "{0}\n# {1}\n{0}\n{2}\n".format(rule, name, text)
 
-#: subcommands whose stdout is committed
-GOLDEN_FAST = ("fig3", "fig6", "fig7", "fig8", "fig9", "sec62", "sec63",
-               "powercap", "faults", "sidechannel")
+
+def canonical(value):
+    """``value`` as plain JSON data, to full precision.
+
+    Dataclasses become their fields (those equality compares: a runner's
+    wall times are declared ``compare=False``), numpy arrays and scalars
+    Python lists and numbers, tuples lists, and dict keys that are not
+    strings their ``repr``.
+    """
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: canonical(getattr(value, f.name))
+                for f in dataclasses.fields(value) if f.compare}
+    if isinstance(value, dict):
+        return {key if isinstance(key, str) else repr(key): canonical(item)
+                for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [canonical(item) for item in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise TypeError("no canonical JSON for {!r}".format(type(value)))
 
 
-@pytest.mark.parametrize("name", GOLDEN_FAST)
-def test_stdout_matches_golden(name, capsys):
+def result_digest(result):
+    """sha256 of the canonical JSON: sorted keys, ``repr`` floats."""
+    text = json.dumps(canonical(result), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def read_pins(path):
+    """``{name: digest}`` from a file of ``sha256sum``-style lines."""
+    pins = {}
+    for line in path.read_text().splitlines():
+        digest, name = line.split("  ", 1)
+        pins[name] = digest
+    return pins
+
+
+def golden_result(name):
+    """What a bare ``python -m repro.experiments <name>`` computes."""
+    return driver(name).result(build_parser().parse_args([name]))
+
+
+#: ``sha256sum``-style lines, one per golden subcommand: the digest of its
+#: result's canonical JSON.  Only a change meant to alter simulated output
+#: may regenerate them (``PYTHONPATH=src python
+#: tests/experiments/test_cli.py > tests/experiments/golden/results.sha256``)
+RESULT_PINS = GOLDEN_DIR / "results.sha256"
+
+
+@pytest.fixture(scope="module", params=GOLDEN_FAST)
+def golden_run(request):
+    """One run of a golden subcommand: ``(name, result, rendered text)``,
+    shared by its text and result checks."""
+    name = request.param
+    result = golden_result(name)
+    return name, result, driver(name).render(result)
+
+
+def test_stdout_matches_golden(golden_run):
     """Byte identity of every figure's stdout against the committed text.
 
     Regenerate one golden with
     ``PYTHONPATH=src python -m repro.experiments <name> >
     tests/experiments/golden/<name>.txt``.
     """
-    assert main([name]) == 0
-    out = capsys.readouterr().out
+    name, _result, text = golden_run
+    out = cli_block(name, text)
     golden = (GOLDEN_DIR / (name + ".txt")).read_text()
     if out != golden:
         diff = difflib.unified_diff(
@@ -167,6 +221,25 @@ def test_stdout_matches_golden(name, capsys):
             fromfile="golden/{}.txt".format(name), tofile="stdout")
         pytest.fail("stdout of {} differs from its golden:\n{}".format(
             name, "".join(diff)), pytrace=False)
+
+
+def test_result_matches_its_pin(golden_run):
+    """The result behind the rounded text, pinned to the last bit: a
+    one-ulp move in any figure fails here while its text still matches."""
+    name, result, _text = golden_run
+    pins = read_pins(RESULT_PINS)
+    assert sorted(pins) == sorted(GOLDEN_FAST)
+    assert result_digest(result) == pins[name], (
+        "the result of {} differs from its pin in {}".format(
+            name, RESULT_PINS.name))
+
+
+@pytest.mark.parametrize("name", ["sec63", "fig7"])
+def test_a_sweep_cell_prints_its_subcommand_block(name):
+    from repro.experiments.sweep import run_sweep_cell
+
+    text = run_sweep_cell(0, {"cell": name})["text"]
+    assert cli_block(name, text) == (GOLDEN_DIR / (name + ".txt")).read_text()
 
 
 #: sha256 of stdout and of every file that ``cluster --nodes 2 --telemetry
@@ -179,8 +252,6 @@ CLUSTER_EVIDENCE = GOLDEN_DIR / "cluster_evidence.sha256"
 
 def _sha256_tree(root):
     """``{relative posix path: sha256}`` of every file under ``root``."""
-    import hashlib
-
     return {
         path.relative_to(root).as_posix():
             hashlib.sha256(path.read_bytes()).hexdigest()
@@ -196,9 +267,6 @@ def test_cluster_telemetry_report_writes_the_bundle(tmp_path, capsys,
     and every byte of it, the telemetry bundle, the flight dumps with
     their manifest and the bench JSON must hash to the committed digests.
     """
-    import hashlib
-    import json
-
     monkeypatch.chdir(tmp_path)
     out_dir = tmp_path / "tele"
     assert main(["cluster", "--nodes", "2", "--telemetry", "tele",
@@ -210,10 +278,7 @@ def test_cluster_telemetry_report_writes_the_bundle(tmp_path, capsys,
 
     written = _sha256_tree(tmp_path)
     written["stdout"] = hashlib.sha256(out.encode("utf-8")).hexdigest()
-    pinned = {}
-    for line in CLUSTER_EVIDENCE.read_text().splitlines():
-        digest, name = line.split("  ", 1)
-        pinned[name] = digest
+    pinned = read_pins(CLUSTER_EVIDENCE)
     assert sorted(written) == sorted(pinned)
     changed = sorted(name for name in pinned if written[name] != pinned[name])
     assert changed == [], "evidence differs from {}: {}".format(
@@ -290,3 +355,8 @@ def test_profile_appends_a_cprofile_table_to_the_unchanged_report(
     tottimes = [float(row.split()[1]) for row in rows]
     assert tottimes == sorted(tottimes, reverse=True)
     assert any("repro/" in row for row in rows)
+
+
+if __name__ == "__main__":
+    for key in GOLDEN_FAST:
+        print("{}  {}".format(result_digest(golden_result(key)), key))

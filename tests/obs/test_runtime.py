@@ -14,6 +14,7 @@ import inspect
 import pytest
 
 from repro.experiments import __main__ as cli
+from repro.experiments import driver
 from repro.obs import runtime
 from repro.obs.alerts import AlertRule, default_rules
 from repro.obs.runtime import ObsRun, install, observe
@@ -168,9 +169,11 @@ def test_an_observed_worker_cell_runs_deferred_and_restores(
 def test_an_observed_cli_run_defers_without_a_gc_hook(
         thresholds, tmp_path, monkeypatch):
     seen = []
-    fig7 = cli.EXPERIMENTS["fig7"]
-    monkeypatch.setitem(cli.EXPERIMENTS, "fig7", lambda: (
-        seen.append((gc.get_threshold(), list(gc.callbacks))) or fig7()))
+    fig7 = driver("fig7")
+    result = fig7.result
+    monkeypatch.setattr(fig7, "result", lambda args: (
+        seen.append((gc.get_threshold(), list(gc.callbacks)))
+        or result(args)))
     monkeypatch.chdir(tmp_path)
     callbacks = list(gc.callbacks)
     assert cli.main(["fig7", "--metrics", "m.json"]) == 0
@@ -216,11 +219,11 @@ def test_two_observed_invocations_in_one_process_are_identical(
 
 
 def test_a_raising_subcommand_leaves_no_current_run(tmp_path, monkeypatch):
-    def boom():
+    def boom(args):
         assert runtime.current is not None
         raise RuntimeError("subcommand failed")
 
-    monkeypatch.setitem(cli.EXPERIMENTS, "fig7", boom)
+    monkeypatch.setattr(driver("fig7"), "result", boom)
     monkeypatch.chdir(tmp_path)
     with pytest.raises(RuntimeError, match="subcommand failed"):
         cli.main(["fig7", "--metrics", "m.json"])

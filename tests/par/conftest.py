@@ -14,8 +14,11 @@ from repro.par import runner as runner_module
 def force_backend(monkeypatch):
     """``force_backend("spawn")`` makes every run in the test take that path."""
     def force(backend):
-        monkeypatch.setattr(runner_module, "choose_backend",
-                            lambda *args, **kwargs: backend)
+        # a forced pool gets a worker per job or cell, whatever the cores
+        monkeypatch.setattr(
+            runner_module, "choose_backend",
+            lambda n_cells, jobs: (backend, min(jobs, n_cells)
+                                   if backend == "spawn" else 1))
     return force
 
 

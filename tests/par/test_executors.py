@@ -5,6 +5,8 @@ The full-simulation byte-identity proof across both paths lives in
 the tiny spawn-safe cells from :mod:`repro.par.testing`.
 """
 
+import os
+
 import pytest
 
 from repro.par import ParallelRunner, choose_backend, work_list
@@ -70,20 +72,45 @@ def test_executors_run_nothing_on_empty_lists():
 # ----------------------------------------------------------- auto selection
 
 def test_auto_is_inline_when_a_pool_cannot_help():
-    assert choose_backend(10, jobs=1, cpu_count=8) == "inline"
-    assert choose_backend(10, jobs=8, cpu_count=1) == "inline"
-    assert choose_backend(1, jobs=8, cpu_count=8) == "inline"
-    assert choose_backend(0, jobs=8, cpu_count=8) == "inline"
+    assert choose_backend(10, jobs=1, cpu_count=8) == ("inline", 1)
+    assert choose_backend(10, jobs=8, cpu_count=1) == ("inline", 1)
+    assert choose_backend(1, jobs=8, cpu_count=8) == ("inline", 1)
+    assert choose_backend(0, jobs=8, cpu_count=8) == ("inline", 1)
 
 
 def test_auto_is_spawn_whenever_a_pool_can_overlap_cells():
-    """More than one core, job and cell is the whole rule."""
-    assert choose_backend(2, jobs=2, cpu_count=2) == "spawn"
-    assert choose_backend(28, jobs=8, cpu_count=2) == "spawn"
-    assert choose_backend(28, jobs=2, cpu_count=4) == "spawn"
+    """More than one core, job and cell is the whole rule; the pool gets
+    the fewest of the three."""
+    assert choose_backend(2, jobs=2, cpu_count=2) == ("spawn", 2)
+    assert choose_backend(28, jobs=8, cpu_count=2) == ("spawn", 2)
+    assert choose_backend(28, jobs=2, cpu_count=4) == ("spawn", 2)
+    assert choose_backend(3, jobs=8, cpu_count=4) == ("spawn", 3)
 
 
 def test_auto_never_picks_thread():
     """The only answers are the two paths that exist."""
     for n, jobs, cores in ((100, 8, 8), (2, 2, 2), (1, 1, 1)):
-        assert choose_backend(n, jobs, cores) in ("inline", "spawn")
+        assert choose_backend(n, jobs, cores)[0] in ("inline", "spawn")
+
+
+def test_a_pool_has_no_more_workers_than_cores(monkeypatch):
+    """A library ``ParallelRunner(jobs=4)`` on a 2-core host opens a pool
+    of 2: only the CLI clamps ``--jobs`` to the cores itself.  The pool
+    is recorded, and run on threads, through a patched executor class."""
+    import concurrent.futures
+
+    opened = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers, **_spawn_options):
+            opened.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    runner = ParallelRunner(jobs=4)
+    payloads = runner.run(_square_items(4))
+    assert [p["value"] for p in payloads] == [i * i + 7 for i in range(4)]
+    assert runner.stats.backend == "spawn"
+    assert opened == [2]

@@ -13,7 +13,7 @@ Two layers, both reusing the PR 2 sha256 fingerprint machinery:
 import pytest
 
 from repro.experiments import faults_exp
-from repro.experiments.__main__ import main
+from repro.experiments.__main__ import build_parser, main
 from repro.faults import SCENARIOS, fingerprint
 from repro.par import ParallelRunner, work_list
 
@@ -75,12 +75,14 @@ def test_soak_cli_stdout_is_byte_identical(capsys, tmp_path):
 
 
 def test_sweep_parallel_equals_serial():
-    """A cheap sweep subset: captured text identical across job counts."""
-    from repro.experiments.sweep import run_sweep
+    """A cheap sweep subset: rendered text identical across job counts."""
+    from repro.experiments import sweep
 
     names = ["sec63", "powercap@0.60"]
-    serial, _ = run_sweep(names, jobs=1)
-    parallel, runner = run_sweep(names, jobs=2)
-    assert parallel == serial
-    assert runner.stats.cells == 2
-    assert [p["cell"] for p in parallel] == names
+    args = build_parser().parse_args(["sweep", "--only", ",".join(names)])
+    serial = sweep.result(args)
+    args.jobs = 2
+    parallel = sweep.result(args)
+    assert parallel.payloads == serial.payloads
+    assert parallel.par.cells == 2
+    assert [p["cell"] for p in parallel.payloads] == names

@@ -1,17 +1,10 @@
 """Budget tree tests: water-filling, oversubscription, borrowing, slack."""
 
-import copy
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.powercap.budget import (
-    BudgetNode,
-    BudgetTree,
-    allocate_snapshot,
-    waterfill,
-)
+from repro.powercap.budget import BudgetNode, BudgetTree, waterfill
 
 EPS = 1e-9
 
@@ -222,67 +215,6 @@ def test_single_child_tree_passes_the_budget_through():
     grants = tree.allocate({"leaf": 9.0})
     assert grants["only"] == pytest.approx(2.0)
     assert grants["leaf"] == pytest.approx(2.0)
-
-
-# -- snapshots ---------------------------------------------------------------------
-
-
-def test_snapshot_round_trips_through_from_spec():
-    tree = two_tenant_tree()
-    snapshot = tree.snapshot()
-    rebuilt = BudgetTree.from_spec(snapshot)
-    assert rebuilt.snapshot() == snapshot
-    assert {leaf.name for leaf in rebuilt.leaves()} == {
-        leaf.name for leaf in tree.leaves()}
-
-
-def test_snapshot_shares_no_state_with_the_tree():
-    tree = two_tenant_tree(cap=3.0)
-    snapshot = tree.snapshot()
-    tree.root.cap_w = 99.0
-    tree.node("t-a").weight = 7.0
-    assert snapshot["cap_w"] == 3.0
-    assert snapshot["children"][0]["weight"] == 1.0
-
-
-@given(
-    st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=4,
-             max_size=4),
-    st.floats(min_value=0.5, max_value=6.0),
-)
-def test_allocate_snapshot_matches_the_live_tree(demands, cap):
-    tree = two_tenant_tree(cap=cap, tenant_cap=0.75 * cap)
-    leaf_demand = dict(zip(["a1", "a2", "b1", "b2"], demands))
-    live = tree.allocate(leaf_demand)
-    pure = allocate_snapshot(tree.snapshot(), leaf_demand)
-    assert set(pure) == set(live)
-    for name in live:
-        assert pure[name] == pytest.approx(live[name])
-
-
-def test_allocate_snapshot_mutates_nothing():
-    tree = two_tenant_tree()
-    snapshot = tree.snapshot()
-    frozen = copy.deepcopy(snapshot)
-    demands = {"a1": 5.0, "a2": 0.0, "b1": 2.0, "b2": 1.0}
-    demands_before = dict(demands)
-    allocate_snapshot(snapshot, demands)
-    allocate_snapshot(snapshot, demands, available=1.0)
-    assert snapshot == frozen
-    assert demands == demands_before
-
-
-def test_allocate_snapshot_defaults_match_tree_semantics():
-    # Uncapped root: the pass grants total demand, like the live tree.
-    snapshot = {"name": "root",
-                "children": [{"name": "x"}, {"name": "y"}]}
-    grants = allocate_snapshot(snapshot, {"x": 1.0, "y": 2.0})
-    assert grants["root"] == pytest.approx(3.0)
-    # available override charges unmanaged draw against the cap.
-    capped = allocate_snapshot(two_tenant_tree().snapshot(),
-                               {"a1": 5.0, "a2": 5.0, "b1": 5.0, "b2": 5.0},
-                               available=2.0)
-    assert capped["platform"] == pytest.approx(2.0)
 
 
 def test_waterfill_leaves_caller_lists_untouched():
