@@ -185,7 +185,10 @@ class Kernel:
         stays readable and reads the same: rails and the meter, every log
         in :meth:`logs`, tasks, app counters, psbox windows, ``sim.now``.
         Submitting work, psbox reads and running the simulator are
-        unsupported afterwards.  A second call does nothing.
+        unsupported afterwards.  Last, the simulator's observability
+        session, if any, lets go of the boot (``Obs.release``): it keeps
+        what its exports read and no longer reaches this kernel.  A
+        second call does nothing.
         """
         self.platform.shutdown()
         if self.smp is not None:
@@ -204,3 +207,6 @@ class Kernel:
                       getattr(self, "powercap", None)):
             if owner is not None:
                 owner.shutdown()
+        obs = self.sim.obs
+        if obs is not None:
+            obs.release(self)

@@ -335,10 +335,9 @@ def events_jsonl_lines(sessions):
     """
     lines = []
     for obs in sessions:
-        kernel = getattr(obs, "kernel", None)
-        controller = getattr(kernel, "powercap", None)
-        if controller is not None:
-            for entry in controller.telemetry.records():
+        ring = obs.powercap_ring()
+        if ring is not None:
+            for entry in ring.records():
                 doc = dict(entry, session=obs.label, kind="action")
                 doc["t_ns"] = doc.pop("t")
                 lines.append(json.dumps(doc, sort_keys=True))

@@ -78,20 +78,21 @@ def _stamp(obs):
     :meth:`FlightRecorder._session_snapshot` reads.  Series, the tracer's
     instants and every log only append, and every append grows ``len``
     or ``dropped``, so equal counts on the same objects mean equal
-    content.
+    content.  The kernel's part is the session's ``kernel_logs`` list,
+    which one bound kernel keeps from bind to release (in place), never
+    the kernel itself: a stamp must not keep a finished boot alive.
     """
     timeline = getattr(obs, "timeline", None)
     tracer = getattr(obs, "tracer", None)
-    kernel = getattr(obs, "kernel", None)
+    logs = obs.kernel_logs
     plan = getattr(obs.sim, "faults", None)
     return (
-        obs.label, obs.sim.now, timeline, kernel, plan,
+        obs.label, obs.sim.now, timeline, logs, plan,
         None if timeline is None else [
             (len(series), series.dropped, series.disordered)
             for series in timeline.all()],
         None if tracer is None else len(tracer.instants),
-        None if kernel is None else [
-            (len(log), log.dropped) for log in kernel.logs()],
+        [(len(log), log.dropped) for log in logs],
         None if plan is None else (len(plan.log), plan.log.dropped),
     )
 
@@ -119,13 +120,18 @@ class FlightRecorder:
     to snapshot (a fresh empty one by default), read live at every
     snapshot: an :class:`~repro.obs.runtime.ObsRun` passes its own list,
     so late-booted simulators are covered.  ``out_dir`` of None keeps
-    dumps in memory only (tests, the differential matrix); a path writes
-    ``flight-NNN.json`` files plus a ``manifest.json`` on :meth:`flush`.
+    every dump dict in ``dumps``, its only output (tests, the
+    differential matrix); a path writes each dump to a
+    ``flight-NNN.json`` file as it is taken, keeps only the file's path
+    in ``paths``, and writes a ``manifest.json`` on :meth:`flush`.
+    Either way ``triggers`` keeps each dump's trigger, and
+    :meth:`snapshot` returns the dump it took.
 
     A session unchanged since the previous dump is not copied again: its
     snapshot dict, and the JSON text written for it, are reused until its
-    stamp (:func:`_stamp`) moves.  So consecutive ``dumps`` share the
-    dicts of unchanged sessions, and every dump is read-only.
+    stamp (:func:`_stamp`) moves.  So consecutive dumps share the dicts
+    of unchanged sessions, and every dump is read-only.  Only each
+    session's newest snapshot is kept for that.
     """
 
     def __init__(self, out_dir=None, sessions=None, series_tail=256,
@@ -138,8 +144,9 @@ class FlightRecorder:
         self.series_tail = series_tail
         self.events_tail = events_tail
         self.max_dumps = max_dumps
-        self.dumps = []          # snapshot dicts, trigger order
-        self.paths = []          # files written (out_dir set)
+        self.dumps = []          # snapshot dicts, trigger order (no out_dir)
+        self.paths = []          # files written, trigger order (out_dir)
+        self.triggers = []       # each dump's trigger, trigger order
         self.suppressed = 0      # triggers past max_dumps
         self.sessions = [] if sessions is None else sessions
         self._rings = {}         # id -> (label, TelemetryRing); insertion order
@@ -195,22 +202,24 @@ class FlightRecorder:
         Read-only against the simulation: every ring it copies already
         exists, and nothing here draws RNG or schedules events.
         """
-        if len(self.dumps) >= self.max_dumps:
+        if len(self.triggers) >= self.max_dumps:
             self.suppressed += 1
             return None
         entries = [self._session(obs) for obs in self.sessions]
         dump = {
             "format": FORMAT,
             "version": VERSION,
-            "seq": len(self.dumps),
+            "seq": len(self.triggers),
             "trigger": _jsonable(trigger),
             "sessions": [snap for _stamp, snap, _text in entries],
             "actions": self._actions_snapshot(),
             "alerts": list(self._alerts),
             "suppressed": self.suppressed,
         }
-        self.dumps.append(dump)
-        if self.out_dir is not None:
+        self.triggers.append(dump["trigger"])
+        if self.out_dir is None:
+            self.dumps.append(dump)
+        else:
             self._write(dump, [text for _stamp, _snap, text in entries])
         return dump
 
@@ -262,21 +271,23 @@ class FlightRecorder:
             ]
         # the kernel's event logs (unbounded EventTraces; only an
         # EventTrace(capacity=N) is a ring): the "recent dispatched events"
-        # black box — scheduling decisions, drains, governor switches
-        if getattr(obs, "kernel", None) is not None:
-            for log in obs.kernel.logs():
-                # "seq" labels come from process-global counters (see
-                # repro.faults.diff) — strip them so dumps from the same
-                # seed are byte-identical run to run
-                snap["logs"][log.name] = {
-                    "retained": len(log),
-                    "dropped": log.dropped,
-                    "tail": [
-                        [t, kind,
-                         {str(k): v if type(v) in _SCALARS else _jsonable(v)
-                          for k, v in payload.items() if k != "seq"}]
-                        for t, kind, payload in _tail(log, self.events_tail)],
-                }
+        # black box — scheduling decisions, drains, governor switches.
+        # A shut-down boot's session keeps each log's last records, as
+        # many as this tail reads.
+        for log in obs.kernel_logs:
+            # "seq" labels come from process-global counters (see
+            # repro.faults.diff) — strip them so dumps from the same
+            # seed are byte-identical run to run
+            snap["logs"][log.name] = {
+                "retained": len(log),
+                "dropped": log.dropped,
+                "tail": [
+                    [t, kind,
+                     {str(k): v if type(v) in _SCALARS else _jsonable(v)
+                      for k, v in payload.items() if k != "seq"}]
+                    for t, kind, payload
+                    in _tail(log.records, self.events_tail)],
+            }
         plan = getattr(obs.sim, "faults", None)
         if plan is not None:
             snap["injections"] = [
@@ -319,10 +330,10 @@ class FlightRecorder:
                 "version": VERSION,
                 "dumps": [os.path.basename(p) for p in self.paths],
                 "suppressed": self.suppressed,
-                "triggers": [d["trigger"] for d in self.dumps],
+                "triggers": self.triggers,
             }
             path = os.path.join(self.out_dir, "manifest.json")
             with open(path, "w") as handle:
                 json.dump(manifest, handle, indent=1, sort_keys=True)
                 handle.write("\n")
-        return len(self.dumps)
+        return len(self.triggers)

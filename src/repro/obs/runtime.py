@@ -112,11 +112,13 @@ def observe(run):
     While a run is current, cyclic GC's full (generation 2) collections
     are deferred: threshold 2 goes to 2**31 - 1, the largest value
     ``gc.set_threshold`` accepts.  The run's sessions keep every
-    simulator, kernel, app and recorded span, sample and log record
-    alive until it ends, so the tracked heap only grows and a full
-    collection could only rescan it.  Young collections keep running;
-    they are cheap and find little, since a completed unit is no longer
-    a cycle.  The thresholds saved at entry come back on exit or raise,
+    recorded span, instant, sample, series point and metric, and each
+    shut-down boot's log counts and tails, alive until it ends; the
+    boots themselves they let go (``Obs.release``), and reference
+    counting frees them.  So a full collection could only rescan
+    records that must stay.  Young collections keep running; they are
+    cheap and find little, since a completed unit is no longer a
+    cycle.  The thresholds saved at entry come back on exit or raise,
     so nested blocks defer until the outermost one ends, and unobserved
     code keeps CPython's default policy (there, each owner shuts its
     finished boot down with ``Kernel.shutdown``, and reference counting

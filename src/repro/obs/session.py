@@ -7,6 +7,8 @@ every one of those points is a read-and-branch — the disabled-hook cost the
 differential tests and the BENCH_obs benchmark bound.
 """
 
+from itertools import islice
+
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
@@ -53,6 +55,30 @@ class _Bindings(dict):
         return instruments
 
 
+class KeptLog:
+    """One kernel log as a session keeps it once the boot has shut down.
+
+    The name, the retained and dropped counts, and the last ``tail``
+    records: as many as the run's flight recorder reads, none without
+    one.  It answers what readers ask an
+    :class:`~repro.sim.trace.EventTrace` (``name``, ``len``,
+    ``dropped``, the newest ``records``) as the log did, since a
+    shut-down boot logs nothing more.
+    """
+
+    __slots__ = ("name", "dropped", "records", "_retained")
+
+    def __init__(self, log, tail):
+        self.name = log.name
+        self.dropped = log.dropped
+        self._retained = len(log)
+        self.records = list(islice(log.records,
+                                   max(self._retained - tail, 0), None))
+
+    def __len__(self):
+        return self._retained
+
+
 class Obs:
     """One run's observability context (tracing + metrics + telemetry).
 
@@ -69,6 +95,12 @@ class Obs:
     tracer there once per session instead of looking a metric up by a
     name built on every event (DESIGN.md §5h).  The table belongs to the
     session, so no handle outlives it or reaches another simulator's.
+
+    ``kernel`` is the bound kernel while its boot runs.  At
+    ``Kernel.shutdown`` the session lets go of it (:meth:`release`), so
+    a finished boot is freed while its run goes on; ``kernel_logs`` and
+    :meth:`powercap_ring` answer the same for a live boot and a
+    released one.
     """
 
     def __init__(self, sim, label="", tracing=True, timeline=None,
@@ -81,6 +113,10 @@ class Obs:
         self.timeline = timeline
         self.flight = flight
         self.kernel = None
+        #: the bound kernel's event logs: its EventTraces while it runs,
+        #: a KeptLog of each once it has shut down
+        self.kernel_logs = []
+        self._kept_ring = None
         self.instruments = _Bindings(self)
 
     def install(self):
@@ -94,17 +130,41 @@ class Obs:
     def bind_kernel(self, kernel):
         """Remember the kernel so snapshots can report its log health."""
         self.kernel = kernel
+        self.kernel_logs = kernel.logs()
         return self
+
+    def release(self, kernel):
+        """Let go of ``kernel``'s boot, which has shut down.
+
+        The bound instruments go, since their keys are the boot's
+        components.  If ``kernel`` is the bound one, it goes too: each
+        of its logs becomes a :class:`KeptLog` with the flight
+        recorder's ``events_tail`` records, and the powercap ring is
+        kept.  ``kernel_logs`` is rewritten in place because a flight
+        stamp holds the list: the stamp still matches, and pins no log.
+        """
+        self.instruments.clear()
+        if kernel is not self.kernel:
+            return
+        tail = 0 if self.flight is None else self.flight.events_tail
+        self.kernel_logs[:] = [KeptLog(log, tail) for log in self.kernel_logs]
+        self._kept_ring = self.powercap_ring()
+        self.kernel = None
+
+    def powercap_ring(self):
+        """The bound kernel's powercap
+        :class:`~repro.powercap.telemetry.TelemetryRing`, or None."""
+        controller = getattr(self.kernel, "powercap", None)
+        return self._kept_ring if controller is None else controller.telemetry
 
     def log_stats(self):
         """Retention/drop stats of the bound kernel's event logs."""
         stats = {}
-        if self.kernel is not None:
-            for log in self.kernel.logs():
-                stats[log.name] = {
-                    "retained": len(log),
-                    "dropped": log.dropped,
-                }
+        for log in self.kernel_logs:
+            stats[log.name] = {
+                "retained": len(log),
+                "dropped": log.dropped,
+            }
         plan = getattr(self.sim, "faults", None)
         if plan is not None:
             stats[plan.log.name] = {

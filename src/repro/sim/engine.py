@@ -39,11 +39,14 @@ _FOREVER = float("inf")
 class Simulator:
     """Owns the virtual clock and runs events in timestamp order."""
 
-    __slots__ = ("_now", "_queue", "rng", "processes", "faults", "obs",
+    __slots__ = ("now", "_queue", "rng", "processes", "faults", "obs",
                  "_ctx_tracer")
 
     def __init__(self, seed=0):
-        self._now = 0
+        # Current simulation time in integer nanoseconds: a plain slot,
+        # read everywhere and written only by the run loops (and by
+        # ``run(until=)`` when the queue drains early).
+        self.now = 0
         self._queue = EventQueue()
         self.rng = RngRegistry(seed)
         self.processes = []
@@ -63,11 +66,6 @@ class Simulator:
         # Obs.install and re-latched by run().
         self._ctx_tracer = None
 
-    @property
-    def now(self):
-        """Current simulation time in integer nanoseconds."""
-        return self._now
-
     # -- scheduling --------------------------------------------------------------
     #
     # The three entry points repeat the slot/heap push inline: a chained
@@ -77,9 +75,9 @@ class Simulator:
 
     def at(self, time, fn, *args):
         """Schedule ``fn(*args)`` at an absolute time (>= now)."""
-        if time < self._now:
+        if time < self.now:
             raise ValueError(
-                "cannot schedule at t={} before now={}".format(time, self._now)
+                "cannot schedule at t={} before now={}".format(time, self.now)
             )
         queue = self._queue
         event = _new_event(Event)
@@ -109,7 +107,7 @@ class Simulator:
 
     def call_later(self, delay, fn, *args):
         """Schedule ``fn(*args)`` after ``delay`` nanoseconds."""
-        now = self._now
+        now = self.now
         time = now + delay
         if time < now:
             raise ValueError(
@@ -143,7 +141,7 @@ class Simulator:
 
     def call_soon(self, fn, *args):
         """Schedule ``fn(*args)`` at the current instant (after pending ties)."""
-        time = self._now
+        time = self.now
         queue = self._queue
         event = _new_event(Event)
         event.time = time
@@ -212,7 +210,7 @@ class Simulator:
                 queue._head = heappop(heap)[2] if heap else None
                 if event.cancelled:
                     continue
-                self._now = time
+                self.now = time
                 args = event.args
                 if args:
                     event.fn(*args)
@@ -237,7 +235,7 @@ class Simulator:
                     queue._head = heappop(heap)[2] if heap else None
                     if event.cancelled:
                         continue
-                    self._now = time
+                    self.now = time
                     if tracer._seen_spans:
                         tracer._event_ctx = getattr(event, "ctx", None)
                         if stack:
@@ -251,9 +249,9 @@ class Simulator:
                 tracer._event_ctx = None
                 if stack:
                     del stack[:]
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
     def pending(self):
         """Number of live events still queued (O(queued) — diagnostics)."""

@@ -6,7 +6,8 @@ make.  These cover two owners that call it, the side-channel attack's
 ``observe`` and the faults campaign's ``run_scenario``, and the temporal
 balloon's completion callbacks, which must not make cycles even while a
 boot is alive: a completed GPU, DSP, WiFi or LTE unit dies by reference
-counting.
+counting.  An observed run outlives its boots, so its sessions must let
+go of each one at shutdown and still export what it left.
 """
 
 import pytest
@@ -17,6 +18,8 @@ from repro.experiments.common import boot
 from repro.experiments.faults_exp import build_workload, run_scenario
 from repro.faults import scenario
 from repro.kernel.actions import Compute
+from repro.obs.exporters import events_jsonl_lines
+from repro.obs.runtime import ObsRun, observe
 from repro.sidechannel.attack import WebsiteFingerprinter
 from repro.sim.clock import from_msec
 from tests.integration.test_pinned_fingerprints import cyclic_garbage
@@ -80,3 +83,35 @@ def test_completed_units_leave_no_cyclic_garbage_on_a_live_board():
     work = build_workload("mixed", 0)
     assert cyclic_garbage(
         lambda: work.platform.sim.run(until=work.horizon_ns)) == []
+
+
+#: the event logs of a full board's kernel
+FULL_BOARD_LOGS = {"smp", "governor.cpu", "governor.gpu", "gpu.sched",
+                   "gpu.commands", "dsp.sched", "dsp.commands", "net.sched",
+                   "wifi.packets"}
+
+
+@pytest.mark.parametrize("workload", ["observe", "cluster"])
+def test_an_observed_boot_frees_itself(workload):
+    # the run outlives its boots, as a CLI run outlives each driver's: a
+    # session lets go of its boot at Kernel.shutdown, keeping what its
+    # exports read
+    run = ObsRun(tracing=True, telemetry=True, flight=True)
+
+    def fn():
+        with observe(run):
+            if workload == "observe":
+                WebsiteFingerprinter().observe("google", 100, True)
+            else:
+                run_cluster(nodes=1, jobs=1)
+
+    assert cyclic_garbage(fn) == []
+    # the cluster's cap-loop sessions have no kernel; every other session
+    # still reports its kernel's logs
+    boots = [obs for obs in run.sessions if not obs.label.startswith("cluster")]
+    assert boots and all(set(obs.log_stats()) == FULL_BOARD_LOGS
+                         for obs in boots)
+    assert run.flight.snapshot({"type": "test"})["sessions"]
+    actions = [line for line in events_jsonl_lines(run.sessions)
+               if '"kind": "action"' in line]
+    assert bool(actions) == (workload == "cluster")

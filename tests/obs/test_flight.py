@@ -43,6 +43,22 @@ def make_session(label="test", rules=None, recorder=None):
     return obs, engine
 
 
+def _returned_dumps(recorder):
+    """The list of dumps ``recorder.snapshot`` returns from now on, in
+    order, whoever calls it (a trigger site drops the return value)."""
+    returned = []
+    snapshot = recorder.snapshot
+
+    def keep(trigger):
+        dump = snapshot(trigger)
+        if dump is not None:
+            returned.append(dump)
+        return dump
+
+    recorder.snapshot = keep
+    return returned
+
+
 class TestAlertTrigger:
     def test_fired_alert_snapshots(self):
         rule = AlertRule("hot", series="w", op=">", threshold=1.0)
@@ -118,7 +134,7 @@ class TestSnapshotBounds:
         for i in range(6):
             unbounded.log(i, "pick", task=i, seq=100 + i)
             ring.log(i, "unit", n=i)
-        obs.kernel = SimpleNamespace(logs=lambda: [unbounded, ring])
+        obs.bind_kernel(_Kernel(unbounded, ring))
         obs.sim.faults = SimpleNamespace(log=EventTrace("faults"))
         for i in range(6):
             obs.sim.faults.log.log(10 * i, "inject" if i % 2 else "arm",
@@ -152,6 +168,7 @@ class TestPersistence:
     def test_dump_files_and_manifest(self, tmp_path):
         out = tmp_path / "flight"
         recorder = FlightRecorder(out_dir=str(out), max_dumps=2)
+        returned = _returned_dumps(recorder)
         rule = AlertRule("hot", series="w", op=">", threshold=1.0)
         obs, _engine = make_session(rules=[rule], recorder=recorder)
         ring = TelemetryRing()
@@ -172,10 +189,11 @@ class TestPersistence:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["dumps"] == ["flight-000.json", "flight-001.json"]
         assert manifest["suppressed"] == 1
-        assert recorder.dumps[0]["trigger"]["rule"] == "hot"
-        assert recorder.dumps[0]["format"] == flight.FORMAT
+        assert manifest["triggers"] == [dump["trigger"] for dump in returned]
+        assert returned[0]["trigger"]["rule"] == "hot"
+        assert returned[0]["format"] == flight.FORMAT
         # each file is one compact line that loads back to the dump itself
-        for name, dump in zip(manifest["dumps"], recorder.dumps):
+        for name, dump in zip(manifest["dumps"], returned):
             with open(out / name) as handle:
                 assert json.load(handle) == dump
             text = (out / name).read_text()
@@ -185,7 +203,7 @@ class TestPersistence:
         path = str(out / "flight-000.json")
         compact = explain.render_json(explain.explain(explain.load(path)))
         with open(path, "w") as handle:
-            json.dump(recorder.dumps[0], handle, indent=1, sort_keys=True)
+            json.dump(returned[0], handle, indent=1, sort_keys=True)
             handle.write("\n")
         indented = explain.render_json(explain.explain(explain.load(path)))
         assert indented == compact
@@ -248,10 +266,10 @@ def _swap_timeline(obs):
 
 def _swap_kernel(obs):
     """Logs of the same names and counts, other records."""
-    obs.kernel = _Kernel(*(
+    obs.bind_kernel(_Kernel(*(
         _log(log.name, log.capacity,
              *((t + 1, kind, payload) for t, kind, payload in log))
-        for log in obs.kernel.logs()))
+        for log in obs.kernel.logs())))
 
 
 def _swap_faults(obs):
@@ -271,7 +289,8 @@ def _fill_faults(obs):
 
 
 def _unbind_kernel(obs):
-    obs.kernel = None
+    # what a session that never bound a kernel holds
+    obs.kernel, obs.kernel_logs = None, []
 
 
 #: name -> (prepare before the first dump or None, the one change)
@@ -312,8 +331,9 @@ class TestSessionReuse:
     """Unchanged sessions are reused; a changed one is never served stale."""
 
     @staticmethod
-    def _assert_files_are_the_dumps(recorder):
-        for path, dump in zip(recorder.paths, recorder.dumps):
+    def _assert_files_are_the_dumps(recorder, dumps):
+        assert len(recorder.paths) == len(dumps)
+        for path, dump in zip(recorder.paths, dumps):
             with open(path) as handle:
                 assert handle.read() == json.dumps(dump, sort_keys=True) + "\n"
 
@@ -326,14 +346,16 @@ class TestSessionReuse:
         _world("b", recorder)              # never changes
         if prepare is not None:
             prepare(changing)
-        first = recorder.snapshot({"type": "test", "i": 1})["sessions"]
+        dumps = [recorder.snapshot({"type": "test", "i": 1})]
+        first = dumps[0]["sessions"]
         apply(changing)
         fresh = recorder._session_snapshot(changing)
-        second = recorder.snapshot({"type": "test", "i": 2})["sessions"]
+        dumps.append(recorder.snapshot({"type": "test", "i": 2}))
+        second = dumps[1]["sessions"]
         assert second[0] is not first[0]
         assert second[0] == fresh != first[0]
         assert second[1] is first[1]
-        self._assert_files_are_the_dumps(recorder)
+        self._assert_files_are_the_dumps(recorder, dumps)
 
     def test_nothing_changed_shares_every_session(self, tmp_path):
         recorder = FlightRecorder(out_dir=str(tmp_path))
@@ -344,12 +366,29 @@ class TestSessionReuse:
                                           second["sessions"]))
         assert second["sessions"] == [recorder._session_snapshot(obs)
                                       for obs in sessions]
-        self._assert_files_are_the_dumps(recorder)
+        self._assert_files_are_the_dumps(recorder, [first, second])
         # and an in-memory recorder keeps the same dumps
         memory = FlightRecorder(sessions=sessions)
         memory.snapshot({"type": "test", "i": 1})
         memory.snapshot({"type": "test", "i": 2})
-        assert memory.dumps == recorder.dumps
+        assert memory.dumps == [first, second]
+
+    def test_a_writing_recorder_keeps_files_and_a_memory_one_dicts(
+            self, tmp_path):
+        writing = FlightRecorder(out_dir=str(tmp_path))
+        sessions = [_world("a", writing), _world("b", writing)]
+        memory = FlightRecorder(sessions=sessions)
+        for i in range(3):
+            sessions[0].timeline.record("w", 30 + i, float(i))
+            trigger = {"type": "test", "i": i}
+            assert writing.snapshot(trigger) == memory.snapshot(trigger)
+        assert writing.dumps == [] and memory.paths == []
+        assert len(writing.paths) == len(memory.dumps) == 3
+        assert writing.triggers == memory.triggers == [
+            {"type": "test", "i": i} for i in range(3)]
+        # the files hold the bytes the in-memory dumps encode to
+        self._assert_files_are_the_dumps(writing, memory.dumps)
+        assert writing.flush() == memory.flush() == 3
 
 
 class TestJsonable:

@@ -22,7 +22,14 @@ from repro.experiments.faults_exp import build_workload
 from repro.faults import scenario
 from repro.hw.platform import Platform
 from repro.kernel.kernel import Kernel
-from repro.obs import Obs, metrics_snapshot, render_openmetrics
+from repro.obs import (
+    FlightRecorder,
+    Obs,
+    events_jsonl_lines,
+    metrics_snapshot,
+    render_openmetrics,
+)
+from repro.obs.runtime import ObsRun
 from repro.obs.timeline import Timeline
 from repro.sim.clock import from_msec
 
@@ -239,6 +246,36 @@ def test_a_new_session_on_one_simulator_binds_its_own_handles():
         name: at_end[name] - at_half.get(name, 0) for name in after}
     assert all(at_end[name] == at_half.get(name, 0)
                for name in set(at_end) - set(after))
+
+
+def test_a_shut_down_boot_reads_as_it_did_live():
+    """``Kernel.shutdown`` has the session let go of the boot, and every
+    reader of what it kept answers as it did while the kernel was bound:
+    log stats, the powercap actions, and a flight snapshot, whose stamp
+    does not move (the cached session is served again)."""
+    work = build_workload("powercap", 0)
+    run = ObsRun(tracing=True, telemetry=True, flight=True)
+    obs = run.install(work.platform.sim, kernel=work.kernel)
+    work.platform.sim.run(until=from_msec(600))
+    assert obs.instruments
+
+    def reads():
+        return (obs.log_stats(), events_jsonl_lines([obs]),
+                run.flight.snapshot({"type": "test"})["sessions"])
+
+    live = reads()
+    assert live[1] and any(stats["retained"] > run.flight.events_tail
+                           for stats in live[0].values())
+    work.kernel.shutdown()
+    assert obs.kernel is None and not obs.instruments
+    released = reads()
+    assert released == live
+    assert released[2][0] is live[2][0]
+    # rebuilt from what the session kept, the snapshot is the same
+    assert FlightRecorder(sessions=[obs]).snapshot(
+        {"type": "test"})["sessions"] == live[2]
+    work.kernel.shutdown()
+    assert reads() == live
 
 
 def observed_counts():

@@ -108,6 +108,7 @@ GUARDED_SITES = {
     "kernel/balloon.py": 4,
     "kernel/cfs.py": 1,
     "kernel/governor.py": 2,
+    "kernel/kernel.py": 1,
     "kernel/smp.py": 4,
     "powercap/controller.py": 1,
     "sim/engine.py": 1,

@@ -70,7 +70,8 @@ def test_infer_ties_go_to_the_first_trained_site():
 
 def test_every_boot_joins_the_observed_run_unperturbed():
     """Each simulator the attack boots gets one session of the current
-    run (kernel bound, hooks live), and observing moves no prediction."""
+    run (kernel bound, hooks live; the session keeps the kernel's log
+    stats past its shutdown), and observing moves no prediction."""
     def campaign():
         fp = WebsiteFingerprinter(sites=("google", "youtube")).train(seed=100)
         return [fp.run(trials_per_site=1, use_psbox=use_psbox, seed=500)
@@ -80,7 +81,7 @@ def test_every_boot_joins_the_observed_run_unperturbed():
     with observe(ObsRun()) as run:
         observed = campaign()
     assert len(run.sessions) == 2 + 2 + 2    # templates, then each world
-    assert all(obs.kernel is not None for obs in run.sessions)
+    assert all("gpu.sched" in obs.log_stats() for obs in run.sessions)
     assert all(obs.metrics.counters["gpu.submitted"].value > 0
                for obs in run.sessions)
     assert ([result.confusion for result in observed]
