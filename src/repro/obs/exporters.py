@@ -16,6 +16,8 @@ side by side.
 
 import json
 
+import numpy as np
+
 from repro.analysis.report import format_table
 from repro.obs.metrics import MetricsRegistry
 
@@ -73,17 +75,18 @@ class _Heads(dict):
 
 
 def _trace_records(sessions):
-    """The metadata texts and the sorted body records of a trace.
+    """The metadata texts and the body columns of a trace.
 
     Metadata comes first, then every session's spans, instants and
-    counter samples, sorted by (time, rank, order); ties keep insertion
-    order, so session order first.  A body record is ``(t_ns, rank,
-    order, seq, head, span_id, args_text)``: ``seq``, the insertion
-    index, settles every tie, so nothing after it is ever compared.
-    ``span_id`` is None for instants and samples, whose heads have no id
-    slot.  Each distinct string, head and args dict is encoded once, and
-    every args dict before anything is written, so an args value json
-    cannot encode raises before the file exists.
+    counter samples.  The body is ``(trace_order, times, heads, ids,
+    args)``: four columns with one entry per event, and the permutation
+    of them that sorts the events by (time, rank, order).  ``times`` is
+    a numpy array; ``heads`` and ``args`` refer to shared texts, and
+    ``ids`` holds each span event's async id, None for instants and
+    samples, whose heads have no id slot.  Each distinct string, head
+    and args dict is encoded once, and every args dict before anything
+    is written, so an args value json cannot encode raises before the
+    file exists.
     """
     strings = _Encoded()
     arg_texts = {}
@@ -97,14 +100,23 @@ def _trace_records(sessions):
             text = arg_texts[key] = json.dumps(args)
         return text
 
+    total = sum(2 * len(obs.tracer.spans) + len(obs.tracer.instants)
+                + len(obs.tracer.samples) for obs in sessions)
+    rank = np.empty(total, np.int8)
+    order = np.empty(total, np.intp)
     meta = []
-    body = []
+    times = []
+    heads = []
+    ids = []
+    args = []
     for pid, obs in enumerate(sessions, start=1):
-        tracer = obs.tracer
+        spans = obs.tracer.spans
+        instants = obs.tracer.instants
+        samples = obs.tracer.samples
         tracks = sorted(
-            {span.track for span in tracer.spans}
-            | {track for _t, track, _n, _c, _a in tracer.instants}
-            | {track for _t, track, _n, _v in tracer.samples}
+            {span.track for span in spans}
+            | {track for _t, track, _n, _c, _a in instants}
+            | {track for _t, track, _n, _v in samples}
         )
         tids = {track: tid for tid, track in enumerate(tracks, start=1)}
         label = obs.label or "run-{}".format(pid)
@@ -115,74 +127,94 @@ def _trace_records(sessions):
             meta.append(_META % (pid, tid, "thread_name",
                                  strings[name.__class__, name]))
 
-        heads = _Heads(pid)
-        trace_end = obs.sim.now
+        # The session's stretch of the columns is its span begins, span
+        # ends, instants, then samples, and sessions follow in order.  A
+        # tie on (time, rank, order) happens only across sessions or
+        # between an instant and a sample of one session with equal
+        # index; the stable sort then keeps column position, which puts
+        # the earlier session first and the instant before the sample.
+        at = len(args)
+        for part_rank, count, step in ((0, len(spans), 1),
+                                       (2, len(spans), -1),
+                                       (1, len(instants), 1),
+                                       (1, len(samples), 1)):
+            rank[at:at + count] = part_rank
+            order[at:at + count] = np.arange(0, step * count, step)
+            at += count
+
+        head = _Heads(pid)
         # span.id -> its root (the async grouping id).  ``spans`` is in
         # begin order and a parent begins before its children, so the
         # parent's root is already known: one lookup per span, no walk.
         roots = {}
-        for order, span in enumerate(tracer.spans):
+        span_ids = []
+        end_heads = []
+        for span in spans:
             root = roots[span.id] = roots.get(span.parent_id, span)
             cat = root.cat or "span"
             cat = strings[cat.__class__, cat]
             name = strings[span.name.__class__, span.name]
             tid = tids[span.track]
-            body.append((span.start, 0, order, len(body),
-                         heads["b", cat, name, tid], root.id,
-                         args_text(span.args)))
-            end_t = span.end
-            end_args = "{}"
-            if end_t is None:
-                # Unclosed span (dropped IPI, stuck drain): close it at the
-                # end of the trace and say so — the gap IS the finding.
-                end_t = trace_end
-                end_args = '{"unfinished": true}'
-            # Ends at the same instant unwind LIFO (children close before
-            # parents), which keeps every async stack properly nested.
-            body.append((end_t, 2, -order, len(body),
-                         heads["e", cat, name, tid], root.id, end_args))
+            heads.append(head["b", cat, name, tid])
+            end_heads.append(head["e", cat, name, tid])
+            span_ids.append(root.id)
+            args.append(args_text(span.args))
+        heads += end_heads
+        ids += span_ids
+        ids += span_ids
+        times += [span.start for span in spans]
+        # Unclosed span (dropped IPI, stuck drain): close it at the end of
+        # the trace and say so — the gap IS the finding.  Ends at the same
+        # instant unwind LIFO (their order is minus the begin index), so
+        # children close before parents and every async stack nests.
+        trace_end = obs.sim.now
+        times += [trace_end if span.end is None else span.end
+                  for span in spans]
+        args += ['{"unfinished": true}' if span.end is None else "{}"
+                 for span in spans]
 
-        for order, (t, track, name, cat, args) in enumerate(tracer.instants):
+        for t, track, name, cat, instant_args in instants:
             cat = cat or "event"
-            cat = strings[cat.__class__, cat]
-            name = strings[name.__class__, name]
-            tid = tids[track]
-            body.append((t, 1, order, len(body), heads["i", cat, name, tid],
-                         None, args_text(args)))
-        for order, (t, track, name, values) in enumerate(tracer.samples):
-            name = strings[name.__class__, name]
-            tid = tids[track]
-            body.append((t, 1, order, len(body), heads["C", "", name, tid],
-                         None, args_text(values)))
+            heads.append(head["i", strings[cat.__class__, cat],
+                              strings[name.__class__, name], tids[track]])
+            times.append(t)
+            args.append(args_text(instant_args))
+        for t, track, name, values in samples:
+            heads.append(head["C", "", strings[name.__class__, name],
+                              tids[track]])
+            times.append(t)
+            args.append(args_text(values))
+        ids += [None] * (len(instants) + len(samples))
 
-    body.sort()
-    return meta, body
+    times = np.array(times)
+    return meta, (np.lexsort((order, rank, times)), times, heads, ids, args)
 
 
 def _trace_chunks(meta, body):
     """The event texts, joined ``TRACE_CHUNK`` at a time, in trace order.
 
-    A body record's text is formatted only when its chunk is: no list of
+    A body event's text is formatted only when its chunk is: no list of
     every event text ever exists.  Chrome trace timestamps are
-    microseconds; t / 1000.0 keeps ns resolution.  float.__repr__ is what
-    json's encoder writes, also for a numpy float, whose repr is
-    "np.float64(...)".  Records at one instant usually share the time
-    object, so each run of them formats its ts once.
+    microseconds; t / 1000.0 keeps ns resolution, and float.__repr__ is
+    what json's encoder writes.  Each run of equal times formats its ts
+    once.
     """
     ts = float.__repr__
     chunk = TRACE_CHUNK
     for start in range(0, len(meta), chunk):
         yield ", ".join(meta[start:start + chunk])
+    trace_order, times, heads, ids, args = body
     last_t = ts_text = None
-    for start in range(0, len(body), chunk):
+    for start in range(0, len(trace_order), chunk):
+        index = trace_order[start:start + chunk]
         texts = []
-        for t, _rank, _order, _seq, head, span_id, args in \
-                body[start:start + chunk]:
-            if t is not last_t:
+        for i, t in zip(index.tolist(), times[index].tolist()):
+            if t != last_t:
                 last_t = t
                 ts_text = ts(t / 1000.0)
-            texts.append(head % (ts_text, args) if span_id is None
-                         else head % (span_id, ts_text, args))
+            span_id = ids[i]
+            texts.append(heads[i] % (ts_text, args[i]) if span_id is None
+                         else heads[i] % (span_id, ts_text, args[i]))
         yield ", ".join(texts)
 
 
@@ -206,9 +238,10 @@ def export_chrome_trace(sessions, path):
 
     The file is the document ``{"traceEvents": [...], "displayTimeUnit":
     "ns", "otherData": {...}}``, byte for byte what ``json.dump`` writes.
-    The events are sorted as compact records, and each ``TRACE_CHUNK``
-    of them is formatted into JSON text just before it is written: no
-    event dict, and no list of every event text, is built.
+    The events are sorted by one lexsort over key columns, and each
+    ``TRACE_CHUNK`` of them is formatted into JSON text just before it is
+    written: no event dict, no per-event record, and no list of every
+    event text is built.
 
     Returns the number of trace events written.
     """
@@ -227,7 +260,7 @@ def export_chrome_trace(sessions, path):
         handle.write('], "displayTimeUnit": "ns", "otherData": ')
         handle.write(other)
         handle.write("}")
-    return len(meta) + len(body)
+    return len(meta) + len(body[0])
 
 
 # -- metrics snapshots -------------------------------------------------------------

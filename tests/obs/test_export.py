@@ -15,6 +15,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -330,6 +331,27 @@ def test_unencodable_args_raise_before_the_trace_exists(tmp_path):
     assert not path.exists()
 
 
+def test_the_export_holds_no_record_per_event(tmp_path):
+    """The export sorts key columns, not one tuple per event: what it
+    allocates at its peak stays under 120 bytes per event (a tuple per
+    event took ~200)."""
+    sessions = [_busy_session("a", 3000), _busy_session("b", 3000)]
+    path = str(tmp_path / "trace.json")
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        count = export_chrome_trace(sessions, path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert count == 48006
+    assert peak / count <= 120
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 7])
 def test_streamed_trace_chunk_boundaries(tmp_path, monkeypatch, chunk):
     """Any chunk size, even or ragged against the count, writes the same."""
@@ -405,7 +427,35 @@ def _scripted_session(label, ops, end, numpy_clock):
     return obs
 
 
+#: two nested spans, an instant and a sample, all at t=7: every session
+#: that replays it has the same (time, rank, order) keys
+_TIED = [("begin", 7, "s", "c", "t", {}, -1),
+         ("begin", 7, "u", "c", "t", {}, 0),
+         ("end", 7, 1, {}), ("end", 7, 0, {}),
+         ("instant", 7, "i", "c", "t", {}), ("sample", 7, "n", "t", {})]
+
+
 @given(st.lists(_SESSION, max_size=3))
+# an empty session between two non-empty ones
+@example([("a", [("begin", 1, "s", "", "", {}, -1),
+                 ("instant", 1, "i", "", "", {})], 7, False),
+          ("", [], 0, False),
+          ("b", [("sample", 1, "n", "", {}),
+                 ("begin", 1, "s", "", "", {}, -1)], 7, True)])
+# every key ties across two sessions: session order alone decides
+@example([("x", _TIED, 7, False), ("y", _TIED, 7, True)])
+# an unclosed span's end (the session's now) ties with a closed span's end
+@example([("", [("begin", 1, "open", "", "", {}, -1),
+                ("begin", 1, "shut", "", "", {}, -1),
+                ("end", 7, 1, {})], 7, False)])
+# one stream's times run backwards: nothing is assumed time-sorted
+@example([("", [("begin", 1500, "s", "", "", {}, -1),
+                ("begin", 7, "u", "", "", {}, -1),
+                ("end", 1, 1, {}), ("end", 0, 0, {}),
+                ("instant", 250000, "i", "", "", {}),
+                ("instant", 1, "i", "", "", {}),
+                ("sample", 7, "n", "", {}), ("sample", 0, "n", "", {})],
+           1, False)])
 @example([
     # an instant and a sample tie on (time, rank, order): insertion order
     # puts the instant first, the event texts would not ("C" < "i")
