@@ -3,7 +3,7 @@
 from repro.apps.cpu_apps import calib3d, dedup
 from repro.hw.platform import Platform
 from repro.kernel.kernel import Kernel
-from repro.sidechannel.dtw import dtw_distance, dtw_distances
+from repro.sidechannel.dtw import dtw_distance, dtw_distances, dtw_matrix
 from repro.sim.clock import MSEC, SEC, USEC
 from repro.sim.engine import Simulator
 from repro.sim.trace import StepTrace
@@ -62,7 +62,16 @@ def test_bench_dtw(benchmark, rng):
 
 
 def test_bench_dtw_batch(benchmark, rng):
-    """The shape infer() runs: one query against ten templates."""
+    """The shape infer() runs: one query against ten templates.  A
+    campaign no longer runs it; run() classifies in one dtw_matrix call."""
     a = rng.normal(size=325)
     templates = rng.normal(size=(10, 325))
     benchmark(lambda: dtw_distances(a, templates, window=30))
+
+
+def test_bench_dtw_matrix(benchmark, rng):
+    """The shape one world of the Sec 2.5 campaign runs through run():
+    30 traces against ten templates, 325 samples each."""
+    queries = rng.normal(size=(30, 325))
+    templates = rng.normal(size=(10, 325))
+    benchmark(lambda: dtw_matrix(queries, templates, window=30))

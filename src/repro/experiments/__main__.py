@@ -247,6 +247,10 @@ def _export_observability(args, run):
     )
 
     sessions = run.sessions
+    if args.telemetry is not None:
+        # finalizing fires the at-end alerts into the tracer, so it comes
+        # before every export: --trace then writes the bundle's trace.json
+        run.finalize()
     if args.trace:
         count = export_chrome_trace(sessions, args.trace)
         print("trace: {} events from {} sessions -> {}".format(

@@ -8,7 +8,7 @@ observation.
 """
 
 from repro.sidechannel.attack import AttackResult, WebsiteFingerprinter
-from repro.sidechannel.dtw import dtw_distance, dtw_distances
+from repro.sidechannel.dtw import dtw_distance, dtw_distances, dtw_matrix
 
 __all__ = ["AttackResult", "WebsiteFingerprinter", "dtw_distance",
-           "dtw_distances"]
+           "dtw_distances", "dtw_matrix"]

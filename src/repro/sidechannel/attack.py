@@ -20,7 +20,7 @@ from repro.hw.platform import Platform
 from repro.kernel.actions import Sleep, SubmitAccel
 from repro.kernel.kernel import Kernel
 from repro.obs import runtime as obs_runtime
-from repro.sidechannel.dtw import dtw_distances
+from repro.sidechannel.dtw import dtw_matrix
 from repro.sim.clock import MSEC, from_msec, from_usec
 
 
@@ -142,35 +142,49 @@ class WebsiteFingerprinter:
         kernel.shutdown()
         return _attacker_postprocess(watts)
 
-    def infer(self, observed):
-        """1-NN DTW classification against the trained templates."""
+    def classify(self, traces):
+        """1-NN DTW labels for equal-length observed traces, in order.
+
+        Each trace is z-normalised, then one :func:`dtw_matrix` call scores
+        every (trace, template) pair against the templates in training
+        order."""
         if not self.templates:
             raise RuntimeError("train() first")
+        queries = [_znorm(trace) for trace in traces]
+        if not queries:
+            return []
         sites = list(self.templates)
-        costs = dtw_distances(_znorm(observed),
-                              np.stack(list(self.templates.values())),
-                              window=self.dtw_window)
+        costs = dtw_matrix(queries, np.stack(list(self.templates.values())),
+                           window=self.dtw_window)
         # argmin picks the first minimum: ties go to the first-trained site
-        return sites[int(np.argmin(costs))]
+        return [sites[k] for k in costs.argmin(axis=1)]
+
+    def infer(self, observed):
+        """1-NN DTW classification against the trained templates."""
+        return self.classify([observed])[0]
 
     # -- full campaign -----------------------------------------------------------------------
 
     def run(self, trials_per_site=3, use_psbox=False, seed=1000):
-        """Attack every site ``trials_per_site`` times; tally successes."""
+        """Attack every site ``trials_per_site`` times; tally successes.
+
+        Every trial is observed first, in (site, trial) order, then the
+        whole campaign is classified in one batch."""
         if not self.templates:
             self.train()
-        confusion = {}
-        correct = 0
-        trials = 0
+        truth = []
+        observed = []
         for site_idx, site in enumerate(self.sites):
             for trial in range(trials_per_site):
                 trial_seed = seed + 97 * site_idx + trial
-                observed = self.observe(site, trial_seed, use_psbox)
-                predicted = self.infer(observed)
-                confusion[(site, predicted)] = (
-                    confusion.get((site, predicted), 0) + 1
-                )
-                correct += predicted == site
-                trials += 1
-        return AttackResult(trials=trials, correct=correct,
+                truth.append(site)
+                observed.append(self.observe(site, trial_seed, use_psbox))
+        confusion = {}
+        correct = 0
+        for site, predicted in zip(truth, self.classify(observed)):
+            confusion[(site, predicted)] = (
+                confusion.get((site, predicted), 0) + 1
+            )
+            correct += predicted == site
+        return AttackResult(trials=len(truth), correct=correct,
                             n_sites=len(self.sites), confusion=confusion)

@@ -321,6 +321,22 @@ def test_report_implies_telemetry(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "telemetry" / "report.json").exists()
 
 
+def test_trace_with_telemetry_writes_the_bundles_trace(tmp_path, capsys,
+                                                      monkeypatch):
+    """``--trace PATH --telemetry`` closes the run out before its first
+    export, so PATH carries the at-end alert instants too: the same bytes
+    as the bundle's ``trace.json``, and the ``trace:`` line counts them."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["sec63", "--trace", "t.json", "--telemetry", "tele"]) == 0
+    out = capsys.readouterr().out
+    trace = (tmp_path / "t.json").read_bytes()
+    assert trace == (tmp_path / "tele" / "trace.json").read_bytes()
+    events = json.loads(trace)["traceEvents"]
+    assert any(event.get("cat") == "alert" for event in events)
+    assert "trace: {} events from 1 sessions -> t.json\n".format(
+        len(events)) in out
+
+
 def test_profile_appends_a_cprofile_table_to_the_unchanged_report(
         capsys, monkeypatch):
     """``--profile N`` runs the subcommand under cProfile and arms no obs

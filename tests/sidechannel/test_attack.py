@@ -68,6 +68,46 @@ def test_infer_ties_go_to_the_first_trained_site():
         assert fp.infer([0.0, 1.0, 0.0]) == first
 
 
+def test_classify_ties_go_to_the_first_trained_site():
+    fp = WebsiteFingerprinter(sites=("google", "baidu", "youtube"))
+    same = _znorm([0.0, 1.0, 0.0])
+    traces = [[0.0, 1.0, 0.0], [5.0, 0.0, 5.0], [0.0, 0.0, 1.0]]
+    for first, second in (("baidu", "google"), ("google", "baidu")):
+        fp.templates = {first: same, second: same,
+                        "youtube": _znorm([1.0, 0.0, 1.0])}
+        assert fp.classify(traces) == [first, "youtube", first]
+        assert fp.classify(traces) == [fp.infer(trace) for trace in traces]
+    assert fp.classify([]) == []
+
+
+@pytest.fixture(scope="module")
+def pair_fingerprinter():
+    return WebsiteFingerprinter(sites=("google", "youtube")).train(seed=100)
+
+
+@pytest.mark.parametrize("use_psbox", [False, True])
+def test_a_batched_campaign_classifies_as_one_trace_at_a_time(
+        pair_fingerprinter, use_psbox):
+    """``run`` observes every trial, then classifies them in one batch; a
+    loop of ``observe`` + ``infer`` per trial, in the same (site, trial)
+    order and seeds, must tally the same trials, hits and confusion,
+    key order included."""
+    fp = pair_fingerprinter
+    result = fp.run(trials_per_site=2, use_psbox=use_psbox, seed=500)
+    confusion = {}
+    correct = trials = 0
+    for site_idx, site in enumerate(fp.sites):
+        for trial in range(2):
+            predicted = fp.infer(fp.observe(site, 500 + 97 * site_idx + trial,
+                                            use_psbox))
+            confusion[(site, predicted)] = (
+                confusion.get((site, predicted), 0) + 1)
+            correct += predicted == site
+            trials += 1
+    assert (result.trials, result.correct) == (trials, correct)
+    assert list(result.confusion.items()) == list(confusion.items())
+
+
 def test_every_boot_joins_the_observed_run_unperturbed():
     """Each simulator the attack boots gets one session of the current
     run (kernel bound, hooks live; the session keeps the kernel's log

@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.sidechannel.dtw import dtw_distance, dtw_distances
+from repro.sidechannel.dtw import dtw_distance, dtw_distances, dtw_matrix
 
 seqs = st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=30)
 
@@ -138,6 +138,60 @@ def test_wavefront_is_bit_identical_to_the_banded_dp(case):
         assert got[k] == dtw_distance(a, b, window)
 
 
+@st.composite
+def query_and_template_stacks(draw):
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 40))
+    return (draw(arrays(np.float64, (draw(st.integers(1, 4)), n),
+                        elements=finite)),
+            draw(arrays(np.float64, (draw(st.integers(1, 4)), m),
+                        elements=finite)),
+            draw(st.none() | st.integers(0, 12)))
+
+
+def _pair(n, m, window, queries=2, templates=3):
+    """A fixed case of (queries, templates, window) with these lengths."""
+    rng = np.random.default_rng(n * 41 + m)
+    return (rng.normal(size=(queries, n)), rng.normal(size=(templates, m)),
+            window)
+
+
+@given(query_and_template_stacks())
+@example(_pair(7, 3, 0))          # n != m at window 0: the band widens
+@example(_pair(3, 7, 0))
+@example(_pair(1, 9, 2))          # one query sample
+@example(_pair(9, 1, 2))          # one template sample
+@example(_pair(1, 1, 0))
+@example(_pair(6, 8, 8))          # window >= max(n, m): no band at all
+@example(_pair(12, 5, 40))
+@settings(max_examples=150, deadline=None)
+def test_query_stack_wavefront_is_bit_identical_to_the_banded_dp(case):
+    """Every cell of the (Q, K) matrix, exactly: each pair is still the
+    same float64 subtract, abs and add per cell, whatever shares its
+    diagonal."""
+    queries, stack, window = case
+    got = dtw_matrix(queries, stack, window)
+    assert got.shape == (len(queries), len(stack))
+    for q, a in enumerate(queries):
+        for k, b in enumerate(stack):
+            assert got[q, k] == naive_banded_dp(a, b, window)
+            assert got[q, k] == dtw_distance(a, b, window)
+
+
+@pytest.mark.parametrize("queries,match", [
+    (np.zeros((0, 3)), "non-empty"),
+    (np.zeros((2, 0)), "non-empty"),
+    ([[1.0, 2.0], [1.0]], "equal-length"),
+    ([1.0, 2.0], "2-D"),
+    (np.zeros((2, 2, 2)), "2-D"),
+    ([[1.0, 2.0], [np.nan, 0.0]], "finite"),
+    ([[1.0, np.inf]], "finite"),
+])
+def test_bad_query_stack_rejected(queries, match):
+    with pytest.raises(ValueError, match=match):
+        dtw_matrix(queries, [[1.0, 2.0]])
+
+
 @pytest.mark.parametrize("a,b", [([np.nan], [1.0]), ([1.0], [np.inf]),
                                  ([0.0, -np.inf], [1.0, 2.0])])
 def test_non_finite_values_rejected(a, b):
@@ -169,3 +223,5 @@ def test_non_2d_template_stack_rejected():
 def test_negative_window_rejected():
     with pytest.raises(ValueError, match="window"):
         dtw_distance([1.0, 2.0], [1.0, 2.0], window=-1)
+    with pytest.raises(ValueError, match="window"):
+        dtw_matrix([[1.0, 2.0]], [[1.0, 2.0]], window=-1)
