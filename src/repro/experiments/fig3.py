@@ -101,9 +101,7 @@ def run_fig3b_requests(seed=12, dt=100_000):
                       on_complete=on_done)
     platform.sim.run(until=120 * MSEC)
 
-    # Commands are numbered 1-3 as in the figure: ``Command.seq`` counts
-    # every command this process ever built, so it depends on what ran
-    # before this boot.
+    # Commands are numbered 1-3 as in the figure.
     commands = [
         (n, c.kind, c.dispatch_t, notify.get(c.seq))
         for n, c in enumerate((c1, c2, c3), start=1)

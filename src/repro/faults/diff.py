@@ -30,9 +30,9 @@ def fingerprint(platform, kernel=None):
 
     for log in kernel.logs():
         for t, kind, payload in log:
-            # "seq" labels come from process-global counters, so they carry
-            # an arbitrary offset between runs in one process; record order
-            # already captures sequencing.
+            # "seq" labels are left out: they number each device's units
+            # in creation order, which record order already captures, and
+            # the committed digests were taken without them.
             _put(h, "ev", log.name, t, kind,
                  sorted(item for item in payload.items() if item[0] != "seq"))
 

@@ -15,9 +15,11 @@ from repro.sim.trace import EventTrace, StepTrace
 
 
 class Command:
-    """One accelerator command (GPU render/compute batch, DSP kernel...)."""
+    """One accelerator command (GPU render/compute batch, DSP kernel...).
 
-    _seq = itertools.count()
+    ``seq`` labels it in the logs; the driver numbers commands from its
+    engine's ``unit_seq``.
+    """
 
     __slots__ = (
         "app_id",
@@ -33,7 +35,8 @@ class Command:
         "on_complete",
     )
 
-    def __init__(self, app_id, kind, cycles, power_w, on_complete=None):
+    def __init__(self, app_id, kind, cycles, power_w, seq=0,
+                 on_complete=None):
         if cycles <= 0:
             raise ValueError("command must have positive cycles")
         if power_w < 0:
@@ -42,7 +45,7 @@ class Command:
         self.kind = kind
         self.cycles = float(cycles)
         self.power_w = float(power_w)
-        self.seq = next(Command._seq)
+        self.seq = seq
         self.submit_t = None
         self.dispatch_t = None
         self.complete_t = None
@@ -103,6 +106,8 @@ class CommandEngine:
         self._current_speed = 0.0
         self._completion_event = None
         self.log = EventTrace(name + ".commands")
+        # numbers this engine's commands: seq labels count per boot
+        self.unit_seq = itertools.count()
         self.busy_trace = StepTrace(0.0, name=name + ".busy")
         self.usage_traces = {}
         freq_domain.changed.subscribe(self._on_freq_change)

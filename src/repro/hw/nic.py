@@ -25,19 +25,21 @@ RX = "rx"
 
 
 class Packet:
-    """One transmit unit (an aggregated MPDU burst in practice)."""
+    """One transmit unit (an aggregated MPDU burst in practice).
 
-    _seq = itertools.count()
+    ``seq`` labels it in the logs; the driver and the NIC's own receive
+    path number packets from the NIC's ``unit_seq``.
+    """
 
     __slots__ = ("app_id", "size_bytes", "seq", "submit_t", "tx_start_t",
                  "tx_end_t", "on_complete")
 
-    def __init__(self, app_id, size_bytes, on_complete=None):
+    def __init__(self, app_id, size_bytes, seq=0, on_complete=None):
         if size_bytes <= 0:
             raise ValueError("packet must have positive size")
         self.app_id = app_id
         self.size_bytes = int(size_bytes)
-        self.seq = next(Packet._seq)
+        self.seq = seq
         self.submit_t = None
         self.tx_start_t = None
         self.tx_end_t = None
@@ -91,6 +93,9 @@ class WifiNic:
 
         self.space = sim.signal(name + ".space")
         self.log = EventTrace(name + ".packets")
+        # numbers this NIC's packets, sent and received: seq labels count
+        # per boot
+        self.unit_seq = itertools.count()
         self.state_trace = StepTrace(0.0, name=name + ".state")
         self.usage_traces = {}
         self._update_power()
@@ -158,7 +163,7 @@ class WifiNic:
         Reception cannot be scheduled by the OS: it proceeds as soon as the
         half-duplex radio is free, regardless of any active balloon.
         """
-        packet = Packet(app_id, size_bytes, on_complete=on_complete)
+        packet = Packet(app_id, size_bytes, next(self.unit_seq), on_complete)
         packet.submit_t = self.sim.now
         self._rx_queue.append(packet)
         self._maybe_start_rx()

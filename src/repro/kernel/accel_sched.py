@@ -32,8 +32,12 @@ class AccelScheduler(BalloonScheduler):
 
     def submit(self, app, kind, cycles, power_w, on_complete=None):
         """Enqueue one command on behalf of ``app``."""
-        command = self._enqueue(app, Command(app.id, kind, cycles, power_w),
-                                on_complete)
+        # seq goes positionally: a keyword argument to a class call costs
+        # a kwargs dict per command
+        command = self._enqueue(
+            app, Command(app.id, kind, cycles, power_w,
+                         next(self.device.unit_seq)),
+            on_complete)
         obs = self.sim.obs
         if obs is not None:
             obs.instruments[self]["submitted"].value += 1

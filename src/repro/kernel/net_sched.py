@@ -46,8 +46,9 @@ class PacketScheduler(BalloonScheduler):
 
     def send(self, app, size_bytes, on_complete=None):
         """Deposit one transmit unit into the app's socket buffer."""
-        packet = self._enqueue(app, Packet(app.id, size_bytes), on_complete,
-                               size=size_bytes)
+        packet = self._enqueue(
+            app, Packet(app.id, size_bytes, next(self.device.unit_seq)),
+            on_complete, size=size_bytes)
         if self.state != NORMAL and (
             self.psbox_app is None or app.id != self.psbox_app.id
         ):

@@ -83,18 +83,18 @@ def _trace_records(sessions):
     of them that sorts the events by (time, rank, order).  ``times`` is
     a numpy array; ``heads`` and ``args`` refer to shared texts, and
     ``ids`` holds each span event's async id, None for instants and
-    samples, whose heads have no id slot.  Each distinct string, head
-    and args dict is encoded once, and every args dict before anything
-    is written, so an args value json cannot encode raises before the
-    file exists.
+    samples, whose heads have no id slot.  Each distinct string and head,
+    and each args object, is encoded once, and every args dict before
+    anything is written, so an args value json cannot encode raises
+    before the file exists.
     """
     strings = _Encoded()
     arg_texts = {}
 
     def args_text(args):
-        # keyed by repr, which tells 1, 1.0, True, "1" and -0.0 apart at
-        # any depth, where dict equality merges them
-        key = repr(args)
+        # keyed by identity: a tracer records one dict per distinct args
+        # repr, and every dict stays alive in its records for the export
+        key = id(args)
         text = arg_texts.get(key)
         if text is None:
             text = arg_texts[key] = json.dumps(args)

@@ -275,9 +275,9 @@ class FlightRecorder:
         # A shut-down boot's session keeps each log's last records, as
         # many as this tail reads.
         for log in obs.kernel_logs:
-            # "seq" labels come from process-global counters (see
-            # repro.faults.diff) — strip them so dumps from the same
-            # seed are byte-identical run to run
+            # "seq" labels are left out, as repro.faults.diff leaves them
+            # out: record order already carries them, and the pinned dump
+            # bytes were written without them
             snap["logs"][log.name] = {
                 "retained": len(log),
                 "dropped": log.dropped,

@@ -26,10 +26,22 @@ Span lifetimes are explicit: ``begin`` returns a handle, ``end`` closes it.
 Spans that never close (a dropped shootdown IPI, a drain that never
 converges) stay open and are flagged ``unfinished`` by the exporter — an
 unclosed span *is* the story of a liveness bug.
+
+Records share their args: each span, instant and sample holds the first
+dict its tracer recorded with the same ``repr``, so a governor's thousands
+of identical context-switch instants hold one dict between them.  ``repr``
+is the key because it tells 1, 1.0, True, "1", 0.0 and -0.0 apart at any
+depth, where dict equality merges them.  Recorded args are read-only:
+``end`` with args records a new merged dict, and no reader writes into one.
+The trace exporter encodes each args object once, keyed by identity.
 """
 
 class Span:
-    """One open or closed interval of virtual time."""
+    """One open or closed interval of virtual time.
+
+    ``args`` may be shared with other records of the same tracer: read it,
+    never write into it.
+    """
 
     __slots__ = ("id", "parent_id", "name", "cat", "track", "start", "end",
                  "args")
@@ -84,6 +96,8 @@ class Tracer:
         # False until the first begin(): the simulator skips all per-event
         # context bookkeeping (and push-side stamping) while this is unset.
         self._seen_spans = False
+        # repr(args) -> the first args dict recorded with that text
+        self._args = {}
 
     # -- the current-span context ------------------------------------------------
 
@@ -103,7 +117,9 @@ class Tracer:
         ``parent`` overrides the current span as the causal parent.
         ``detached`` skips the current-span stack: the span exists and has a
         parent, but does not capture subsequently begun spans or scheduled
-        events.  Returns None (a no-op handle) when tracing is disabled.
+        events.  The span's ``args`` is the tracer's shared dict for this
+        ``repr``: read-only.  Returns None (a no-op handle) when tracing is
+        disabled.
         """
         if not self.enabled:
             return None
@@ -117,7 +133,7 @@ class Tracer:
             span_id,
             parent.id if parent is not None else None,
             name, cat, track or (parent.track if parent is not None else ""),
-            self.sim.now, args,
+            self.sim.now, self._args.setdefault(repr(args), args),
         )
         self.spans.append(span)
         if not detached:
@@ -125,12 +141,18 @@ class Tracer:
         return span
 
     def end(self, span, **args):
-        """Close a span (args merge into the span's); None is a no-op."""
+        """Close a span; None is a no-op.
+
+        ``args`` merge into the span's as ``dict.update`` would, into a new
+        dict (shared like any recorded args): the begin's dict, which other
+        records may hold, is never written.
+        """
         if span is None or span.end is not None:
             return
         span.end = self.sim.now
         if args:
-            span.args.update(args)
+            merged = {**span.args, **args}
+            span.args = self._args.setdefault(repr(merged), merged)
         if self._stack and span in self._stack:
             self._stack.remove(span)
 
@@ -141,20 +163,28 @@ class Tracer:
     # -- instants and counter samples ---------------------------------------------
 
     def instant(self, name, cat="", track="", **args):
-        """Record a zero-duration event at the current virtual time."""
+        """Record a zero-duration event at the current virtual time.
+
+        The recorded args dict is shared (see :meth:`begin`): read-only.
+        """
         if not self.enabled:
             return
         if not track:
             current = self.current
             if current is not None:
                 track = current.track
-        self.instants.append((self.sim.now, track, name, cat, args))
+        self.instants.append((self.sim.now, track, name, cat,
+                              self._args.setdefault(repr(args), args)))
 
     def sample(self, name, track="", **values):
-        """Record a counter-track sample (rendered as a graph in Perfetto)."""
+        """Record a counter-track sample (rendered as a graph in Perfetto).
+
+        The recorded values dict is shared (see :meth:`begin`): read-only.
+        """
         if not self.enabled:
             return
-        self.samples.append((self.sim.now, track, name, values))
+        self.samples.append((self.sim.now, track, name,
+                             self._args.setdefault(repr(values), values)))
 
     # -- introspection --------------------------------------------------------------
 

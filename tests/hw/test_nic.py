@@ -68,10 +68,10 @@ def test_serial_transmission_order():
     sim, rail, nic = make_nic()
     order = []
     for i in range(3):
-        nic.enqueue(Packet(1, 10_000,
+        nic.enqueue(Packet(1, 10_000, seq=i,
                            on_complete=lambda p: order.append(p.seq)))
     sim.run(until=SEC)
-    assert order == sorted(order)
+    assert order == [0, 1, 2]
 
 
 def test_completion_batching_waits_for_flush_timer():

@@ -1,7 +1,16 @@
-"""Tracer unit tests: span lifecycles, causal context, disabled no-ops."""
+"""Tracer unit tests: span lifecycles, causal context, disabled no-ops,
+and the args every record shares with its equals."""
+
+import itertools
+import tracemalloc
+from types import SimpleNamespace
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.obs import Obs
 from repro.sim.engine import Simulator
+from tests.obs.test_export import _ARGS
 
 
 def _obs(tracing=True):
@@ -219,3 +228,100 @@ def test_find_filters_by_name_and_cat():
     assert len(tracer.find("a")) == 2
     assert len(tracer.find(cat="x")) == 2
     assert len(tracer.find("a", "y")) == 1
+
+
+# -- shared args ---------------------------------------------------------------------
+
+#: one tracer's calls: (kind, args, args given to end); "end" begins a span
+#: and ends it with the second args
+_CALLS = st.lists(st.tuples(st.sampled_from(["begin", "end", "instant",
+                                             "sample"]), _ARGS, _ARGS),
+                  max_size=10)
+
+
+def _record(tracer, kind, args, more):
+    """Make one record; returns (args it must hold, a reader of them)."""
+    if kind == "instant":
+        tracer.instant("i", **args)
+        record = tracer.instants[-1]
+        return args, lambda: record[4]
+    if kind == "sample":
+        tracer.sample("s", **args)
+        record = tracer.samples[-1]
+        return args, lambda: record[3]
+    span = tracer.begin("s", detached=True, **args)
+    assert repr(span.args) == repr(args)
+    if kind == "end":
+        tracer.end(span, **more)
+        args = {**args, **more}
+    return args, lambda: span.args
+
+
+@given(_CALLS, _CALLS)
+# equal as dicts and as item tuples, different as JSON
+@example([("instant", {"a": 1}, {}), ("instant", {"a": 1.0}, {}),
+          ("sample", {"a": True}, {}), ("sample", {"a": 0.0}, {}),
+          ("begin", {"a": -0.0}, {})], [])
+# equal samples; an end with args beside an equal begin
+@example([("sample", {"a": 1}, {}), ("sample", {"a": 1}, {}),
+          ("begin", {"a": 1}, {}), ("end", {"a": 1}, {"b": 2.5})],
+         [("sample", {"a": 1}, {})])
+@settings(max_examples=150, deadline=None)
+def test_records_keep_their_args_and_share_equal_ones(calls_a, calls_b):
+    """Each record holds its own call's exact args; within one tracer two
+    records hold the same dict exactly when their reprs are equal, and
+    two tracers never share one."""
+    records = []
+    for calls in (calls_a, calls_b):
+        tracer = _obs()[1].tracer
+        records += [(tracer, *_record(tracer, *call)) for call in calls]
+    for _tracer, args, read in records:
+        assert repr(read()) == repr(args)
+    for (tracer_a, args_a, read_a), (tracer_b, args_b, read_b) in \
+            itertools.combinations(records, 2):
+        shared = read_a() is read_b()
+        if tracer_a is tracer_b:
+            assert shared == (repr(args_a) == repr(args_b))
+        else:
+            assert not shared
+
+
+def test_end_with_args_leaves_an_equal_span_alone():
+    _sim, obs = _obs()
+    tracer = obs.tracer
+    kept = tracer.begin("a", detached=True, core=1)
+    ended = tracer.begin("b", detached=True, core=1)
+    shared = kept.args
+    assert ended.args is shared
+    tracer.end(ended, dropped=True)
+    assert ended.args == {"core": 1, "dropped": True}
+    assert kept.args is shared and shared == {"core": 1}
+    tracer.end(kept)
+    assert kept.args is shared and shared == {"core": 1}
+
+
+def test_repeated_args_cost_no_dict_per_record():
+    """Governor-shaped instant + sample pairs over a few distinct args:
+    each record costs its tuple, its list slot and its share of the time,
+    at most 150 traced bytes (~280 with a dict per record)."""
+    sim = SimpleNamespace(now=0, obs=None, _ctx_tracer=None)
+    tracer = Obs(sim, label="t").install().tracer
+    keys = ["app-{}".format(n) for n in range(4)]
+    pairs = 10_000
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(pairs):
+            sim.now = 1_000_000 + 1_000 * n
+            opp = n % 3
+            tracer.instant("ctx.switch", cat="governor", track="cpu",
+                           key=keys[n % 4], expected=opp, actual=opp)
+            tracer.sample("cpu.opp", track="cpu", opp=opp)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert len(tracer.instants) + len(tracer.samples) == 2 * pairs
+    assert grown / (2 * pairs) <= 150
