@@ -2,9 +2,10 @@
 
 Emits ``BENCH_obs.json`` at the repo root — the perf-trajectory data the
 ROADMAP asks for: raw event-loop throughput (events/sec, with no session
-installed, so ``Simulator.run`` takes its fast loop), the cost of an
-installed session with tracing *off* (metrics hooks live, no per-event
-bookkeeping), and the cost of tracing *on*.  The ``trajectory`` list keeps
+installed), the cost of an installed session with tracing *off* (metrics
+hooks live), and the cost of tracing *on*.  ``Simulator.run`` is one loop
+in all three: only the instrumentation sites tell them apart.  The
+``trajectory`` list keeps
 one labelled entry per hot-path generation so the speed story stays visible
 across PRs.  The JSON and the results table are written only after the
 bounds pass, so a failing run records nothing.

@@ -143,7 +143,7 @@ class BalloonScheduler:
         if phase is not None:
             self._phase_span = tracer.begin(
                 self._phase_names[phase], cat="balloon",
-                track=self.device.name, detached=True, **args
+                track=self.device.name, **args
             )
 
     def _fault_held(self):

@@ -340,7 +340,7 @@ class SmpScheduler:
                 if tracer is not None:
                     cosched.ipi_spans[core_id] = tracer.begin(
                         "ipi.shootdown", cat="balloon", track="smp",
-                        parent=cosched.span, detached=True, core=core_id,
+                        parent=cosched.span, core=core_id,
                     )
                 instruments["ipi_sent"].value += 1
             delay = self.ipi_delay

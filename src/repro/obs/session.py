@@ -23,7 +23,7 @@ class Instruments(dict):
     dict lookup), so a metric nothing touches is never created and never
     exported.  ``tracer`` is the session's tracer if it records, else
     None: the tracer's ``enabled`` flag, latched when the component first
-    binds, as the event loop latches it per run.
+    binds.
     """
 
     def __init__(self, obs, names):
@@ -122,9 +122,6 @@ class Obs:
     def install(self):
         """Publish as ``sim.obs``; returns self."""
         self.sim.obs = self
-        # Keep the simulator's push-side tracer reference in sync so events
-        # scheduled before the first run() still pick up span context.
-        self.sim._ctx_tracer = self.tracer if self.tracer.enabled else None
         return self
 
     def bind_kernel(self, kernel):

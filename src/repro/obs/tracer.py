@@ -11,16 +11,13 @@ properties make the tracer safe to leave in kernel code:
 * **zero-cost when off** — components guard every hook with
   ``obs = self.sim.obs`` / ``if obs is not None``; with no session installed
   an instrumentation point is one attribute read and a branch;
-* **causally linked across events** — scheduling an event while a span is
-  current stamps that span onto the event (see the scheduling entry points
-  in ``Simulator``), so a span begun in one event handler is the parent of
-  spans begun in the continuation, even though the event loop unwound in
-  between.  This is how an IPI-shootdown span begun at ``begin_coschedule``
-  parents the per-core arrival work that runs microseconds later.
-
-The simulator keys its per-event bookkeeping off ``_seen_spans``: until the
-first ``begin`` call there is no context to propagate or reset, so the event
-loop's entire tracing cost is one flag check per event.
+* **explicit parents** — a span's parent is the ``parent=`` its site
+  passes, or it is a root.  A component that nests work holds the parent's
+  handle in its own state: the SMP scheduler keeps each CPU balloon's span
+  and passes it to the IPI-shootdown spans it begins, which the remote
+  cores close microseconds later.  No span is inherited from the event
+  that scheduled a handler, so the simulator carries no trace context and
+  its event loop never reads the tracer.
 
 Span lifetimes are explicit: ``begin`` returns a handle, ``end`` closes it.
 Spans that never close (a dropped shootdown IPI, a drain that never
@@ -74,15 +71,7 @@ class Span:
 
 
 class Tracer:
-    """Collects spans, instant events, and counter samples for one run.
-
-    The *current* span — the innermost span begun in this event cascade, or
-    the span inherited from the event that scheduled this cascade — becomes
-    the default parent of new spans and is what the simulator stamps onto
-    newly scheduled events.  ``begin(detached=True)`` creates a span without
-    making it current, for bookkeeping spans (per-core IPIs, balloon phases)
-    whose handle the component threads through its own state instead.
-    """
+    """Collects spans, instant events, and counter samples for one run."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -91,42 +80,21 @@ class Tracer:
         self.instants = []    # (t, track, name, cat, args)
         self.samples = []     # (t, track, name, values) counter-track points
         self._next_id = 1
-        self._stack = []      # spans begun (scoped) in the current cascade
-        self._event_ctx = None   # span inherited from the scheduling context
-        # False until the first begin(): the simulator skips all per-event
-        # context bookkeeping (and push-side stamping) while this is unset.
-        self._seen_spans = False
         # repr(args) -> the first args dict recorded with that text
         self._args = {}
 
-    # -- the current-span context ------------------------------------------------
-
-    @property
-    def current(self):
-        """The span new work should attach to, or None."""
-        if self._stack:
-            return self._stack[-1]
-        return self._event_ctx
-
     # -- spans ---------------------------------------------------------------------
 
-    def begin(self, name, cat="", track="", parent=None, detached=False,
-              **args):
+    def begin(self, name, cat="", track="", parent=None, **args):
         """Open a span at the current virtual time; returns its handle.
 
-        ``parent`` overrides the current span as the causal parent.
-        ``detached`` skips the current-span stack: the span exists and has a
-        parent, but does not capture subsequently begun spans or scheduled
-        events.  The span's ``args`` is the tracer's shared dict for this
-        ``repr``: read-only.  Returns None (a no-op handle) when tracing is
-        disabled.
+        ``parent`` is the span's causal parent, None for a root; a span
+        with no ``track`` takes its parent's.  The span's ``args`` is the
+        tracer's shared dict for this ``repr``: read-only.  Returns None
+        (a no-op handle) when tracing is disabled.
         """
         if not self.enabled:
             return None
-        self._seen_spans = True
-        if parent is None:
-            stack = self._stack
-            parent = stack[-1] if stack else self._event_ctx
         span_id = self._next_id
         self._next_id = span_id + 1
         span = Span(
@@ -136,8 +104,6 @@ class Tracer:
             self.sim.now, self._args.setdefault(repr(args), args),
         )
         self.spans.append(span)
-        if not detached:
-            self._stack.append(span)
         return span
 
     def end(self, span, **args):
@@ -153,12 +119,6 @@ class Tracer:
         if args:
             merged = {**span.args, **args}
             span.args = self._args.setdefault(repr(merged), merged)
-        if self._stack and span in self._stack:
-            self._stack.remove(span)
-
-    def span(self, name, cat="", track="", **args):
-        """Context manager: a scoped span around a synchronous block."""
-        return _ScopedSpan(self, name, cat, track, args)
 
     # -- instants and counter samples ---------------------------------------------
 
@@ -169,10 +129,6 @@ class Tracer:
         """
         if not self.enabled:
             return
-        if not track:
-            current = self.current
-            if current is not None:
-                track = current.track
         self.instants.append((self.sim.now, track, name, cat,
                               self._args.setdefault(repr(args), args)))
 
@@ -209,24 +165,3 @@ class Tracer:
     def __len__(self):
         return len(self.spans)
 
-
-class _ScopedSpan:
-    __slots__ = ("_tracer", "_name", "_cat", "_track", "_args", "_span")
-
-    def __init__(self, tracer, name, cat, track, args):
-        self._tracer = tracer
-        self._name = name
-        self._cat = cat
-        self._track = track
-        self._args = args
-        self._span = None
-
-    def __enter__(self):
-        self._span = self._tracer.begin(
-            self._name, cat=self._cat, track=self._track, **self._args
-        )
-        return self._span
-
-    def __exit__(self, exc_type, exc, tb):
-        self._tracer.end(self._span)
-        return False

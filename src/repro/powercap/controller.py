@@ -16,7 +16,7 @@ charged against the root cap each tick, so the *aggregate* rail power is
 regulated to the cap, not just the sum of the managed apps.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.manager import PsboxManager
 from repro.powercap.telemetry import TelemetryRing
@@ -56,7 +56,6 @@ class ControllerConfig:
     demand_headroom: float = 0.25  # demand estimate margin above measured
     throttle_strength: float = 0.8  # assumed power cut at full throttle
     floor_w: float = 0.05        # normalization floor for tiny grants
-    extras: dict = field(default_factory=dict)
 
 
 class PowerCapController:
@@ -186,7 +185,7 @@ class PowerCapController:
             if tracer is not None:
                 tick_span = tracer.begin(
                     "powercap.tick", cat="powercap", track="powercap",
-                    detached=True, tick=self.ticks)
+                    tick=self.ticks)
             instruments["ticks"].value += 1
 
         measured = {}

@@ -2,22 +2,11 @@
 
 The event loop is the hottest code in the repository — every kernel,
 hardware, powercap, and cluster scenario is millions of trips through
-``run``.  Three decisions keep it fast without changing observable
-behaviour (the sha256 differential tests pin this down bit for bit):
-
-* **fused pop-if-due** — the loop mirrors ``EventQueue.pop_due`` inline
-  (head slot + heap spillover) instead of the historical ``peek_time()``
-  + ``pop()`` double walk;
-* **per-segment dispatch decision** — ``run`` latches the observability
-  session once per call and enters a dedicated loop (fast / traced),
-  instead of re-reading ``self.obs`` for every event.  Installing a
-  session or toggling ``tracer.enabled`` mid-handler therefore takes
-  effect at the next ``run`` call — nothing in the tree does this, and
-  sessions are documented as install-before-run;
-* **lazy trace bookkeeping** — with tracing enabled the loop pays one
-  flag check per event until the first span begins
-  (``tracer._seen_spans``); only after that does it stamp scheduling
-  context onto events and reset the tracer's per-cascade state.
+``run``.  Its one loop mirrors ``EventQueue.pop_due`` inline (head slot +
+heap spillover) instead of the historical ``peek_time()`` + ``pop()``
+double walk, and reads nothing but the queue: observability never enters
+it, since a span names its parent where it begins (``repro.obs.tracer``).
+The sha256 differential tests pin the loop's behaviour bit for bit.
 
 The scheduling entry points (``at``/``call_later``/``call_soon``) inline
 ``EventQueue.push`` for the same reason; the queue's method remains the
@@ -39,12 +28,11 @@ _FOREVER = float("inf")
 class Simulator:
     """Owns the virtual clock and runs events in timestamp order."""
 
-    __slots__ = ("now", "_queue", "rng", "processes", "faults", "obs",
-                 "_ctx_tracer")
+    __slots__ = ("now", "_queue", "rng", "processes", "faults", "obs")
 
     def __init__(self, seed=0):
         # Current simulation time in integer nanoseconds: a plain slot,
-        # read everywhere and written only by the run loops (and by
+        # read everywhere and written only by the run loop (and by
         # ``run(until=)`` when the queue drains early).
         self.now = 0
         self._queue = EventQueue()
@@ -61,10 +49,6 @@ class Simulator:
         # itself schedules no events and draws no RNG, so even an installed
         # one leaves the simulated schedule bit-identical.
         self.obs = None
-        # The active tracer when scheduling-context stamping may be needed
-        # (session installed with tracing enabled), else None.  Set by
-        # Obs.install and re-latched by run().
-        self._ctx_tracer = None
 
     # -- scheduling --------------------------------------------------------------
     #
@@ -85,12 +69,6 @@ class Simulator:
         event.fn = fn
         event.args = args
         event.cancelled = False
-        tracer = self._ctx_tracer
-        if tracer is not None and tracer._seen_spans:
-            stack = tracer._stack
-            ctx = stack[-1] if stack else tracer._event_ctx
-            if ctx is not None:
-                event.ctx = ctx
         head = queue._head
         if head is None:
             queue._head = event
@@ -119,12 +97,6 @@ class Simulator:
         event.fn = fn
         event.args = args
         event.cancelled = False
-        tracer = self._ctx_tracer
-        if tracer is not None and tracer._seen_spans:
-            stack = tracer._stack
-            ctx = stack[-1] if stack else tracer._event_ctx
-            if ctx is not None:
-                event.ctx = ctx
         head = queue._head
         if head is None:
             queue._head = event
@@ -148,12 +120,6 @@ class Simulator:
         event.fn = fn
         event.args = args
         event.cancelled = False
-        tracer = self._ctx_tracer
-        if tracer is not None and tracer._seen_spans:
-            stack = tracer._stack
-            ctx = stack[-1] if stack else tracer._event_ctx
-            if ctx is not None:
-                event.ctx = ctx
         head = queue._head
         if head is None:
             queue._head = event
@@ -180,75 +146,31 @@ class Simulator:
 
     # -- the event loop ----------------------------------------------------------
 
-    def _latch_dispatch(self):
-        """Latch the per-segment dispatch decision; returns the tracer."""
-        obs = self.obs
-        tracer = obs.tracer if obs is not None and obs.tracer.enabled \
-            else None
-        self._ctx_tracer = tracer
-        return tracer
-
     def run(self, until=None):
         """Run events until the queue drains or the clock reaches ``until``.
 
         When ``until`` is given the clock always finishes exactly there, even
         if the queue drained earlier — callers rely on ``now`` afterwards.
         """
-        tracer = self._latch_dispatch()
         limit = until if until is not None else _FOREVER
         queue = self._queue
         heap = queue._heap
-        if tracer is None:
-            # Fast loop: the inlined pop_due and nothing else.
-            while True:
-                event = queue._head
-                if event is None:
-                    break
-                time = event.time
-                if time > limit:
-                    break
-                queue._head = heappop(heap)[2] if heap else None
-                if event.cancelled:
-                    continue
-                self.now = time
-                args = event.args
-                if args:
-                    event.fn(*args)
-                else:
-                    event.fn()
-        else:
-            # Traced loop: until the first span begins, one flag check per
-            # event is the entire tracing cost.  Afterwards each event
-            # resets the per-cascade state (its scheduling context, an
-            # empty scope stack) — the reset folds into the *next* event's
-            # prologue (and the finally below), which nothing can observe
-            # in between.
-            stack = tracer._stack
-            try:
-                while True:
-                    event = queue._head
-                    if event is None:
-                        break
-                    time = event.time
-                    if time > limit:
-                        break
-                    queue._head = heappop(heap)[2] if heap else None
-                    if event.cancelled:
-                        continue
-                    self.now = time
-                    if tracer._seen_spans:
-                        tracer._event_ctx = getattr(event, "ctx", None)
-                        if stack:
-                            del stack[:]
-                    args = event.args
-                    if args:
-                        event.fn(*args)
-                    else:
-                        event.fn()
-            finally:
-                tracer._event_ctx = None
-                if stack:
-                    del stack[:]
+        while True:
+            event = queue._head
+            if event is None:
+                break
+            time = event.time
+            if time > limit:
+                break
+            queue._head = heappop(heap)[2] if heap else None
+            if event.cancelled:
+                continue
+            self.now = time
+            args = event.args
+            if args:
+                event.fn(*args)
+            else:
+                event.fn()
         if until is not None and until > self.now:
             self.now = until
         return self.now

@@ -33,12 +33,12 @@ class Event:
     Events order by (time, seq); the sequence number makes ties
     deterministic (FIFO among events scheduled for the same instant).
     Cancelling marks the event dead; the queue drops dead events lazily
-    when they surface.  Queue-created events materialize ``seq`` (on heap
-    entry) and ``ctx`` (when a tracing session stamps scheduling context)
-    lazily, so readers outside the queue must tolerate their absence.
+    when they surface.  Queue-created events materialize ``seq`` lazily
+    (on heap entry), so readers outside the queue must tolerate its
+    absence.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "ctx")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled")
 
     def __init__(self, time, seq, fn, args):
         self.time = time
@@ -46,10 +46,6 @@ class Event:
         self.fn = fn
         self.args = args
         self.cancelled = False
-        # Trace context: the span that was current when this event was
-        # scheduled (see repro.obs.tracer).  Only stamped by the simulator
-        # while a tracing session is active and has begun at least one span.
-        self.ctx = None
 
     def cancel(self):
         """Prevent this event from firing.  Safe to call more than once."""

@@ -50,7 +50,7 @@ def _session_with_activity():
         state["balloon"] = tracer.begin("balloon.cpu", cat="balloon",
                                         track="smp", app=1)
         state["ipi"] = tracer.begin("ipi.shootdown", parent=state["balloon"],
-                                    detached=True, core=1)
+                                    core=1)
         tracer.instant("loan.grant", cat="loan", track="smp", app=1)
         sim.call_later(300, arrive)
 
@@ -61,7 +61,8 @@ def _session_with_activity():
 
     def finish():
         tracer.end(state["balloon"], reason="done")
-        tracer.begin("leak", cat="balloon", track="smp", detached=True)
+        tracer.begin("leak", cat="balloon", track="smp",
+                     parent=state["balloon"])
 
     sim.at(100, begin)
     sim.run()
@@ -251,7 +252,7 @@ def _root_of(span, by_id):
 def _busy_session(label, balloons):
     """``balloons`` three-deep span trees, plus instants and counter samples.
 
-    Each balloon scopes a phase span that parents a detached
+    Each balloon parents a phase span, which parents an
     ``ipi.shootdown`` closed one event later; every fifth balloon never
     closes, so the exporter ends it at trace end as unfinished.
     """
@@ -261,9 +262,10 @@ def _busy_session(label, balloons):
 
     def balloon(i):
         outer = tracer.begin("balloon.cpu", cat="balloon", track="smp", app=i)
-        with tracer.span("balloon.phase", phase="drain"):
-            ipi = tracer.begin("ipi.shootdown", detached=True, core=i % 2)
-            tracer.instant("loan.grant", cat="loan", app=i)
+        phase = tracer.begin("balloon.phase", parent=outer, phase="drain")
+        ipi = tracer.begin("ipi.shootdown", parent=phase, core=i % 2)
+        tracer.instant("loan.grant", cat="loan", track="smp", app=i)
+        tracer.end(phase)
         tracer.sample("opp.cpu", track="governor.cpu", opp=i % 4, w=i / 3)
         sim.call_later(50, tracer.end, ipi)
         if i % 5:
@@ -280,7 +282,7 @@ _WRITER_CASES = {
     "chunks": lambda: [_busy_session("node-a", 300),
                        _busy_session("nœud-b", 300)],
     "empty": lambda: [],
-    # nested, detached (ipi.shootdown) and unfinished ("leak") spans
+    # nested (ipi.shootdown) and unfinished ("leak") spans
     "spans": lambda: [_session_with_activity()],
 }
 
@@ -383,7 +385,7 @@ _ARGS = st.dictionaries(st.sampled_from(["a", "b", 'k"', "é"]), _VALUE,
 #: session and across sessions
 _TIME = st.sampled_from([0, 1, 7, 1500, 250000])
 _OP = st.one_of(
-    # begin: a detached span; parent is an index into the spans so far
+    # begin: a span; parent is an index into the spans so far, else a root
     st.tuples(st.just("begin"), _TIME, _TEXT, _TEXT, _TEXT, _ARGS,
               st.integers(-1, 6)),
     # end: close the span at this index (no-op when out of range or
@@ -401,7 +403,7 @@ _SESSION = st.tuples(_TEXT, st.lists(_OP, max_size=10), _TIME,
 def _scripted_session(label, ops, end, numpy_clock):
     """One session built by replaying ``ops`` on a hand-set clock."""
     clock = np.int64 if numpy_clock else int
-    sim = SimpleNamespace(now=clock(0), obs=None, _ctx_tracer=None)
+    sim = SimpleNamespace(now=clock(0), obs=None)
     obs = Obs(sim, label=label).install()
     tracer = obs.tracer
     spans = []
@@ -410,7 +412,7 @@ def _scripted_session(label, ops, end, numpy_clock):
         if op[0] == "begin":
             _kind, _t, name, cat, track, args, parent = op
             spans.append(tracer.begin(
-                name, cat=cat, track=track, detached=True,
+                name, cat=cat, track=track,
                 parent=spans[parent] if 0 <= parent < len(spans) else None,
                 **args))
         elif op[0] == "end":
@@ -504,7 +506,7 @@ def test_format_metrics_table_empty():
 def test_metrics_snapshot_counts_unfinished_spans():
     a, b = _session_with_activity(), _session_with_activity()
     snap = metrics_snapshot([a, b])
-    # each hand-built session leaks exactly one detached span ("leak")
+    # each hand-built session leaks exactly one span ("leak")
     assert [s["unfinished_spans"] for s in snap["sessions"]] == [1, 1]
     assert snap["unfinished_spans"] == 2
 

@@ -21,7 +21,6 @@ class FakeSim:
         self.now = 0
         self.obs = None
         self.faults = None
-        self._ctx_tracer = None
 
 
 class FakeKernel:

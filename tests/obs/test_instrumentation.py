@@ -25,6 +25,7 @@ from repro.kernel.kernel import Kernel
 from repro.obs import (
     FlightRecorder,
     Obs,
+    chrome_trace_events,
     events_jsonl_lines,
     metrics_snapshot,
     render_openmetrics,
@@ -48,10 +49,22 @@ def test_shootdown_spans_nest_under_cpu_balloons(traced_run):
     balloons = obs.tracer.find("balloon.cpu", "balloon")
     shootdowns = obs.tracer.find("ipi.shootdown")
     assert balloons and shootdowns
-    balloon_ids = {span.id for span in balloons}
-    assert all(span.parent_id in balloon_ids for span in shootdowns)
+    # Each balloon is a root: an earlier, closed balloon is not its parent.
+    assert all(span.parent_id is None for span in balloons)
+    by_id = {span.id: span for span in balloons}
+    for span in shootdowns:
+        # The parent is the balloon open when the IPI was sent.
+        parent = by_id[span.parent_id]
+        assert parent.start <= span.start
+        assert parent.end is None or parent.end >= span.start
     assert all(span.closed for span in shootdowns)
     assert all(span.track == "smp" for span in shootdowns)
+    # Exported, each balloon is its own async group and holds its IPIs.
+    begins = [e for e in chrome_trace_events([obs]) if e["ph"] == "b"]
+    ids = [e["id"] for e in begins if e["name"] == "balloon.cpu"]
+    assert len(set(ids)) == len(ids) == len(balloons)
+    assert {e["id"] for e in begins
+            if e["name"] == "ipi.shootdown"} <= set(ids)
 
 
 def test_balloon_spans_cover_positive_virtual_time(traced_run):

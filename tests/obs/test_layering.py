@@ -111,7 +111,6 @@ GUARDED_SITES = {
     "kernel/kernel.py": 1,
     "kernel/smp.py": 4,
     "powercap/controller.py": 1,
-    "sim/engine.py": 1,
 }
 
 

@@ -23,7 +23,6 @@ class FakeSim:
         self.now = 0
         self.obs = None
         self.faults = None
-        self._ctx_tracer = None
 
 
 def make_session(label="run", timeline=False):

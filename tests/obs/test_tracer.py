@@ -1,4 +1,4 @@
-"""Tracer unit tests: span lifecycles, causal context, disabled no-ops,
+"""Tracer unit tests: span lifecycles, explicit parents, disabled no-ops,
 and the args every record shares with its equals."""
 
 import itertools
@@ -25,8 +25,10 @@ def test_scoped_spans_nest_within_a_cascade():
 
     def handler():
         outer = tracer.begin("outer", cat="c")
-        inner = tracer.begin("inner")
+        inner = tracer.begin("inner", parent=outer)
+        sibling = tracer.begin("sibling")
         seen["outer"] = outer
+        seen["sibling"] = sibling
         seen["inner"] = inner
         tracer.end(inner)
         tracer.end(outer)
@@ -34,7 +36,9 @@ def test_scoped_spans_nest_within_a_cascade():
     sim.call_soon(handler)
     sim.run()
     assert seen["inner"].parent_id == seen["outer"].id
+    # No parent passed: a root, even while another span is open.
     assert seen["outer"].parent_id is None
+    assert seen["sibling"].parent_id is None
     assert seen["inner"].closed and seen["outer"].closed
     assert tracer.children_of(seen["outer"]) == [seen["inner"]]
 
@@ -59,88 +63,35 @@ def test_span_records_virtual_time():
     assert span.args["outcome"] == "done"
 
 
-def test_context_propagates_through_scheduled_events():
-    """A span current at schedule time parents spans in the continuation."""
+def test_span_with_explicit_parent():
     sim, obs = _obs()
     tracer = obs.tracer
     seen = {}
 
     def begin():
-        seen["parent"] = tracer.begin("parent")
-        sim.call_later(1000, continuation)
-        tracer.end(seen["parent"])
+        root = tracer.begin("root", cat="balloon", track="smp")
+        seen["root"] = root
+        sim.call_later(100, arrive)
 
-    def continuation():
-        # The event loop unwound in between, but the event carried the span.
-        assert tracer.current is seen["parent"]
-        seen["child"] = tracer.begin("child")
-        tracer.end(seen["child"])
+    def arrive():
+        # Another event: the child names its parent, nothing carries it.
+        child = tracer.begin("ipi", parent=seen["root"])
+        seen["child"] = child
+        tracer.end(child)
+        tracer.end(seen["root"])
 
     sim.call_soon(begin)
     sim.run()
-    assert seen["child"].parent_id == seen["parent"].id
-
-
-def test_events_scheduled_outside_any_span_carry_no_context():
-    sim, obs = _obs()
-    tracer = obs.tracer
-    seen = {}
-
-    def handler():
-        seen["current"] = tracer.current
-        seen["span"] = tracer.begin("orphan")
-        tracer.end(seen["span"])
-
-    sim.call_soon(handler)
-    sim.run()
-    assert seen["current"] is None
-    assert seen["span"].parent_id is None
-
-
-def test_detached_span_does_not_become_current():
-    sim, obs = _obs()
-    tracer = obs.tracer
-    seen = {}
-
-    def handler():
-        seen["det"] = tracer.begin("det", detached=True)
-        seen["current"] = tracer.current
-        other = tracer.begin("other")
-        seen["other"] = other
-        tracer.end(other)
-        tracer.end(seen["det"])
-
-    sim.call_soon(handler)
-    sim.run()
-    assert seen["current"] is None
-    assert seen["other"].parent_id is None
-    # ...but a detached span still takes the current span as its parent.
-    assert seen["det"].parent_id is None
-
-
-def test_detached_span_with_explicit_parent():
-    sim, obs = _obs()
-    tracer = obs.tracer
-    seen = {}
-
-    def handler():
-        root = tracer.begin("root", cat="balloon", track="smp")
-        det = tracer.begin("ipi", parent=root, detached=True)
-        seen["root"], seen["det"] = root, det
-        tracer.end(det)
-        tracer.end(root)
-
-    sim.call_soon(handler)
-    sim.run()
-    assert seen["det"].parent_id == seen["root"].id
+    assert seen["child"].parent_id == seen["root"].id
+    assert tracer.children_of(seen["root"]) == [seen["child"]]
     # Track inheritance: a child with no track takes its parent's.
-    assert seen["det"].track == "smp"
+    assert seen["child"].track == "smp"
 
 
 def test_unclosed_spans_reported_open():
     sim, obs = _obs()
     tracer = obs.tracer
-    sim.call_soon(lambda: tracer.begin("leak", detached=True))
+    sim.call_soon(lambda: tracer.begin("leak"))
     sim.run()
     assert len(tracer.open_spans()) == 1
     assert tracer.open_spans()[0].name == "leak"
@@ -164,48 +115,16 @@ def test_end_is_idempotent_and_none_safe():
     assert span.end == handler.first_end == 0
 
 
-def test_span_context_manager():
-    sim, obs = _obs()
-
-    def handler():
-        with obs.tracer.span("block", cat="c", track="tr", arg=1) as span:
-            assert obs.tracer.current is span
-        assert span.closed
-
-    sim.call_soon(handler)
-    sim.run()
-    assert obs.tracer.find("block", "c")[0].args == {"arg": 1}
-
-
-def test_instants_inherit_current_track():
-    sim, obs = _obs()
-    tracer = obs.tracer
-
-    def handler():
-        with tracer.span("holder", track="smp"):
-            tracer.instant("ping", cat="c", n=3)
-        tracer.instant("bare")
-
-    sim.call_soon(handler)
-    sim.run()
-    (t0, track0, name0, cat0, args0), (_t1, track1, _n1, _c1, _a1) = \
-        tracer.instants
-    assert (track0, name0, cat0, args0) == ("smp", "ping", "c", {"n": 3})
-    assert track1 == ""
-
-
 def test_disabled_tracer_records_nothing():
     sim, obs = _obs(tracing=False)
     tracer = obs.tracer
 
     def handler():
-        span = tracer.begin("x", detached=False)
+        span = tracer.begin("x")
         assert span is None
         tracer.end(span)
         tracer.instant("i")
         tracer.sample("s", v=1)
-        with tracer.span("cm") as cm:
-            assert cm is None
 
     sim.call_soon(handler)
     sim.run()
@@ -249,7 +168,7 @@ def _record(tracer, kind, args, more):
         tracer.sample("s", **args)
         record = tracer.samples[-1]
         return args, lambda: record[3]
-    span = tracer.begin("s", detached=True, **args)
+    span = tracer.begin("s", **args)
     assert repr(span.args) == repr(args)
     if kind == "end":
         tracer.end(span, **more)
@@ -289,8 +208,8 @@ def test_records_keep_their_args_and_share_equal_ones(calls_a, calls_b):
 def test_end_with_args_leaves_an_equal_span_alone():
     _sim, obs = _obs()
     tracer = obs.tracer
-    kept = tracer.begin("a", detached=True, core=1)
-    ended = tracer.begin("b", detached=True, core=1)
+    kept = tracer.begin("a", core=1)
+    ended = tracer.begin("b", core=1)
     shared = kept.args
     assert ended.args is shared
     tracer.end(ended, dropped=True)
@@ -304,7 +223,7 @@ def test_repeated_args_cost_no_dict_per_record():
     """Governor-shaped instant + sample pairs over a few distinct args:
     each record costs its tuple, its list slot and its share of the time,
     at most 150 traced bytes (~280 with a dict per record)."""
-    sim = SimpleNamespace(now=0, obs=None, _ctx_tracer=None)
+    sim = SimpleNamespace(now=0, obs=None)
     tracer = Obs(sim, label="t").install().tracer
     keys = ["app-{}".format(n) for n in range(4)]
     pairs = 10_000
