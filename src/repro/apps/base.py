@@ -2,6 +2,10 @@
 
 from repro.sim.trace import EventTrace
 
+# record shapes of an app's ``<name>.metrics`` log
+_TASK_DONE = ("task_done", "task")
+_COUNT = ("count", "metric", "n")
+
 
 class App:
     """One application: identity, tasks, metrics, and optional psboxes.
@@ -29,7 +33,7 @@ class App:
         return self.kernel.spawn(self, behavior, name=name, weight=weight)
 
     def task_finished(self, task):
-        self.events.log(self.kernel.now, "task_done", task=task.name)
+        self.events.add((self.kernel.now, _TASK_DONE, task.name))
 
     @property
     def finished(self):
@@ -48,7 +52,7 @@ class App:
     def count(self, metric, n=1):
         """Record ``n`` units of app-defined progress (items, frames, KB...)."""
         self.counters[metric] = self.counters.get(metric, 0) + n
-        self.events.log(self.kernel.now, "count", metric=metric, n=n)
+        self.events.add((self.kernel.now, _COUNT, metric, n))
 
     def note_command_complete(self, device, command):
         self.count(device + "_commands", 1)

@@ -8,6 +8,9 @@ and is completely inert (schedules nothing) unless the plan arms a
 ``task.crash`` spec, preserving the bit-identical-off-by-default promise.
 """
 
+# the shape of a crash's record in the plan's log
+_CRASH = ("inject", "site", "fault", "task", "restart_ns")
+
 
 class TaskCrashInjector:
     """Crashes random alive tasks of the target apps, then respawns them.
@@ -67,8 +70,8 @@ class TaskCrashInjector:
         restart = spec.extra_ns
         if spec.jitter_ns > 0:
             restart += int(rng.integers(0, spec.jitter_ns))
-        plan.log.log(self.sim.now, "inject", site=self.SITE, fault="crash",
-                     task=victim.name, restart_ns=restart)
+        plan.log.add((self.sim.now, _CRASH, self.SITE, "crash", victim.name,
+                      restart))
         self.sim.call_later(max(1, restart), self._respawn, app, factory)
 
     def _respawn(self, app, factory):

@@ -46,6 +46,9 @@ import numpy as np
 
 from repro.sim.trace import EventTrace
 
+# the shape of an injection record; a site's own fields follow
+_INJECT = ("inject", "site", "fault")
+
 
 @dataclass
 class FaultSpec:
@@ -109,7 +112,7 @@ class FaultPlan:
         """Number of injections performed (optionally for one site)."""
         if site is None:
             return len(self.log)
-        return sum(1 for _t, _k, p in self.log if p.get("site") == site)
+        return len(self.log.times(site=site))
 
     def rng(self, site):
         """The dedicated RNG stream for one site's decisions."""
@@ -151,8 +154,8 @@ class FaultPlan:
         return spec
 
     def _record(self, spec, **payload):
-        self.log.log(self.sim.now, "inject", site=spec.site, fault=spec.kind,
-                     **payload)
+        self.log.add((self.sim.now, _INJECT + tuple(payload), spec.site,
+                      spec.kind, *payload.values()))
         obs = self.sim.obs
         if obs is not None:
             obs.tracer.instant("inject." + spec.site, cat="fault",

@@ -13,6 +13,10 @@ import itertools
 from repro.sim.clock import SEC
 from repro.sim.trace import EventTrace, StepTrace
 
+# record shapes of the ``<name>.commands`` log
+_DISPATCH = ("dispatch", "app", "cmd_kind", "seq", "power")
+_COMPLETE = ("complete", "app", "cmd_kind", "seq")
+
 
 class Command:
     """One accelerator command (GPU render/compute batch, DSP kernel...).
@@ -147,9 +151,8 @@ class CommandEngine:
         self._settle(now)
         self._inflight.append(_Inflight(command, now))
         self._current_speed = self._speed()
-        self.log.log(now, "dispatch", app=command.app_id,
-                     cmd_kind=command.kind, seq=command.seq,
-                     power=command.power_w)
+        self.log.add((now, _DISPATCH, command.app_id, command.kind,
+                      command.seq, command.power_w))
         self._usage_trace(command.app_id).add(now, 1.0)
         self._reschedule()
         self._update_power()
@@ -213,8 +216,8 @@ class CommandEngine:
             command = entry.command
             command.complete_t = now
             command.occupancy_ns = entry.occupancy
-            self.log.log(now, "complete", app=command.app_id,
-                         cmd_kind=command.kind, seq=command.seq)
+            self.log.add((now, _COMPLETE, command.app_id, command.kind,
+                          command.seq))
             self._usage_trace(command.app_id).add(now, -1.0)
             if command.on_complete is not None:
                 # Interrupt/notification latency before the driver hears

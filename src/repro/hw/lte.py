@@ -16,6 +16,8 @@ from repro.hw.nic import CAM, PSM, WifiNic
 from repro.hw.power import NicPowerModel
 from repro.sim.clock import from_msec, from_usec
 
+_RRC_PROMOTION = ("rrc_promotion",)
+
 
 def default_lte_power_model():
     """RRC-idle / connected-idle / transmitting power levels."""
@@ -52,7 +54,7 @@ class LteNic(WifiNic):
             self._promoting = True
             self._cancel_tail()
             self._enter_state(CAM)
-            self.log.log(self.sim.now, "rrc_promotion")
+            self.log.add((self.sim.now, _RRC_PROMOTION))
             self.sim.call_later(self.promotion_delay, self._promoted)
             return
         super()._maybe_start_tx()

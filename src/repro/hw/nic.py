@@ -23,6 +23,12 @@ CAM = "cam"
 TX = "tx"
 RX = "rx"
 
+# record shapes of the ``<name>.packets`` log
+_RX_START = ("rx_start", "app", "seq", "size")
+_RX_END = ("rx_end", "app", "seq", "size")
+_TX_START = ("tx_start", "app", "seq", "size")
+_TX_END = ("tx_end", "app", "seq", "size")
+
 
 class Packet:
     """One transmit unit (an aggregated MPDU burst in practice).
@@ -179,8 +185,8 @@ class WifiNic:
         self._cancel_tail()
         packet.tx_start_t = self.sim.now
         self._enter_state(RX)
-        self.log.log(self.sim.now, "rx_start", app=packet.app_id,
-                     seq=packet.seq, size=packet.size_bytes)
+        self.log.add((self.sim.now, _RX_START, packet.app_id, packet.seq,
+                      packet.size_bytes))
         airtime = self.per_packet_overhead + int(
             packet.size_bytes * 8 / self.rate_bps * SEC
         )
@@ -192,8 +198,8 @@ class WifiNic:
         self._rx_event = None
         now = self.sim.now
         packet.tx_end_t = now
-        self.log.log(now, "rx_end", app=packet.app_id, seq=packet.seq,
-                     size=packet.size_bytes)
+        self.log.add((now, _RX_END, packet.app_id, packet.seq,
+                      packet.size_bytes))
         if packet.on_complete is not None:
             packet.on_complete(packet)
         if self._rx_queue:
@@ -261,8 +267,8 @@ class WifiNic:
         self._cancel_tail()
         packet.tx_start_t = self.sim.now
         self._enter_state(TX)
-        self.log.log(self.sim.now, "tx_start", app=packet.app_id, seq=packet.seq,
-                     size=packet.size_bytes)
+        self.log.add((self.sim.now, _TX_START, packet.app_id, packet.seq,
+                      packet.size_bytes))
         airtime = self.per_packet_overhead + int(
             packet.size_bytes * 8 / self.rate_bps * SEC
         )
@@ -274,8 +280,8 @@ class WifiNic:
         self._tx_event = None
         now = self.sim.now
         packet.tx_end_t = now
-        self.log.log(now, "tx_end", app=packet.app_id, seq=packet.seq,
-                     size=packet.size_bytes)
+        self.log.add((now, _TX_END, packet.app_id, packet.seq,
+                      packet.size_bytes))
         self._usage_trace(packet.app_id).add(now, -1.0)
         self._queue_completion(packet)
         if self._rx_queue:

@@ -88,4 +88,4 @@ class AccelScheduler(BalloonScheduler):
     def _bill_close(self, q):
         self._bill_serve(q)
         self._window_billed_to = None
-        return {}
+        return ()

@@ -31,6 +31,13 @@ SERVE = "serve"
 DRAIN_PSBOX = "drain_psbox"
 DRAINING = (DRAIN_OTHERS, DRAIN_PSBOX)
 
+# record shapes of the ``<name>.sched`` log (repro.sim.trace.EventTrace)
+_COMPLETE = ("complete", "app", "seq")
+_DRAIN_PSBOX = ("drain_psbox", "app")
+_DISPATCH = ("dispatch", "app", "seq", "wait")
+_DRAIN_OTHERS = ("drain_others", "app")
+_WINDOW_OPEN = ("window_open", "app")
+
 
 class _AppQueue:
     __slots__ = ("app", "pending", "vruntime")
@@ -46,7 +53,13 @@ class BalloonScheduler:
 
     ``name`` prefixes the event log (``<name>.sched``) and the fault site
     (``<name>.drain``); metrics and spans carry the device's own name.
+    ``_SUBMIT`` and ``_WINDOW_CLOSE`` are the shapes of the two records a
+    subclass may extend: :meth:`_enqueue` and :meth:`_bill_close` give
+    the values of the extra fields.
     """
+
+    _SUBMIT = ("submit", "app", "seq")
+    _WINDOW_CLOSE = ("window_close", "app")
 
     def __init__(self, kernel, device, name, state_holder, draining_enabled,
                  yield_quantum):
@@ -117,8 +130,9 @@ class BalloonScheduler:
         """Bill the drain to the psbox app as its window opens."""
 
     def _bill_close(self, q):
-        """Settle the window's bill; returns extra ``window_close`` fields."""
-        return {}
+        """Settle the window's bill; returns the values of the fields
+        ``_WINDOW_CLOSE`` adds to ``window_close``."""
+        return ()
 
     def _switch_context(self, key):
         self.state_holder.switch_context(key)
@@ -175,13 +189,14 @@ class BalloonScheduler:
             self.queues[app.id] = _AppQueue(app)
         return self.queues[app.id]
 
-    def _enqueue(self, app, unit, user_cb, **fields):
-        """Queue ``unit`` for ``app`` and log its submission."""
+    def _enqueue(self, app, unit, user_cb, extra=()):
+        """Queue ``unit`` for ``app`` and log its submission; ``extra``
+        holds the values of the fields ``_SUBMIT`` adds."""
         now = self.sim.now
         unit.submit_t = now
         unit.on_complete = self._completion_wrapper(user_cb)
         self._queue_for(app).pending.append(unit)
-        self.log.log(now, "submit", app=app.id, seq=unit.seq, **fields)
+        self.log.add((now, self._SUBMIT, app.id, unit.seq) + extra)
         return unit
 
     def _completion_wrapper(self, user_cb):
@@ -189,8 +204,7 @@ class BalloonScheduler:
         # make every unit a cycle (unit -> on_complete -> cell -> unit)
         # that only the cyclic collector frees.
         def on_complete(unit):
-            self.log.log(self.sim.now, "complete", app=unit.app_id,
-                         seq=unit.seq)
+            self.log.add((self.sim.now, _COMPLETE, unit.app_id, unit.seq))
             self._on_complete(unit)
             if user_cb is not None:
                 user_cb(unit)
@@ -304,7 +318,7 @@ class BalloonScheduler:
         should_yield = not flushing and (overdrawn or idle or gated)
         if should_yield:
             self.state = DRAIN_PSBOX
-            self.log.log(self.sim.now, "drain_psbox", app=self.psbox_app.id)
+            self.log.add((self.sim.now, _DRAIN_PSBOX, self.psbox_app.id))
             self._obs_phase("drain_psbox", app=self.psbox_app.id)
             if self.device.is_drained:
                 if self._fault_held():
@@ -319,8 +333,7 @@ class BalloonScheduler:
     def _dispatch(self, q, unit):
         now = self.sim.now
         wait = now - unit.submit_t
-        self.log.log(now, "dispatch", app=unit.app_id, seq=unit.seq,
-                     wait=wait)
+        self.log.add((now, _DISPATCH, unit.app_id, unit.seq, wait))
         obs = self.sim.obs
         if obs is not None:
             instruments = obs.instruments[self]
@@ -341,7 +354,7 @@ class BalloonScheduler:
         self.state = DRAIN_OTHERS
         self._drain_start_t = now
         self._begin_drain()
-        self.log.log(now, "drain_others", app=self.psbox_app.id)
+        self.log.add((now, _DRAIN_OTHERS, self.psbox_app.id))
         self._obs_phase("drain_others", app=self.psbox_app.id)
         if self.device.is_drained:
             if self._fault_held():
@@ -366,7 +379,7 @@ class BalloonScheduler:
         self._flush_remaining = len(q.pending)
         if self.state_holder is not None:
             self._switch_context(self._ctx_key())
-        self.log.log(now, "window_open", app=self.psbox_app.id)
+        self.log.add((now, _WINDOW_OPEN, self.psbox_app.id))
         self._obs_phase("serve", app=self.psbox_app.id)
         for hook in self.balloon_in_hooks:
             hook(self.psbox_app, now)
@@ -374,10 +387,10 @@ class BalloonScheduler:
     def _close_window(self):
         """Psbox drained: settle the window bill, restore the world state."""
         now = self.sim.now
-        fields = self._bill_close(self._queue_for(self.psbox_app))
+        extra = self._bill_close(self._queue_for(self.psbox_app))
         if self.state_holder is not None:
             self._switch_context("world")
-        self.log.log(now, "window_close", app=self.psbox_app.id, **fields)
+        self.log.add((now, self._WINDOW_CLOSE, self.psbox_app.id) + extra)
         obs = self.sim.obs
         if obs is not None and self._window_open_t is not None:
             obs.instruments[self]["window_ns"].observe(

@@ -15,6 +15,9 @@ from repro.sim.trace import EventTrace
 
 WORLD = "world"
 
+# the shape of a ``governor.<domain>`` log record
+_SWITCH = ("switch", "key", "expected", "actual")
+
 
 class _ContextState:
     __slots__ = ("index", "busy", "wall")
@@ -99,8 +102,7 @@ class OndemandGovernor:
         # context's OPP, leaking lingering frequency state across the
         # boundary (exactly what repro.check's vstate invariant catches).
         actual = domain.index
-        self.log.log(self.sim.now, "switch", key=key, expected=target,
-                     actual=actual)
+        self.log.add((self.sim.now, _SWITCH, key, target, actual))
         obs = self.sim.obs
         if obs is not None:
             instruments = obs.instruments[self]

@@ -27,6 +27,9 @@ from repro.sim.clock import SEC
 class PacketScheduler(BalloonScheduler):
     """Driver-level transmit scheduler for one NIC."""
 
+    _SUBMIT = BalloonScheduler._SUBMIT + ("size",)
+    _WINDOW_CLOSE = BalloonScheduler._WINDOW_CLOSE + ("penalty",)
+
     def __init__(self, kernel, nic, state_holder=None, queue_limit=3,
                  draining_enabled=True, yield_quantum=192_000, name="net"):
         # Bytes of credit hysteresis before the balloon yields the NIC; the
@@ -48,7 +51,7 @@ class PacketScheduler(BalloonScheduler):
         """Deposit one transmit unit into the app's socket buffer."""
         packet = self._enqueue(
             app, Packet(app.id, size_bytes, next(self.device.unit_seq)),
-            on_complete, size=size_bytes)
+            on_complete, (size_bytes,))
         if self.state != NORMAL and (
             self.psbox_app is None or app.id != self.psbox_app.id
         ):
@@ -140,4 +143,4 @@ class PacketScheduler(BalloonScheduler):
         q.vruntime += penalty / q.app.weight
         self._held_other_bytes = 0
         self._window_bytes = 0
-        return {"penalty": penalty}
+        return (penalty,)

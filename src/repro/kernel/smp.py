@@ -11,6 +11,12 @@ from repro.kernel.cfs import CoreScheduler, GroupEntity
 from repro.sim.clock import from_msec, from_usec
 from repro.sim.trace import EventTrace
 
+# record shapes of the ``smp`` log
+_COSCHED_BEGIN = ("cosched_begin", "app")
+_COSCHED_END = ("cosched_end", "app", "reason")
+_LOAN_REDISTRIBUTION = ("loan_redistribution", "app", "total", "surcharge",
+                        "shares")
+
 
 class AppGroup:
     """The kernel-side cgroup of one app: one GroupEntity per core."""
@@ -302,7 +308,7 @@ class SmpScheduler:
         now = self.sim.now
         cosched = _Coschedule(group, now)
         self.active_cosched = cosched
-        self.log.log(now, "cosched_begin", app=group.app.id)
+        self.log.add((now, _COSCHED_BEGIN, group.app.id))
         obs = self.sim.obs
         if obs is not None:
             instruments = obs.instruments[self]
@@ -414,7 +420,7 @@ class SmpScheduler:
         group = cosched.group
         self.active_cosched = None
         now = self.sim.now
-        self.log.log(now, "cosched_end", app=group.app.id, reason=reason)
+        self.log.add((now, _COSCHED_END, group.app.id, reason))
         obs = self.sim.obs
         if obs is not None:
             instruments = obs.instruments[self]
@@ -496,8 +502,8 @@ class SmpScheduler:
             share = mean + surcharge / entity.weight
             entity.vruntime += share
             shares.append(share)
-        self.log.log(now, "loan_redistribution", app=group.app.id,
-                     total=total, surcharge=surcharge, shares=shares)
+        self.log.add((now, _LOAN_REDISTRIBUTION, group.app.id, total,
+                      surcharge, shares))
         obs = self.sim.obs
         if obs is not None:
             instruments = obs.instruments[self]

@@ -376,9 +376,7 @@ def events_jsonl_lines(sessions):
                 lines.append(json.dumps(doc, sort_keys=True))
         plan = getattr(obs.sim, "faults", None)
         if plan is not None:
-            for t, kind, payload in plan.log:
-                if kind != "inject":
-                    continue
+            for t, _kind, payload in plan.log.filter("inject"):
                 doc = dict(payload, session=obs.label, kind="inject", t_ns=t)
                 lines.append(json.dumps(doc, sort_keys=True, default=str))
     return lines

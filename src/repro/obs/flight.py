@@ -285,14 +285,13 @@ class FlightRecorder:
                     [t, kind,
                      {str(k): v if type(v) in _SCALARS else _jsonable(v)
                       for k, v in payload.items() if k != "seq"}]
-                    for t, kind, payload
-                    in _tail(log.records, self.events_tail)],
+                    for t, kind, payload in log.tail(self.events_tail)],
             }
         plan = getattr(obs.sim, "faults", None)
         if plan is not None:
             snap["injections"] = [
                 dict(_jsonable(payload), t_ns=t)
-                for t, kind, payload in _tail(plan.log, self.events_tail)
+                for t, kind, payload in plan.log.tail(self.events_tail)
                 if kind == "inject"
             ]
         return snap

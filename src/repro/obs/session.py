@@ -7,10 +7,9 @@ every one of those points is a read-and-branch — the disabled-hook cost the
 differential tests and the BENCH_obs benchmark bound.
 """
 
-from itertools import islice
-
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
+from repro.sim.trace import KeptLog
 
 
 class Instruments(dict):
@@ -53,30 +52,6 @@ class _Bindings(dict):
     def __missing__(self, owner):
         instruments = self[owner] = Instruments(self.obs, owner.obs_names)
         return instruments
-
-
-class KeptLog:
-    """One kernel log as a session keeps it once the boot has shut down.
-
-    The name, the retained and dropped counts, and the last ``tail``
-    records: as many as the run's flight recorder reads, none without
-    one.  It answers what readers ask an
-    :class:`~repro.sim.trace.EventTrace` (``name``, ``len``,
-    ``dropped``, the newest ``records``) as the log did, since a
-    shut-down boot logs nothing more.
-    """
-
-    __slots__ = ("name", "dropped", "records", "_retained")
-
-    def __init__(self, log, tail):
-        self.name = log.name
-        self.dropped = log.dropped
-        self._retained = len(log)
-        self.records = list(islice(log.records,
-                                   max(self._retained - tail, 0), None))
-
-    def __len__(self):
-        return self._retained
 
 
 class Obs:
@@ -135,10 +110,11 @@ class Obs:
 
         The bound instruments go, since their keys are the boot's
         components.  If ``kernel`` is the bound one, it goes too: each
-        of its logs becomes a :class:`KeptLog` with the flight
-        recorder's ``events_tail`` records, and the powercap ring is
-        kept.  ``kernel_logs`` is rewritten in place because a flight
-        stamp holds the list: the stamp still matches, and pins no log.
+        of its logs becomes a :class:`~repro.sim.trace.KeptLog` with the
+        flight recorder's ``events_tail`` records (none without one), and
+        the powercap ring is kept.  ``kernel_logs`` is rewritten in place
+        because a flight stamp holds the list: the stamp still matches,
+        and pins no log.
         """
         self.instruments.clear()
         if kernel is not self.kernel:

@@ -9,6 +9,7 @@ event.
 
 import bisect
 from collections import deque
+from itertools import islice
 
 import numpy as np
 
@@ -156,12 +157,42 @@ class StepTrace:
         return self.integrate(t0, t1) / (t1 - t0)
 
 
+def _view(record):
+    """The ``(t, kind, payload)`` triple of one flat record, payload fresh."""
+    shape = record[1]
+    return record[0], shape[0], dict(zip(shape[1:], record[2:]))
+
+
+def _field(record, key):
+    """A flat record's value of ``key``; None if it has no such field, as
+    ``payload.get`` reads."""
+    shape = record[1]
+    for i in range(1, len(shape)):
+        if shape[i] == key:
+            return record[i + 1]
+    return None
+
+
+def _last(records, n):
+    """The last ``n`` items of a list or deque, oldest first."""
+    if n <= 0:
+        return []
+    if isinstance(records, list):
+        return records[-n:]
+    return list(islice(records, max(len(records) - n, 0), None))
+
+
 class EventTrace:
     """A flat, append-only log of timestamped records.
 
-    Records are (time, kind, payload) tuples; ``payload`` is a dict.  Used
-    for scheduling decisions, command dispatch/completion, packet activity —
-    anything the experiments later need to slice.
+    A record is one flat tuple ``(t, shape, *values)``: ``shape`` is
+    ``(kind, field, ...)``, a constant the logging site holds, and the
+    values follow its fields in order.  Used for scheduling decisions,
+    command dispatch/completion, packet activity — anything the
+    experiments later need to slice.  Readers see ``(t, kind, payload)``
+    triples whose payload is a fresh dict of the record's fields: the log
+    keeps no dict per record, so a long boot's logs cost one tuple per
+    record and give the cyclic collector nothing to chase.
 
     With ``capacity`` set the log becomes a bounded ring: the oldest records
     are evicted once ``capacity`` is reached and ``dropped`` counts the
@@ -177,16 +208,18 @@ class EventTrace:
         self.capacity = capacity
         self.dropped = 0
         if capacity is None:
-            self.records = []
+            self._records = []
         else:
-            self.records = deque(maxlen=capacity)
+            self._records = deque(maxlen=capacity)
         self._subscribers = []
 
-    def log(self, t, kind, **payload):
-        if self.capacity is not None and len(self.records) == self.capacity:
+    def add(self, record):
+        """Append one record ``(t, (kind, field, ...), *values)``."""
+        if self.capacity is not None and len(self._records) == self.capacity:
             self.dropped += 1
-        self.records.append((t, kind, payload))
+        self._records.append(record)
         if self._subscribers:
+            t, kind, payload = _view(record)
             for fn in tuple(self._subscribers):
                 fn(t, kind, payload)
 
@@ -206,26 +239,62 @@ class EventTrace:
             self._subscribers.remove(fn)
 
     def __len__(self):
-        return len(self.records)
+        return len(self._records)
 
     def __iter__(self):
-        return iter(self.records)
+        """``(t, kind, payload)`` per record, oldest first."""
+        return map(_view, self._records)
 
-    def filter(self, kind=None, t0=None, t1=None, **match):
-        """Return records matching a kind, time window, and payload fields."""
-        out = []
-        for t, k, payload in self.records:
-            if kind is not None and k != kind:
+    def tail(self, n):
+        """The last ``n`` records as ``(t, kind, payload)``, oldest first."""
+        return [_view(record) for record in _last(self._records, n)]
+
+    def _matching(self, kind, t0, t1, match):
+        """Flat records of ``kind`` in [t0, t1) whose fields equal ``match``."""
+        for record in self._records:
+            t = record[0]
+            if kind is not None and record[1][0] != kind:
                 continue
             if t0 is not None and t < t0:
                 continue
             if t1 is not None and t >= t1:
                 continue
-            if any(payload.get(key) != value for key, value in match.items()):
+            if any(_field(record, key) != value
+                   for key, value in match.items()):
                 continue
-            out.append((t, k, payload))
-        return out
+            yield record
+
+    def filter(self, kind=None, t0=None, t1=None, **match):
+        """Return records matching a kind, time window, and payload fields."""
+        return [_view(record)
+                for record in self._matching(kind, t0, t1, match)]
 
     def times(self, kind=None, **match):
         """Timestamps of matching records."""
-        return [t for t, _, _ in self.filter(kind=kind, **match)]
+        return [record[0]
+                for record in self._matching(kind, None, None, match)]
+
+
+class KeptLog:
+    """An event log as a holder keeps it once its boot has shut down.
+
+    The name, the retained and dropped counts, and the last ``tail``
+    records, flat as the log stored them.  It answers ``name``, ``len``,
+    ``dropped`` and :meth:`tail` as the log did, since a shut-down boot
+    logs nothing more.
+    """
+
+    __slots__ = ("name", "dropped", "_records", "_retained")
+
+    def __init__(self, log, tail):
+        self.name = log.name
+        self.dropped = log.dropped
+        self._retained = len(log)
+        self._records = _last(log._records, tail)
+
+    def __len__(self):
+        return self._retained
+
+    def tail(self, n):
+        """The last ``n`` kept records as ``(t, kind, payload)``."""
+        return [_view(record) for record in _last(self._records, n)]

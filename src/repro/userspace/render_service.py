@@ -28,6 +28,13 @@ DRAIN_OTHERS = "drain_others"
 SERVE = "serve"
 DRAIN_CLIENT = "drain_client"
 
+# record shapes of the daemon's log
+_SUBMIT = ("submit", "client")
+_DRAIN_OTHERS = ("drain_others",)
+_FORWARD = ("forward", "client")
+_WINDOW_OPEN = ("window_open", "client")
+_WINDOW_CLOSE = ("window_close", "client")
+
 
 class _Client:
     __slots__ = ("app", "pending", "inflight", "meter")
@@ -73,7 +80,7 @@ class RenderService:
         if client is None:
             raise KeyError("client {!r} is not connected".format(app.name))
         client.pending.append((kind, cycles, power_w, on_complete))
-        self.log.log(self.sim.now, "submit", client=app.id)
+        self.log.add((self.sim.now, _SUBMIT, app.id))
         self._pump()
 
     def enter_psbox(self, app):
@@ -125,7 +132,7 @@ class RenderService:
             return
         if self.state == NORMAL and self.sandboxed_client.pending:
             self.state = DRAIN_OTHERS
-            self.log.log(self.sim.now, "drain_others")
+            self.log.add((self.sim.now, _DRAIN_OTHERS))
         if self.state == DRAIN_OTHERS:
             if self.outstanding == 0:
                 self._open_window()
@@ -148,7 +155,7 @@ class RenderService:
                 return
             if respect_boundary and client is self.sandboxed_client:
                 self.state = DRAIN_OTHERS
-                self.log.log(self.sim.now, "drain_others")
+                self.log.add((self.sim.now, _DRAIN_OTHERS))
                 self._pump()
                 return
             self._forward(client)
@@ -168,7 +175,7 @@ class RenderService:
         kind, cycles, power_w, user_cb = client.pending.popleft()
         client.inflight += 1
         self.outstanding += 1
-        self.log.log(self.sim.now, "forward", client=client.app.id)
+        self.log.add((self.sim.now, _FORWARD, client.app.id))
 
         def on_complete(command):
             client.inflight -= 1
@@ -185,13 +192,13 @@ class RenderService:
 
     def _open_window(self):
         self.state = SERVE
-        self.log.log(self.sim.now, "window_open",
-                     client=self.sandboxed_client.app.id)
+        self.log.add((self.sim.now, _WINDOW_OPEN,
+                      self.sandboxed_client.app.id))
         self.sandboxed_client.meter.open_window("gpu", self.sim.now)
         self._pump_serve()
 
     def _close_window(self):
-        self.log.log(self.sim.now, "window_close",
-                     client=self.sandboxed_client.app.id)
+        self.log.add((self.sim.now, _WINDOW_CLOSE,
+                      self.sandboxed_client.app.id))
         self.sandboxed_client.meter.close_window("gpu", self.sim.now)
         self.state = NORMAL

@@ -61,7 +61,7 @@ def test_delay_adds_extra_within_jitter_and_logs(sim):
     assert plan.injections() == 20
     assert plan.injections("smp.ipi") == 20
     assert plan.injections("gpu.drain") == 0
-    t, kind, payload = plan.log.records[0]
+    t, kind, payload = next(iter(plan.log))
     assert kind == "inject"
     assert payload["site"] == "smp.ipi"
     assert payload["fault"] == "delay"

@@ -8,6 +8,13 @@ device log record, task end states and psbox observation windows
 (:func:`repro.faults.fingerprint`), plus windows read back over slices —
 and compare the digests with constants committed from a known-good tree.
 
+A second digest per run (:func:`_record_digest`) covers every record of
+every event log the run owns, field for field in logged order, ``seq``
+included: the kernel's logs, each app's metrics log and an installed
+fault plan's log.  ``fingerprint`` sorts payload items, drops ``seq``
+and reads only the kernel's logs, yet Fig. 7 and the Shapley baseline
+pair dispatches with completions by ``seq``.
+
 The runs between them execute every hot-path module: CFS runqueues and
 spatial balloons (``kernel.cfs``, ``kernel.smp``), the temporal balloon
 on GPU, DSP, WiFi and LTE (``kernel.balloon``) with and without
@@ -68,6 +75,24 @@ PINS = {
         "98f2d6fd0f15f42b32afe61e52d1d782c1e49c90ca75e34d997d69eb79bd50b2",
 }
 
+#: record digests (:func:`_record_digest`), same runs, same rule
+RECORD_PINS = {
+    "dsp-lte":
+        "054be4d2729fa30ee33152cd3991794b1547b5f80f3acf4a036359a9462bebb5",
+    "mixed":
+        "d8cc9be47b7b0ab67dc36bd29cf59f32d94a452cbb9a86a5d3c342e778b54a2f",
+    "powercap":
+        "2f398337145682dc58f80600a5bf132351b650d31cfff10b8794393e84c2c74f",
+    "sidechannel/google/bare":
+        "1f4caf6d4d5b4828ceb43b2153ea9bbcd894de291c2fd92e754e75bdb1da0cec",
+    "sidechannel/google/psbox":
+        "aceb41211c11a7726221ee025cf3f3470ffc330d7b78d68cba6e5f6aa2dcdac8",
+    "sidechannel/reddit/bare":
+        "81cde86c6fe2911deaf94b2c4efc78b4da4bbe9d85b0cb5bfb6f5d47beeba067",
+    "sidechannel/reddit/psbox":
+        "40292ca69401e91763a0e0ea416e74bf9152eeda740279dddf5d7064fc78d3bb",
+}
+
 #: slices over which every psbox's observation windows are read back
 WINDOW_SLICES = 7
 
@@ -86,6 +111,21 @@ def _digest(platform, kernel, boxes):
             for t0, t1 in bounds:
                 h.update(repr((box.app.id, comp, t0, t1,
                                box.vmeter.windows(comp, t0, t1))).encode())
+    return h.hexdigest()
+
+
+def _record_digest(platform, kernel):
+    """sha256 over every record of every event log the run owns."""
+    logs = list(kernel.logs())
+    logs += [app.events for app in kernel.apps.values()]
+    plan = platform.sim.faults
+    if plan is not None:
+        logs.append(plan.log)
+    h = hashlib.sha256()
+    for log in logs:
+        for t, kind, payload in log:
+            h.update(repr((log.name, t, kind,
+                           tuple(payload.items()))).encode())
     return h.hexdigest()
 
 
@@ -211,7 +251,9 @@ def cyclic_garbage(fn):
 
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_pinned_fingerprint(name):
-    assert _digest(*RUNS[name]()) == PINS[name]
+    platform, kernel, boxes = RUNS[name]()
+    assert _digest(platform, kernel, boxes) == PINS[name]
+    assert _record_digest(platform, kernel) == RECORD_PINS[name]
 
 
 @pytest.mark.parametrize("name", sorted(PINS))
@@ -222,10 +264,18 @@ def test_shutdown_keeps_the_pin_and_frees_the_boot(name):
             kernel.shutdown()
             assert platform.sim.pending() == 0
             assert _digest(platform, kernel, boxes) == PINS[name]
+            assert _record_digest(platform, kernel) == RECORD_PINS[name]
 
     assert cyclic_garbage(run_and_drop) == []
 
 
 if __name__ == "__main__":
+    records = {}
+    print("PINS")
     for key in sorted(RUNS):
-        print("    {!r}: {!r},".format(key, _digest(*RUNS[key]())))
+        platform, kernel, boxes = RUNS[key]()
+        print("    {!r}: {!r},".format(key, _digest(platform, kernel, boxes)))
+        records[key] = _record_digest(platform, kernel)
+    print("RECORD_PINS")
+    for key in sorted(records):
+        print("    {!r}: {!r},".format(key, records[key]))

@@ -131,13 +131,13 @@ class TestSnapshotBounds:
         obs, _ = make_session(recorder=recorder)
         unbounded, ring = EventTrace("smp"), EventTrace("gpu.sched", 4)
         for i in range(6):
-            unbounded.log(i, "pick", task=i, seq=100 + i)
-            ring.log(i, "unit", n=i)
+            unbounded.add((i, ("pick", "task", "seq"), i, 100 + i))
+            ring.add((i, ("unit", "n"), i))
         obs.bind_kernel(_Kernel(unbounded, ring))
         obs.sim.faults = SimpleNamespace(log=EventTrace("faults"))
         for i in range(6):
-            obs.sim.faults.log.log(10 * i, "inject" if i % 2 else "arm",
-                                   site="s{}".format(i))
+            obs.sim.faults.log.add((10 * i, ("inject" if i % 2 else "arm",
+                                             "site"), "s{}".format(i)))
         session = recorder.snapshot({"type": "test"})["sessions"][0]
         smp, gpu = session["logs"]["smp"], session["logs"]["gpu.sched"]
         assert smp["tail"] == [[i, "pick", {"task": i}] for i in (3, 4, 5)]
@@ -228,7 +228,7 @@ class _Kernel:
 def _log(name, capacity, *records):
     log = EventTrace(name, capacity)
     for t, kind, payload in records:
-        log.log(t, kind, **payload)
+        log.add((t, (kind, *payload), *payload.values()))
     return log
 
 
@@ -284,7 +284,7 @@ def _fill_series(obs):
 
 
 def _fill_faults(obs):
-    obs.sim.faults.log.log(9, "arm")
+    obs.sim.faults.log.add((9, ("arm",)))
 
 
 def _unbind_kernel(obs):
@@ -306,15 +306,17 @@ _CHANGES = {
     "new series": (None, lambda obs: obs.timeline.record("x", 30, 1.0)),
     "tracer instant": (None, lambda obs: obs.tracer.instant("tick", n=2)),
     "kernel log record": (
-        None, lambda obs: obs.kernel.logs()[0].log(30, "pick", task=2)),
+        None,
+        lambda obs: obs.kernel.logs()[0].add((30, ("pick", "task"), 2))),
     # the gpu ring is full: only its dropped moves
     "full kernel ring record": (
-        None, lambda obs: obs.kernel.logs()[1].log(30, "unit", n=3)),
+        None, lambda obs: obs.kernel.logs()[1].add((30, ("unit", "n"), 3))),
     "fault injection": (
-        None, lambda obs: obs.sim.faults.log.log(30, "inject", site="s1")),
+        None,
+        lambda obs: obs.sim.faults.log.add((30, ("inject", "site"), "s1"))),
     "full fault ring injection": (
         _fill_faults,
-        lambda obs: obs.sim.faults.log.log(30, "inject", site="s1")),
+        lambda obs: obs.sim.faults.log.add((30, ("inject", "site"), "s1"))),
     "sim.now advances": (None, lambda obs: setattr(obs.sim, "now", 40)),
     "kernel bound late": (
         _unbind_kernel,

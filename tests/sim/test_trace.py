@@ -231,9 +231,9 @@ def test_integrate_at_the_numpy_switch(change_points):
 
 def test_event_trace_filters_by_kind_window_and_payload():
     log = EventTrace("t")
-    log.log(10, "dispatch", app=1)
-    log.log(20, "dispatch", app=2)
-    log.log(30, "complete", app=1)
+    log.add((10, ("dispatch", "app"), 1))
+    log.add((20, ("dispatch", "app"), 2))
+    log.add((30, ("complete", "app"), 1))
     assert len(log.filter(kind="dispatch")) == 2
     assert len(log.filter(kind="dispatch", app=1)) == 1
     assert len(log.filter(t0=15)) == 2
@@ -243,8 +243,8 @@ def test_event_trace_filters_by_kind_window_and_payload():
 
 def test_event_trace_iteration_and_len():
     log = EventTrace()
-    log.log(1, "a")
-    log.log(2, "b")
+    log.add((1, ("a",)))
+    log.add((2, ("b",)))
     assert len(log) == 2
     assert [k for _t, k, _p in log] == ["a", "b"]
 
@@ -288,7 +288,7 @@ def test_add_accumulates_deltas_exactly(steps):
 def test_event_trace_ring_keeps_newest_and_counts_drops():
     log = EventTrace("ring", capacity=3)
     for i in range(5):
-        log.log(i, "k", n=i)
+        log.add((i, ("k", "n"), i))
     assert len(log) == 3
     assert log.dropped == 2
     assert [p["n"] for _t, _k, p in log] == [2, 3, 4]
@@ -302,7 +302,7 @@ def test_event_trace_ring_subscribers_see_every_record():
     seen = []
     log.subscribe(lambda t, k, p: seen.append(t))
     for i in range(6):
-        log.log(i, "k")
+        log.add((i, ("k",)))
     assert seen == list(range(6))
     assert len(log) == 2 and log.dropped == 4
 
@@ -310,10 +310,80 @@ def test_event_trace_ring_subscribers_see_every_record():
 def test_event_trace_unbounded_never_drops():
     log = EventTrace()
     for i in range(100):
-        log.log(i, "k")
+        log.add((i, ("k",)))
     assert len(log) == 100
     assert log.dropped == 0
     assert log.capacity is None
+
+
+#: what the reference test draws a record's kind, fields and values from
+_KINDS = ("dispatch", "complete", "count")
+_FIELDS = ("app", "seq", "wait", "size")
+_VALUES = st.one_of(
+    st.integers(-2, 2),
+    st.floats(-2, 2, allow_nan=False),
+    st.sampled_from(["a", "b"]),
+    st.none(),
+    st.lists(st.integers(0, 1), max_size=2),
+)
+
+
+@st.composite
+def _event_records(draw):
+    """(t, shape, values) with non-decreasing t and 0-4 distinct fields."""
+    records = []
+    t = 0
+    for _ in range(draw(st.integers(0, 12))):
+        t += draw(st.integers(0, 3))
+        fields = tuple(draw(st.lists(st.sampled_from(_FIELDS), max_size=4,
+                                     unique=True)))
+        values = tuple(draw(_VALUES) for _ in fields)
+        records.append((t, (draw(st.sampled_from(_KINDS)),) + fields,
+                        values))
+    return records
+
+
+@given(
+    records=_event_records(),
+    capacity=st.one_of(st.none(), st.integers(1, 6)),
+    kind=st.one_of(st.none(), st.sampled_from(_KINDS)),
+    t0=st.one_of(st.none(), st.integers(0, 20)),
+    t1=st.one_of(st.none(), st.integers(0, 20)),
+    match=st.dictionaries(st.sampled_from(_FIELDS + ("absent",)), _VALUES,
+                          max_size=2),
+)
+@settings(max_examples=150, deadline=None)
+def test_event_trace_matches_a_list_of_dict_records(records, capacity, kind,
+                                                    t0, t1, match):
+    """``EventTrace`` answers as a plain list of ``(t, kind, dict)`` does."""
+    log = EventTrace("ref", capacity)
+    seen = []
+    log.subscribe(lambda t, k, payload: seen.append((t, k, payload)))
+    model = []
+    for t, shape, values in records:
+        log.add((t, shape) + values)
+        model.append((t, shape[0], dict(zip(shape[1:], values))))
+    assert seen == model
+    kept = model if capacity is None else model[max(len(model) - capacity,
+                                                    0):]
+    assert len(log) == len(kept)
+    assert log.dropped == len(model) - len(kept)
+    assert list(log) == kept
+    for _t, _k, payload in log:
+        payload["mutated"] = True       # each read gets a fresh dict
+    assert list(log) == kept
+    for n in (0, 1, len(kept), len(kept) + 3):
+        assert log.tail(n) == (kept[max(len(kept) - n, 0):] if n else [])
+
+    def wanted(t, k, payload, lo=None, hi=None):
+        return ((kind is None or k == kind)
+                and (lo is None or t >= lo) and (hi is None or t < hi)
+                and not any(payload.get(key) != value
+                            for key, value in match.items()))
+
+    assert log.filter(kind, t0, t1, **match) == [
+        r for r in kept if wanted(*r, t0, t1)]
+    assert log.times(kind, **match) == [r[0] for r in kept if wanted(*r)]
 
 
 def test_event_trace_rejects_bad_capacity():
