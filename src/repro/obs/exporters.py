@@ -28,104 +28,93 @@ from repro.obs.metrics import MetricsRegistry
 #: ASCII name.
 _META = ('{"ph": "M", "pid": %d, "tid": %d, "ts": 0, "name": "%s", '
          '"args": {"name": %s}}')
-#: The heads of the body events: one per (kind, category, name, track) of
-#: a session, with the values filled in (a % in them doubled), leaving
-#: %%d for a span's async id and %%s for its ts and args texts.
+#: The heads of the body events: one per kind and site of a session (for
+#: spans, per span site and root category), with the values filled in (a
+#: % in them doubled), leaving %%d for a span's async id and %%s for its
+#: ts and args texts.
 _SPAN = ('{"ph": "%s", "cat": %s, "id": %%d, "name": %s, "pid": %d, '
          '"tid": %d, "ts": %%s, "args": %%s}')
 _INSTANT = ('{"ph": "i", "s": "t", "cat": %s, "name": %s, "pid": %d, '
             '"tid": %d, "ts": %%s, "args": %%s}')
 _COUNTER = ('{"ph": "C", "name": %s, "pid": %d, "tid": %d, "ts": %%s, '
             '"args": %%s}')
+#: the args texts of a span's end event: closed, and still open
+_END_ARGS = ("{}", '{"unfinished": true}')
 
 
-class _Encoded(dict):
-    """``json.dumps`` of each distinct value, encoded on first use.
+def _used(size, *columns):
+    """The values below ``size`` that any of ``columns`` holds, ascending."""
+    used = np.zeros(size, bool)
+    for column in columns:
+        used[column] = True
+    return np.flatnonzero(used).tolist()
 
-    Keys are ``(type, value)``: 1, 1.0 and True are one dict key but
-    encode to different texts.
+
+def _head(kind, cat, name, pid, tid):
+    """The head of a ``kind`` event ("b", "e", "i" or "C") of one site.
+
+    The head is a format string: a % in a JSON text is doubled.
     """
-
-    def __missing__(self, key):
-        text = self[key] = json.dumps(key[1])
-        return text
-
-
-class _Heads(dict):
-    """The head of each (kind, JSON category, JSON name, tid) of one pid,
-    built on first use."""
-
-    def __init__(self, pid):
-        super().__init__()
-        self.pid = pid
-
-    def __missing__(self, key):
-        kind, cat, name, tid = key
-        # the head is a format string: a % in a JSON text is doubled
-        cat = cat.replace("%", "%%")
-        name = name.replace("%", "%%")
-        if kind == "i":
-            text = _INSTANT % (cat, name, self.pid, tid)
-        elif kind == "C":
-            text = _COUNTER % (name, self.pid, tid)
-        else:
-            text = _SPAN % (kind, cat, name, self.pid, tid)
-        self[key] = text
-        return text
+    name = json.dumps(name).replace("%", "%%")
+    if kind == "C":
+        return _COUNTER % (name, pid, tid)
+    cat = json.dumps(cat).replace("%", "%%")
+    if kind == "i":
+        return _INSTANT % (cat, name, pid, tid)
+    return _SPAN % (kind, cat, name, pid, tid)
 
 
 def _trace_records(sessions):
     """The metadata texts and the body columns of a trace.
 
     Metadata comes first, then every session's spans, instants and
-    counter samples.  The body is ``(trace_order, times, heads, ids,
-    args)``: four columns with one entry per event, and the permutation
-    of them that sorts the events by (time, rank, order).  ``times`` is
-    a numpy array; ``heads`` and ``args`` refer to shared texts, and
-    ``ids`` holds each span event's async id, None for instants and
-    samples, whose heads have no id slot.  Each distinct string and head,
-    and each args object, is encoded once, and every args dict before
-    anything is written, so an args value json cannot encode raises
-    before the file exists.
+    counter samples.  The body is ``(trace_order, times, head, ids, args,
+    heads, arg_texts)``: the permutation that sorts the events by (time,
+    rank, order), four numpy columns with one entry per event, and the
+    texts the ``head`` and ``args`` columns index.
+    ``ids`` holds each span event's async id, -1 for instants and
+    samples, whose heads have no id slot.  Heads are built per site, not
+    per event, and each args dict a record holds is encoded once, every
+    one before anything is written, so an args value json cannot encode
+    raises before the file exists.
     """
-    strings = _Encoded()
-    arg_texts = {}
+    arg_texts = list(_END_ARGS)
+    arg_index = []
+    for obs in sessions:
+        # a record's args index -> its text's; a dict no record holds
+        # (begin args that an end with args replaced) is not encoded
+        tracer = obs.tracer
+        table = tracer.args_table
+        index = np.zeros(len(table), np.int32)
+        for used in _used(len(table), *(
+                np.frombuffer(column, np.int32) for column in (
+                    tracer.span_args, tracer.instant_args,
+                    tracer.sample_args))):
+            index[used] = len(arg_texts)
+            arg_texts.append(json.dumps(table[used]))
+        arg_index.append(index)
 
-    def args_text(args):
-        # keyed by identity: a tracer records one dict per distinct args
-        # repr, and every dict stays alive in its records for the export
-        key = id(args)
-        text = arg_texts.get(key)
-        if text is None:
-            text = arg_texts[key] = json.dumps(args)
-        return text
-
-    total = sum(2 * len(obs.tracer.spans) + len(obs.tracer.instants)
-                + len(obs.tracer.samples) for obs in sessions)
+    total = sum(2 * len(obs.tracer) + len(obs.tracer.instant_t)
+                + len(obs.tracer.sample_t) for obs in sessions)
+    times = np.empty(total, np.int64)
     rank = np.empty(total, np.int8)
-    order = np.empty(total, np.intp)
+    order = np.empty(total, np.int32)
+    head = np.empty(total, np.int32)
+    ids = np.empty(total, np.int32)
+    args = np.empty(total, np.int32)
     meta = []
-    times = []
     heads = []
-    ids = []
-    args = []
-    for pid, obs in enumerate(sessions, start=1):
-        spans = obs.tracer.spans
-        instants = obs.tracer.instants
-        samples = obs.tracer.samples
-        tracks = sorted(
-            {span.track for span in spans}
-            | {track for _t, track, _n, _c, _a in instants}
-            | {track for _t, track, _n, _v in samples}
-        )
-        tids = {track: tid for tid, track in enumerate(tracks, start=1)}
+    at = 0
+    for pid, (obs, index) in enumerate(zip(sessions, arg_index), start=1):
+        tracer = obs.tracer
+        sites = tracer.sites
+        tids = {track: tid for tid, track in enumerate(
+            sorted({track for _name, _cat, track in sites}), start=1)}
         label = obs.label or "run-{}".format(pid)
-        meta.append(_META % (pid, 0, "process_name",
-                             strings[label.__class__, label]))
+        meta.append(_META % (pid, 0, "process_name", json.dumps(label)))
         for track, tid in tids.items():
-            name = track or "main"
             meta.append(_META % (pid, tid, "thread_name",
-                                 strings[name.__class__, name]))
+                                 json.dumps(track or "main")))
 
         # The session's stretch of the columns is its span begins, span
         # ends, instants, then samples, and sessions follow in order.  A
@@ -133,61 +122,79 @@ def _trace_records(sessions):
         # between an instant and a sample of one session with equal
         # index; the stable sort then keeps column position, which puts
         # the earlier session first and the instant before the sample.
-        at = len(args)
-        for part_rank, count, step in ((0, len(spans), 1),
-                                       (2, len(spans), -1),
-                                       (1, len(instants), 1),
-                                       (1, len(samples), 1)):
-            rank[at:at + count] = part_rank
-            order[at:at + count] = np.arange(0, step * count, step)
-            at += count
+        spans = len(tracer)
+        begins = slice(at, at + spans)
+        ends = slice(begins.stop, begins.stop + spans)
+        instants = slice(ends.stop, ends.stop + len(tracer.instant_t))
+        samples = slice(instants.stop, instants.stop + len(tracer.sample_t))
+        at = samples.stop
+        for part, part_rank, step in ((begins, 0, 1), (ends, 2, -1),
+                                      (instants, 1, 1), (samples, 1, 1)):
+            rank[part] = part_rank
+            order[part] = np.arange(0, step * (part.stop - part.start), step)
 
-        head = _Heads(pid)
-        # span.id -> its root (the async grouping id).  ``spans`` is in
-        # begin order and a parent begins before its children, so the
-        # parent's root is already known: one lookup per span, no walk.
-        roots = {}
-        span_ids = []
-        end_heads = []
-        for span in spans:
-            root = roots[span.id] = roots.get(span.parent_id, span)
-            cat = root.cat or "span"
-            cat = strings[cat.__class__, cat]
-            name = strings[span.name.__class__, span.name]
-            tid = tids[span.track]
-            heads.append(head["b", cat, name, tid])
-            end_heads.append(head["e", cat, name, tid])
-            span_ids.append(root.id)
-            args.append(args_text(span.args))
-        heads += end_heads
-        ids += span_ids
-        ids += span_ids
-        times += [span.start for span in spans]
-        # Unclosed span (dropped IPI, stuck drain): close it at the end of
-        # the trace and say so — the gap IS the finding.  Ends at the same
-        # instant unwind LIFO (their order is minus the begin index), so
-        # children close before parents and every async stack nests.
-        trace_end = obs.sim.now
-        times += [trace_end if span.end is None else span.end
-                  for span in spans]
-        args += ['{"unfinished": true}' if span.end is None else "{}"
-                 for span in spans]
+        # Spans.  A span's async id is its root's, found by following the
+        # parent ids until none moves.  Unclosed span (dropped IPI, stuck
+        # drain): close it at the end of the trace and say so — the gap
+        # IS the finding.  Ends at the same instant unwind LIFO (their
+        # order is minus the begin index), so children close before
+        # parents and every async stack nests.
+        parent = np.frombuffer(tracer.span_parent, np.int64)
+        root = np.arange(1, spans + 1)
+        while True:
+            up = parent[root - 1]
+            moves = up != 0
+            if not moves.any():
+                break
+            root[moves] = up[moves]
+        ids[begins] = root
+        ids[ends] = root
+        times[begins] = np.frombuffer(tracer.span_start, np.int64)
+        end_times = times[ends]
+        end_times[:] = np.frombuffer(tracer.span_end, np.int64)
+        unfinished = end_times == -1
+        end_times[unfinished] = obs.sim.now
+        args[begins] = index[np.frombuffer(tracer.span_args, np.int32)]
+        args[ends] = unfinished
+        # A span's head names its root's category: one begin and end head
+        # per (span site, root category), mapped through a small table.
+        cats = {}
+        site_cat = np.array([cats.setdefault(cat, len(cats))
+                             for _name, cat, _track in sites], np.int32)
+        cats = list(cats)
+        site = np.frombuffer(tracer.span_site, np.int32)
+        key = site * len(cats) + site_cat[site[root - 1]]
+        table = np.zeros(len(sites) * len(cats), np.int32)
+        for pair in _used(len(table), key):
+            span_site, root_cat = divmod(pair, len(cats))
+            name, _cat, track = sites[span_site]
+            table[pair] = len(heads)
+            for kind in "be":
+                heads.append(_head(kind, cats[root_cat] or "span", name,
+                                   pid, tids[track]))
+        head[begins] = table[key]
+        head[ends] = head[begins] + 1
 
-        for t, track, name, cat, instant_args in instants:
-            cat = cat or "event"
-            heads.append(head["i", strings[cat.__class__, cat],
-                              strings[name.__class__, name], tids[track]])
-            times.append(t)
-            args.append(args_text(instant_args))
-        for t, track, name, values in samples:
-            heads.append(head["C", "", strings[name.__class__, name],
-                              tids[track]])
-            times.append(t)
-            args.append(args_text(values))
-        ids += [None] * (len(instants) + len(samples))
+        # Instants and samples: one head per site.
+        for part, kind, column_t, column_site, column_args in (
+                (instants, "i", tracer.instant_t, tracer.instant_site,
+                 tracer.instant_args),
+                (samples, "C", tracer.sample_t, tracer.sample_site,
+                 tracer.sample_args)):
+            site = np.frombuffer(column_site, np.int32)
+            table = np.zeros(len(sites), np.int32)
+            for used in _used(len(sites), site):
+                name, cat, track = sites[used]
+                table[used] = len(heads)
+                heads.append(_head(kind, cat or "event", name, pid,
+                                   tids[track]))
+            times[part] = np.frombuffer(column_t, np.int64)
+            head[part] = table[site]
+            ids[part] = -1
+            args[part] = index[np.frombuffer(column_args, np.int32)]
 
-    times = np.array(times)
-    return meta, (np.lexsort((order, rank, times)), times, heads, ids, args)
+    return meta, (np.lexsort((order, rank, times)), times, head, ids, args,
+                  heads, arg_texts)
 
 
 def _trace_chunks(meta, body):
@@ -203,18 +210,20 @@ def _trace_chunks(meta, body):
     chunk = TRACE_CHUNK
     for start in range(0, len(meta), chunk):
         yield ", ".join(meta[start:start + chunk])
-    trace_order, times, heads, ids, args = body
+    trace_order, times, head, ids, args, heads, arg_texts = body
     last_t = ts_text = None
     for start in range(0, len(trace_order), chunk):
         index = trace_order[start:start + chunk]
         texts = []
-        for i, t in zip(index.tolist(), times[index].tolist()):
+        for t, h, span_id, a in zip(times[index].tolist(),
+                                    head[index].tolist(),
+                                    ids[index].tolist(),
+                                    args[index].tolist()):
             if t != last_t:
                 last_t = t
                 ts_text = ts(t / 1000.0)
-            span_id = ids[i]
-            texts.append(heads[i] % (ts_text, args[i]) if span_id is None
-                         else heads[i] % (span_id, ts_text, args[i]))
+            texts.append(heads[h] % (ts_text, arg_texts[a]) if span_id < 0
+                         else heads[h] % (span_id, ts_text, arg_texts[a]))
         yield ", ".join(texts)
 
 

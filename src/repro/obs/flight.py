@@ -91,7 +91,7 @@ def _stamp(obs):
         None if timeline is None else [
             (len(series), series.dropped, series.disordered)
             for series in timeline.all()],
-        None if tracer is None else len(tracer.instants),
+        None if tracer is None else len(tracer.instant_t),
         [(len(log), log.dropped) for log in logs],
         None if plan is None else (len(plan.log), plan.log.dropped),
     )
@@ -267,7 +267,7 @@ class FlightRecorder:
                  {str(k): v if type(v) in _SCALARS else _jsonable(v)
                   for k, v in args.items()}]
                 for t, track, name, cat, args
-                in tracer.instants[-self.events_tail:]
+                in tracer.instants_tail(self.events_tail)
             ]
         # the kernel's event logs (unbounded EventTraces; only an
         # EventTrace(capacity=N) is a ring): the "recent dispatched events"
@@ -275,17 +275,20 @@ class FlightRecorder:
         # A shut-down boot's session keeps each log's last records, as
         # many as this tail reads.
         for log in obs.kernel_logs:
-            # "seq" labels are left out, as repro.faults.diff leaves them
-            # out: record order already carries them, and the pinned dump
-            # bytes were written without them
+            tail = log.tail(self.events_tail)
+            # each view's payload is a fresh dict: made JSON-ready in
+            # place.  "seq" labels are left out, as repro.faults.diff
+            # leaves them out: record order already carries them, and the
+            # pinned dump bytes were written without them
+            for _t, _kind, payload in tail:
+                payload.pop("seq", None)
+                for key, value in payload.items():
+                    if type(value) not in _SCALARS:
+                        payload[key] = _jsonable(value)
             snap["logs"][log.name] = {
                 "retained": len(log),
                 "dropped": log.dropped,
-                "tail": [
-                    [t, kind,
-                     {str(k): v if type(v) in _SCALARS else _jsonable(v)
-                      for k, v in payload.items() if k != "seq"}]
-                    for t, kind, payload in log.tail(self.events_tail)],
+                "tail": [list(record) for record in tail],
             }
         plan = getattr(obs.sim, "faults", None)
         if plan is not None:

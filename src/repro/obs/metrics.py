@@ -13,6 +13,7 @@ weight 1.
 """
 
 import bisect
+from itertools import accumulate
 
 
 class Counter:
@@ -64,7 +65,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "_values", "_weights", "count", "total", "wtotal",
-                 "min", "max", "_sorted")
+                 "min", "max")
 
     def __init__(self, name):
         self.name = name
@@ -75,7 +76,6 @@ class Histogram:
         self.wtotal = 0.0    # sum of weights
         self.min = None
         self.max = None
-        self._sorted = None  # cached (sorted pairs, cumulative weights)
 
     def observe(self, value, weight=1.0):
         value = float(value)
@@ -84,7 +84,6 @@ class Histogram:
             return
         self._values.append(value)
         self._weights.append(weight)
-        self._sorted = None
         self.count += 1
         self.total += value * weight
         self.wtotal += weight
@@ -99,35 +98,28 @@ class Histogram:
     def mean(self):
         return self.total / self.wtotal if self.wtotal else None
 
-    def _sorted_pairs(self):
-        """Sorted (value, weight) pairs with cumulative weights, cached.
+    def quantiles(self, qs):
+        """Weighted quantiles, one per ``q`` in the sequence ``qs``: each
+        the smallest value covering fraction ``q``.
 
-        Invalidated by ``observe``/``merge_from``, so a multi-quantile
-        ``snapshot()`` sorts once instead of once per quantile.
-        """
-        if self._sorted is None:
-            pairs = sorted(zip(self._values, self._weights))
-            cum = []
-            running = 0.0
-            for _value, weight in pairs:
-                running += weight
-                cum.append(running)
-            self._sorted = (pairs, cum)
-        return self._sorted
-
-    def quantile(self, q):
-        """Weighted quantile: the smallest value covering fraction ``q``.
-
-        An out-of-range ``q`` raises even on an empty histogram (the
+        One sort serves them all, and nothing is kept after.  An
+        out-of-range ``q`` raises even on an empty histogram (the
         validity of the question does not depend on the data).
         """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
+        for q in qs:
+            if not 0.0 <= q <= 1.0:
+                raise ValueError("quantile must be in [0, 1]")
         if not self._values:
-            return None
-        pairs, cum = self._sorted_pairs()
-        idx = bisect.bisect_left(cum, q * self.wtotal)
-        return pairs[min(idx, len(pairs) - 1)][0]
+            return [None] * len(qs)
+        pairs = sorted(zip(self._values, self._weights))
+        cum = list(accumulate(weight for _value, weight in pairs))
+        last = len(pairs) - 1
+        return [pairs[min(bisect.bisect_left(cum, q * self.wtotal), last)][0]
+                for q in qs]
+
+    def quantile(self, q):
+        """Weighted quantile: the smallest value covering fraction ``q``."""
+        return self.quantiles((q,))[0]
 
     def merge_from(self, other):
         for value, weight in zip(other._values, other._weights):
@@ -223,8 +215,9 @@ class MetricsRegistry:
                 "min": hist.min,
                 "max": hist.max,
             }
-            for q in self.QUANTILES:
-                entry["p{:g}".format(q * 100)] = hist.quantile(q)
+            for q, value in zip(self.QUANTILES,
+                                hist.quantiles(self.QUANTILES)):
+                entry["p{:g}".format(q * 100)] = value
             snap["histograms"][name] = entry
         return snap
 

@@ -135,10 +135,10 @@ def openmetrics_lines(sessions):
             fam = family(name, "summary")
             fam.add(fam.name + "_count", base, hist.count)
             fam.add(fam.name + "_sum", base, hist.total)
-            for q in registry.QUANTILES:
+            for q, value in zip(registry.QUANTILES,
+                                hist.quantiles(registry.QUANTILES)):
                 fam.add(fam.name,
-                        base + (("quantile", "{:g}".format(q)),),
-                        hist.quantile(q))
+                        base + (("quantile", "{:g}".format(q)),), value)
         timeline = getattr(obs, "timeline", None)
         if timeline is not None:
             for series in timeline.all():

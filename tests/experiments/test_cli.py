@@ -312,6 +312,36 @@ def test_cluster_telemetry_report_writes_the_bundle(tmp_path, capsys,
     assert {rule["name"] for rule in report["rules"]} >= {"cap.compliance"}
 
 
+#: observed figure runs pinned byte for byte like the cluster evidence:
+#: pin file -> argv.  fig6's trace holds the balloon and IPI async
+#: groups; sec63 writes ``--trace`` beside ``--telemetry``.  Regenerate a
+#: pin (only for a change meant to alter the output) by running its
+#: command in an empty directory, then ``sha256sum`` over its stdout
+#: (listed as ``stdout``) and every file it wrote
+OBSERVED_PINS = {
+    "fig6_observed.sha256": ["fig6", "--trace", "t.json",
+                             "--metrics", "m.json"],
+    "sec63_observed.sha256": ["sec63", "--trace", "t.json",
+                              "--telemetry", "tele"],
+}
+
+
+@pytest.mark.parametrize("pin", sorted(OBSERVED_PINS))
+def test_an_observed_run_writes_its_pinned_bytes(pin, tmp_path, capsys,
+                                                  monkeypatch):
+    """stdout and every file an observed figure run writes (trace,
+    metrics, telemetry bundle) hash to the committed digests."""
+    monkeypatch.chdir(tmp_path)
+    assert main(OBSERVED_PINS[pin]) == 0
+    written = _sha256_tree(tmp_path)
+    written["stdout"] = hashlib.sha256(
+        capsys.readouterr().out.encode("utf-8")).hexdigest()
+    pinned = read_pins(GOLDEN_DIR / pin)
+    assert sorted(written) == sorted(pinned)
+    changed = sorted(name for name in pinned if written[name] != pinned[name])
+    assert changed == [], "output differs from {}: {}".format(pin, changed)
+
+
 def test_report_implies_telemetry(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["sec63", "--report"]) == 0

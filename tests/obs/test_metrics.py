@@ -1,13 +1,16 @@
 """Metrics unit tests: counters, gauges, weighted histograms, merging."""
 
+import gc
 import json
 import pickle
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, metrics
+from repro.obs.openmetrics import render_openmetrics
 
 
 def test_counter_accumulates():
@@ -208,12 +211,74 @@ def test_quantile_cache_invalidated_by_merge():
     assert a.quantile(1.0) == 50.0
 
 
-def test_quantile_repeated_calls_reuse_one_sort():
-    h = Histogram("h")
+def test_a_snapshot_sorts_each_histogram_once(monkeypatch):
+    """Both exports read every quantile from one sort per histogram, and
+    no histogram keeps a sorted copy after: only its raw values and
+    weights stay."""
+    reg = MetricsRegistry()
     for v in (3.0, 1.0, 2.0):
-        h.observe(v)
-    first = h.quantile(0.5)
-    assert h._sorted is not None
-    cached = h._sorted
-    assert h.quantile(0.5) == first
-    assert h._sorted is cached          # no re-sort between observes
+        reg.observe("a", v)
+    reg.observe("b", 5.0, weight=2.0)
+    reg.histogram("empty")
+    sorts = []
+
+    def counting_sorted(iterable, **kwargs):
+        items = sorted(iterable, **kwargs)
+        if isinstance(iterable, zip):    # the registry sorts names too
+            sorts.append(len(items))
+        return items
+
+    monkeypatch.setattr(metrics, "sorted", counting_sorted, raising=False)
+    snap = reg.snapshot()
+    assert sorts == [3, 1]
+    assert snap["histograms"]["a"]["p50"] == 2.0
+    sorts.clear()
+    render_openmetrics([SimpleNamespace(label="s", metrics=reg)])
+    assert sorts == [3, 1]
+    for hist in reg.histograms.values():
+        assert [ref for ref in gc.get_referents(hist)
+                if isinstance(ref, (list, tuple))] == [hist._values,
+                                                       hist._weights]
+
+
+def _reference_quantile(pairs, q):
+    """The smallest value (in sorted order) whose running weight covers
+    ``q`` of the total, else the largest; None when empty."""
+    if not pairs:
+        return None
+    target = q * sum(weight for _value, weight in pairs)
+    running = 0.0
+    for value, weight in sorted(pairs):
+        running += weight
+        if running >= target:
+            return value
+    return max(pairs)[0]
+
+
+_QS = st.lists(st.floats(0.0, 1.0), max_size=6)
+
+
+@given(st.lists(st.tuples(st.floats(-1e6, 1e6),
+                          st.floats(1e-3, 1e3)), max_size=40), _QS)
+@settings(max_examples=200, deadline=None)
+def test_quantiles_match_one_quantile_at_a_time(pairs, qs):
+    """One sort for many quantiles reads what one call per quantile
+    reads, and what a running-weight scan picks, the empty histogram
+    included."""
+    h = Histogram("h")
+    for value, weight in pairs:
+        h.observe(value, weight)
+    assert h.quantiles(qs) == [h.quantile(q) for q in qs]
+    assert h.quantiles(qs) == [_reference_quantile(pairs, q) for q in qs]
+
+
+@given(_QS, st.sampled_from([-0.1, 1.5, float("nan"), -1e-12]),
+       st.booleans())
+def test_quantiles_reject_any_q_out_of_range(qs, bad, empty):
+    h = Histogram("h")
+    if not empty:
+        h.observe(1.0)
+    with pytest.raises(ValueError):
+        h.quantiles(qs + [bad])
+    with pytest.raises(ValueError):
+        h.quantile(bad)
