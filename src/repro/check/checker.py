@@ -135,7 +135,7 @@ class InvariantChecker:
             obs.metrics.inc("check.violations")
             obs.metrics.inc("check.violations." + invariant)
             if obs.flight is not None:
-                obs.flight.on_violation(violation, sim=self.sim)
+                obs.flight.on_violation(violation)
         if self.strict:
             raise CheckViolation(violation)
 

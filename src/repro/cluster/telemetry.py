@@ -121,8 +121,6 @@ class ClusterTelemetry:
         # nothing is ever scheduled on the cap-loop clock: this only moves
         # ``now`` to the epoch boundary, so samples carry honest time
         self.clock.run(until=t1)
-        if obs.flight is not None:
-            obs.flight.note_cluster(nodes)
         budget = record.budget_w
         err = ((record.aggregate_w - budget) / budget) if budget else 0.0
         obs.metrics.inc("cluster.epochs")

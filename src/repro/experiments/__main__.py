@@ -155,7 +155,6 @@ def main(argv=None):
         run = obs_runtime.ObsRun(
             tracing=args.trace is not None or args.telemetry is not None,
             telemetry=args.telemetry is not None,
-            flight=args.flight is not None,
             flight_dir=args.flight,
         )
     with obs_runtime.observe(run):
@@ -305,7 +304,7 @@ def _export_telemetry(args, run):
             dumps,
             " (+{} suppressed)".format(recorder.suppressed)
             if recorder.suppressed else "",
-            recorder.out_dir or "(memory)"))
+            recorder.out_dir))
     if args.report and engine is not None:
         print(engine.format_report())
 

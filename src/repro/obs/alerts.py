@@ -225,7 +225,7 @@ class AlertEngine:
                            severity=rule.severity, series=series.key,
                            value=round(value, 6))
         if obs.flight is not None:
-            obs.flight.on_alert(self.alerts[-1], obs=obs, engine=self)
+            obs.flight.on_alert(self.alerts[-1])
 
     def finalize(self):
         """Run the ``at_end`` rules against each series' last sample.

@@ -171,7 +171,7 @@ def load_flight_dump(path):
 
 
 def evidence_from_dump(dump, source="<memory>"):
-    """Evidence from an in-memory flight snapshot dict."""
+    """Evidence from one flight dump, loaded as a dict."""
     evidence = Evidence(source, "flight")
     for session in dump.get("sessions", ()):
         label = session.get("label", "")

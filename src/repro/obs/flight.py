@@ -5,7 +5,7 @@ times: rings of recent events, actuator decisions, fault injections, and
 the tail of every telemetry series.  Nothing is written while the run is
 healthy; the moment an :class:`~repro.obs.alerts.AlertRule` fires or the
 :class:`~repro.check.checker.InvariantChecker` records a violation, the
-recorder snapshots everything it can see into one self-contained JSON dump
+recorder writes everything it can see into one self-contained JSON dump
 — the evidence the :mod:`repro.obs.explain` engine later turns into a
 root-cause incident report, even when the live rings have long since
 evicted the breach.
@@ -13,17 +13,20 @@ evicted the breach.
 A recorder belongs to one observed run
 (:class:`~repro.obs.runtime.ObsRun`), and every session of that run
 carries it as ``obs.flight``.  Wiring follows the repo's dormant-cost
-rule (DESIGN.md §5h): each trigger or source site reads ``obs.flight``
-inside the ``sim.obs`` guard it already pays, so an unobserved simulator
-pays nothing extra and a session without a recorder pays one branch.  The
+rule (DESIGN.md §5h): each trigger site reads ``obs.flight`` inside the
+``sim.obs`` guard it already pays, so an unobserved simulator pays
+nothing extra and a session without a recorder pays one branch.  The
 sites are:
 
 * ``AlertEngine._fire`` — every fired alert triggers a snapshot;
-* ``InvariantChecker._flag`` — every recorded violation triggers one;
-* the powercap daemon tick and the cluster epoch sampler — these never
-  trigger dumps, they only *register* their decision rings (the
-  :class:`~repro.powercap.telemetry.TelemetryRing` of actuator actions)
-  so snapshots can include them.
+* ``InvariantChecker._flag`` — every recorded violation triggers one.
+
+Nothing else touches it.  Its sources are the run's sessions and what
+each already keeps: series, the tracer's instants, the kernel's event
+logs, the fault log, and the powercap decision ring
+(:meth:`~repro.obs.session.Obs.powercap_ring`, the
+:class:`~repro.powercap.telemetry.TelemetryRing` of actuator actions),
+live or kept past ``Kernel.shutdown``.
 
 Everything the recorder does is read-only with respect to the simulation:
 it draws no RNG, schedules no events, and only ever reads rings that
@@ -76,11 +79,12 @@ def _stamp(obs):
 
     The identity and counts of everything
     :meth:`FlightRecorder._session_snapshot` reads.  Series, the tracer's
-    instants and every log only append, and every append grows ``len``
-    or ``dropped``, so equal counts on the same objects mean equal
-    content.  The kernel's part is the session's ``kernel_logs`` list,
-    which one bound kernel keeps from bind to release (in place), never
-    the kernel itself: a stamp must not keep a finished boot alive.
+    instants and every log only append: an append grows a log's ``len``,
+    and a series' ``len`` or, once its ring is full, ``dropped``.  So
+    equal counts on the same objects mean equal content.  The kernel's
+    part is the session's ``kernel_logs`` list, which one bound kernel
+    keeps from bind to release (in place), never the kernel itself: a
+    stamp must not keep a finished boot alive.
     """
     timeline = getattr(obs, "timeline", None)
     tracer = getattr(obs, "tracer", None)
@@ -92,13 +96,14 @@ def _stamp(obs):
             (len(series), series.dropped, series.disordered)
             for series in timeline.all()],
         None if tracer is None else len(tracer.instant_t),
-        [(len(log), log.dropped) for log in logs],
-        None if plan is None else (len(plan.log), plan.log.dropped),
+        [len(log) for log in logs],
+        None if plan is None else len(plan.log),
     )
 
 
-def _dump_text(dump, session_texts):
-    """``json.dumps(dump, sort_keys=True)``, with each session's text given.
+def _dump_text(dump):
+    """``json.dumps(dump, sort_keys=True)``, where ``dump["sessions"]``
+    holds each session's text, not its dict.
 
     JSON text composes: a member's text inside the document equals the
     member's own ``json.dumps`` with the same settings.
@@ -106,7 +111,7 @@ def _dump_text(dump, session_texts):
     members = []
     for key in sorted(dump):
         if key == "sessions":
-            value = "[{}]".format(", ".join(session_texts))
+            value = "[{}]".format(", ".join(dump[key]))
         else:
             value = json.dumps(dump[key], sort_keys=True)
         members.append("{}: {}".format(json.dumps(key), value))
@@ -116,25 +121,21 @@ def _dump_text(dump, session_texts):
 class FlightRecorder:
     """Bounded black-box capture with snapshot-on-trigger semantics.
 
+    Each dump is written to a ``flight-NNN.json`` file under ``out_dir``
+    as it is taken; ``paths`` keeps each file's path and ``triggers``
+    each dump's trigger, and :meth:`flush` writes a ``manifest.json``.
     ``sessions`` is the list of :class:`~repro.obs.session.Obs` sessions
     to snapshot (a fresh empty one by default), read live at every
     snapshot: an :class:`~repro.obs.runtime.ObsRun` passes its own list,
-    so late-booted simulators are covered.  ``out_dir`` of None keeps
-    every dump dict in ``dumps``, its only output (tests, the
-    differential matrix); a path writes each dump to a
-    ``flight-NNN.json`` file as it is taken, keeps only the file's path
-    in ``paths``, and writes a ``manifest.json`` on :meth:`flush`.
-    Either way ``triggers`` keeps each dump's trigger, and
-    :meth:`snapshot` returns the dump it took.
+    so late-booted simulators are covered.
 
-    A session unchanged since the previous dump is not copied again: its
-    snapshot dict, and the JSON text written for it, are reused until its
-    stamp (:func:`_stamp`) moves.  So consecutive dumps share the dicts
-    of unchanged sessions, and every dump is read-only.  Only each
-    session's newest snapshot is kept for that.
+    A session unchanged since the previous dump is not encoded again:
+    the JSON text written for it is reused until its stamp
+    (:func:`_stamp`) moves.  That text, each session's newest, is all
+    the recorder keeps of a session.
     """
 
-    def __init__(self, out_dir=None, sessions=None, series_tail=256,
+    def __init__(self, out_dir, sessions=None, series_tail=256,
                  events_tail=256, max_dumps=16):
         if series_tail < 1 or events_tail < 1:
             raise ValueError("flight tails must be >= 1")
@@ -144,46 +145,21 @@ class FlightRecorder:
         self.series_tail = series_tail
         self.events_tail = events_tail
         self.max_dumps = max_dumps
-        self.dumps = []          # snapshot dicts, trigger order (no out_dir)
-        self.paths = []          # files written, trigger order (out_dir)
+        self.paths = []          # files written, trigger order
         self.triggers = []       # each dump's trigger, trigger order
         self.suppressed = 0      # triggers past max_dumps
         self.sessions = [] if sessions is None else sessions
-        self._rings = {}         # id -> (label, TelemetryRing); insertion order
-        self._cache = {}         # session -> (stamp, snapshot, its JSON text)
+        self._cache = {}         # session -> (stamp, its snapshot's JSON text)
         self._alerts = []        # every alert seen, dump order context
-
-    # -- source registration (the "note" sites) -------------------------------
-
-    def note_ring(self, ring, label):
-        """Register one actuator-decision ring under a session label.
-
-        Idempotent per ring object; called from the powercap tick (and,
-        for every node, from the cluster epoch sampler), so the ring is
-        known to the recorder before any trigger can fire.
-        """
-        key = id(ring)
-        if key not in self._rings:
-            self._rings[key] = (label, ring)
-
-    def note_cluster(self, nodes):
-        """Register every cluster node's controller ring (epoch sampler)."""
-        for node in nodes:
-            controller = getattr(node, "controller", None)
-            if controller is None:
-                continue
-            obs = getattr(node.platform.sim, "obs", None)
-            label = obs.label if obs is not None and obs.label else node.name
-            self.note_ring(controller.telemetry, label)
 
     # -- triggers -------------------------------------------------------------
 
-    def on_alert(self, alert, obs=None, engine=None):
+    def on_alert(self, alert):
         """An :class:`~repro.obs.alerts.Alert` fired: snapshot."""
         self._alerts.append(alert.to_dict())
         self.snapshot(dict(alert.to_dict(), type="alert"))
 
-    def on_violation(self, violation, sim=None):
+    def on_violation(self, violation):
         """The invariant checker flagged ``violation``: snapshot."""
         self.snapshot({
             "type": "violation",
@@ -197,7 +173,7 @@ class FlightRecorder:
     # -- the snapshot itself --------------------------------------------------
 
     def snapshot(self, trigger):
-        """Capture one self-contained dump; returns it (or None if capped).
+        """Write one self-contained dump; returns its path (None if capped).
 
         Read-only against the simulation: every ring it copies already
         exists, and nothing here draws RNG or schedules events.
@@ -205,26 +181,22 @@ class FlightRecorder:
         if len(self.triggers) >= self.max_dumps:
             self.suppressed += 1
             return None
-        entries = [self._session(obs) for obs in self.sessions]
+        trigger = _jsonable(trigger)
         dump = {
             "format": FORMAT,
             "version": VERSION,
             "seq": len(self.triggers),
-            "trigger": _jsonable(trigger),
-            "sessions": [snap for _stamp, snap, _text in entries],
+            "trigger": trigger,
+            "sessions": [self._session_text(obs) for obs in self.sessions],
             "actions": self._actions_snapshot(),
-            "alerts": list(self._alerts),
+            "alerts": self._alerts,
             "suppressed": self.suppressed,
         }
-        self.triggers.append(dump["trigger"])
-        if self.out_dir is None:
-            self.dumps.append(dump)
-        else:
-            self._write(dump, [text for _stamp, _snap, text in entries])
-        return dump
+        self.triggers.append(trigger)
+        return self._write(dump)
 
-    def _session(self, obs):
-        """``(stamp, snapshot, text)`` for ``obs``, rebuilt when stamp moved.
+    def _session_text(self, obs):
+        """``obs``'s snapshot as JSON text, re-encoded when its stamp moved.
 
         Keyed by the session object itself, not its ``id()``, which a
         later session could reuse once this one is dropped.
@@ -232,10 +204,9 @@ class FlightRecorder:
         stamp = _stamp(obs)
         entry = self._cache.get(obs)
         if entry is None or entry[0] != stamp:
-            snap = self._session_snapshot(obs)
-            entry = self._cache[obs] = (
-                stamp, snap, json.dumps(snap, sort_keys=True))
-        return entry
+            entry = self._cache[obs] = (stamp, json.dumps(
+                self._session_snapshot(obs), sort_keys=True))
+        return entry[1]
 
     def _session_snapshot(self, obs):
         snap = {
@@ -269,11 +240,10 @@ class FlightRecorder:
                 for t, track, name, cat, args
                 in tracer.instants_tail(self.events_tail)
             ]
-        # the kernel's event logs (unbounded EventTraces; only an
-        # EventTrace(capacity=N) is a ring): the "recent dispatched events"
-        # black box — scheduling decisions, drains, governor switches.
-        # A shut-down boot's session keeps each log's last records, as
-        # many as this tail reads.
+        # the kernel's event logs: the "recent dispatched events" black
+        # box — scheduling decisions, drains, governor switches.  A
+        # shut-down boot's session keeps each log's last records, as many
+        # as this tail reads.
         for log in obs.kernel_logs:
             tail = log.tail(self.events_tail)
             # each view's payload is a fresh dict: made JSON-ready in
@@ -300,17 +270,21 @@ class FlightRecorder:
         return snap
 
     def _actions_snapshot(self):
-        """Actuator decisions from every noted controller ring, tails."""
+        """Actuator decisions: the tail of each session's powercap ring,
+        in session order."""
         out = []
-        for label, ring in self._rings.values():
+        for obs in self.sessions:
+            ring = obs.powercap_ring()
+            if ring is None:
+                continue
             for entry in _tail(ring, self.events_tail):
                 action = {str(k): v if type(v) in _SCALARS else _jsonable(v)
                           for k, v in entry.items()}
-                action["session"] = label
+                action["session"] = obs.label
                 out.append(action)
         return out
 
-    def _write(self, dump, session_texts):
+    def _write(self, dump):
         os.makedirs(self.out_dir, exist_ok=True)
         path = os.path.join(self.out_dir,
                             "flight-{:03d}.json".format(dump["seq"]))
@@ -318,14 +292,15 @@ class FlightRecorder:
         # handle) runs json's pure-Python encoder, several times slower
         # than the C encoder ``json.dumps`` runs
         with open(path, "w") as handle:
-            handle.write(_dump_text(dump, session_texts))
+            handle.write(_dump_text(dump))
             handle.write("\n")
         self.paths.append(path)
         return path
 
     def flush(self):
-        """Write the manifest (out_dir set); returns the dump count."""
-        if self.out_dir is not None and (self.paths or self.suppressed):
+        """Write the manifest if anything triggered; returns the dump
+        count."""
+        if self.paths or self.suppressed:
             os.makedirs(self.out_dir, exist_ok=True)
             manifest = {
                 "format": FORMAT,

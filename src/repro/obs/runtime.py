@@ -42,10 +42,10 @@ class ObsRun:
     stands up one :class:`~repro.obs.alerts.AlertEngine` with ``rules``
     (default: :func:`repro.obs.alerts.default_rules`) watching them all,
     so one ``--report`` covers a whole cluster of sessions.
-    ``flight=True`` adds a :class:`~repro.obs.flight.FlightRecorder` over
-    the run's sessions (dumps to ``flight_dir`` when given, in memory
-    otherwise); each session carries it as ``obs.flight``, where the alert
-    engine and the invariant checker trigger it.
+    ``flight_dir`` adds a :class:`~repro.obs.flight.FlightRecorder` over
+    the run's sessions that dumps there; each session carries it as
+    ``obs.flight``, where the alert engine and the invariant checker
+    trigger it.
 
     ``registries`` is what the merged metrics fold, in run order: each
     session's registry from its install, and the registries of each cell
@@ -55,15 +55,14 @@ class ObsRun:
     """
 
     def __init__(self, tracing=False, telemetry=False, rules=None,
-                 flight=False, flight_dir=None):
+                 flight_dir=None):
         self.tracing = tracing
         self.telemetry = telemetry
         self.sessions = []       # Obs sessions in boot order
         self.registries = []     # metrics registries in run order
         self.alerts = AlertEngine(rules) if telemetry else None
-        self.flight = (FlightRecorder(out_dir=flight_dir,
-                                      sessions=self.sessions)
-                       if flight else None)
+        self.flight = (FlightRecorder(flight_dir, sessions=self.sessions)
+                       if flight_dir is not None else None)
         #: sessions installed without a label are named ``<prefix>:<n>``
         self.label_prefix = ""
         self._label_counts = {}

@@ -5,6 +5,11 @@ the single attribute every instrumentation point in the kernel, hardware,
 powercap, fault, and checker layers consults.  No session installed means
 every one of those points is a read-and-branch — the disabled-hook cost the
 differential tests and the BENCH_obs benchmark bound.
+
+A session is also the one place its run's readers look: the exports and
+the flight recorder read its tracer, metrics, timeline, the bound
+kernel's event logs and its powercap decision ring through it, before
+and after the boot shuts down.  No site hands them a copy.
 """
 
 from repro.obs.metrics import MetricsRegistry
@@ -63,7 +68,8 @@ class Obs:
     extra branch when a session exists without telemetry — and a run with
     no session at all still pays only the one branch it always did.
     ``flight`` is the run's :class:`~repro.obs.flight.FlightRecorder`, or
-    None; trigger sites read it inside the same guard.
+    None; trigger sites read it inside the same guard, and the recorder
+    reads the session back.
 
     ``instruments[component]`` is that component's :class:`Instruments`
     in this session: a hot site binds its metrics, series and latched
@@ -145,9 +151,3 @@ class Obs:
                 "dropped": plan.log.dropped,
             }
         return stats
-
-    def snapshot(self):
-        """Metrics plus log health, JSON-ready."""
-        snap = self.metrics.snapshot()
-        snap["logs"] = self.log_stats()
-        return snap

@@ -2,10 +2,9 @@
 
 Metrics (:mod:`repro.obs.metrics`) answer "how much, in total"; the
 timeline answers "when, and how it evolved".  A :class:`Series` is a
-bounded ring of ``(t_ns, value)`` samples — the :class:`~repro.sim.trace
-.EventTrace` pattern: a fixed capacity keeps samplers O(1) memory over
-arbitrarily long runs, and ``dropped`` counts what the window lost, so
-nothing is discarded silently.
+bounded ring of ``(t_ns, value)`` samples: a fixed capacity keeps
+samplers O(1) memory over arbitrarily long runs, and ``dropped`` counts
+what the window lost, so nothing is discarded silently.
 
 Samplers publish through the same ``sim.obs`` guard as the tracer and the
 metrics registry (``obs.timeline`` is None unless telemetry was armed), so

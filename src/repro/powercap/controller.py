@@ -100,8 +100,8 @@ class PowerCapController:
         self._trim_w = 0.0       # outer integrator on the aggregate error
         self._proc = None
         self.ticks = 0
-        # Backref so offline consumers (events export, flight snapshots)
-        # can find this kernel's actuator-decision ring from its session.
+        # Backref so readers of the session (events export, flight dumps)
+        # find this kernel's actuator-decision ring: Obs.powercap_ring.
         kernel.powercap = self
 
     # -- lifecycle ---------------------------------------------------------------
@@ -178,8 +178,6 @@ class PowerCapController:
         obs = self.sim.obs
         tick_span = None
         if obs is not None:
-            if obs.flight is not None:
-                obs.flight.note_ring(self.telemetry, obs.label)
             instruments = obs.instruments[self]
             tracer = instruments.tracer
             if tracer is not None:

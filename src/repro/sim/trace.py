@@ -8,8 +8,6 @@ event.
 """
 
 import bisect
-from collections import deque
-from itertools import islice
 
 import numpy as np
 
@@ -174,12 +172,8 @@ def _field(record, key):
 
 
 def _last(records, n):
-    """The last ``n`` items of a list or deque, oldest first."""
-    if n <= 0:
-        return []
-    if isinstance(records, list):
-        return records[-n:]
-    return list(islice(records, max(len(records) - n, 0), None))
+    """The last ``n`` items of a list, oldest first."""
+    return records[-n:] if n > 0 else []
 
 
 class EventTrace:
@@ -193,30 +187,19 @@ class EventTrace:
     triples whose payload is a fresh dict of the record's fields: the log
     keeps no dict per record, so a long boot's logs cost one tuple per
     record and give the cyclic collector nothing to chase.
-
-    With ``capacity`` set the log becomes a bounded ring: the oldest records
-    are evicted once ``capacity`` is reached and ``dropped`` counts the
-    evictions, so long soak runs hold memory constant while analysis code
-    can still see (and surface as a metric) how much history it lost.
-    Subscribers always see every record — eviction only limits retention.
     """
 
-    def __init__(self, name="", capacity=None):
-        if capacity is not None and capacity < 1:
-            raise ValueError("trace capacity must be >= 1 (or None)")
+    #: always 0: the log keeps every record (log stats report it beside
+    #: ``len``)
+    dropped = 0
+
+    def __init__(self, name=""):
         self.name = name
-        self.capacity = capacity
-        self.dropped = 0
-        if capacity is None:
-            self._records = []
-        else:
-            self._records = deque(maxlen=capacity)
+        self._records = []
         self._subscribers = []
 
     def add(self, record):
         """Append one record ``(t, (kind, field, ...), *values)``."""
-        if self.capacity is not None and len(self._records) == self.capacity:
-            self.dropped += 1
         self._records.append(record)
         if self._subscribers:
             t, kind, payload = _view(record)
@@ -278,17 +261,18 @@ class EventTrace:
 class KeptLog:
     """An event log as a holder keeps it once its boot has shut down.
 
-    The name, the retained and dropped counts, and the last ``tail``
-    records, flat as the log stored them.  It answers ``name``, ``len``,
-    ``dropped`` and :meth:`tail` as the log did, since a shut-down boot
-    logs nothing more.
+    The name, the retained count, and the last ``tail`` records, flat as
+    the log stored them.  It answers ``name``, ``len``, ``dropped`` and
+    :meth:`tail` as the log did, since a shut-down boot logs nothing
+    more.
     """
 
-    __slots__ = ("name", "dropped", "_records", "_retained")
+    __slots__ = ("name", "_records", "_retained")
+
+    dropped = 0
 
     def __init__(self, log, tail):
         self.name = log.name
-        self.dropped = log.dropped
         self._retained = len(log)
         self._records = _last(log._records, tail)
 

@@ -10,6 +10,8 @@ counting.  An observed run outlives its boots, so its sessions must let
 go of each one at shutdown and still export what it left.
 """
 
+import json
+
 import pytest
 
 from repro.apps.base import App
@@ -92,11 +94,11 @@ FULL_BOARD_LOGS = {"smp", "governor.cpu", "governor.gpu", "gpu.sched",
 
 
 @pytest.mark.parametrize("workload", ["observe", "cluster"])
-def test_an_observed_boot_frees_itself(workload):
+def test_an_observed_boot_frees_itself(workload, tmp_path):
     # the run outlives its boots, as a CLI run outlives each driver's: a
     # session lets go of its boot at Kernel.shutdown, keeping what its
     # exports read
-    run = ObsRun(tracing=True, telemetry=True, flight=True)
+    run = ObsRun(tracing=True, telemetry=True, flight_dir=str(tmp_path))
 
     def fn():
         with observe(run):
@@ -111,7 +113,10 @@ def test_an_observed_boot_frees_itself(workload):
     boots = [obs for obs in run.sessions if not obs.label.startswith("cluster")]
     assert boots and all(set(obs.log_stats()) == FULL_BOARD_LOGS
                          for obs in boots)
-    assert run.flight.snapshot({"type": "test"})["sessions"]
+    with open(run.flight.snapshot({"type": "test"})) as handle:
+        dump = json.load(handle)
+    assert dump["sessions"]
+    assert bool(dump["actions"]) == (workload == "cluster")
     actions = [line for line in events_jsonl_lines(run.sessions)
                if '"kind": "action"' in line]
     assert bool(actions) == (workload == "cluster")

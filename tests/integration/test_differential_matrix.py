@@ -7,6 +7,8 @@ keep bit-identical, on every workload family:
      flight recorder armed, faults installed-but-disabled}
                 x {mixed board, powercap board, 2-node cluster}
 
+(the armed flight recorder writes its dumps to a temporary directory).
+
 Each cell runs the workload with that layer attached and asserts the
 sha256 fingerprint of the run's observable behaviour (rail change points,
 kernel event logs, task end states) equals the bare serial baseline's,
@@ -58,7 +60,7 @@ def _injecting_scenario(workload):
     return next(s for s in SCENARIOS if s.workload == workload and s.faults)
 
 
-def _run_board(workload, variant):
+def _run_board(workload, variant, flight_dir):
     """One full-board run (mixed/powercap) under a matrix variant."""
     work = build_workload(workload, 0)
     sim = work.platform.sim
@@ -69,9 +71,10 @@ def _run_board(workload, variant):
     elif variant in ("telemetry-on", "flight-on"):
         # the full stack: tracer + timeline + a live alert engine
         # evaluating every sample as it streams off the board — and, for
-        # flight-on, an in-memory recorder snapshotting on every fired alert
+        # flight-on, a recorder writing a dump on every fired alert
         ObsRun(tracing=True, telemetry=True,
-               flight=variant == "flight-on").install(sim, kernel=work.kernel)
+               flight_dir=flight_dir if variant == "flight-on" else None,
+               ).install(sim, kernel=work.kernel)
     elif variant == "faults-installed":
         _disabled_plan(sim, workload)
     elif variant != "baseline":
@@ -100,7 +103,7 @@ def _cluster_setup():
     return topo, by_node, config
 
 
-def _run_cluster(variant):
+def _run_cluster(variant, flight_dir):
     """A small capped cluster run; fingerprints every node, combined."""
     run = None
     if variant == "tracer-off":
@@ -110,10 +113,11 @@ def _run_cluster(variant):
     elif variant in ("telemetry-on", "flight-on"):
         # full stack on every node *and* the cap loop itself: per-session
         # timelines, cluster epoch samplers, the run's alert engine —
-        # flight-on additionally arms the in-memory recorder, so every
-        # fired alert snapshots mid-run through the live hooks
+        # flight-on additionally arms the recorder, so every fired alert
+        # writes a dump mid-run through the live hooks
         run = ObsRun(tracing=True, telemetry=True,
-                     flight=variant == "flight-on")
+                     flight_dir=flight_dir if variant == "flight-on"
+                     else None)
     with observe(run):
         topo, by_node, config = _cluster_setup()
         telemetry = (ClusterTelemetry.for_runtime(label="cap-loop")
@@ -133,13 +137,13 @@ def _run_cluster(variant):
     return combined.hexdigest()
 
 
-def _run(workload, variant):
+def _run(workload, variant, flight_dir=None):
     if variant == "profiler-on":
         # the bare run, under cProfile's hook on every Python call
         return cProfile.Profile().runcall(_run, workload, "baseline")
     if workload == "cluster":
-        return _run_cluster(variant)
-    return _run_board(workload, variant)
+        return _run_cluster(variant, flight_dir)
+    return _run_board(workload, variant, flight_dir)
 
 
 @pytest.fixture(scope="module")
@@ -151,8 +155,8 @@ def baselines():
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_variant_is_bit_identical_to_serial_baseline(
-        variant, workload, baselines):
-    assert _run(workload, variant) == baselines[workload]
+        variant, workload, baselines, tmp_path):
+    assert _run(workload, variant, str(tmp_path)) == baselines[workload]
 
 
 @pytest.mark.parametrize("workload", ("mixed", "powercap"))

@@ -38,7 +38,7 @@ def spec(name, kind="web", tenant="t0", start_s=0.0, end_s=HORIZON_S):
 
 def blinded_run(flight_dir):
     """One full cluster run with telemetry + flight armed, node00 blinded."""
-    run = ObsRun(telemetry=True, flight=True, flight_dir=flight_dir)
+    run = ObsRun(telemetry=True, flight_dir=flight_dir)
     with observe(run):
         topo = ClusterTopology.uniform(2)
         by_node = {

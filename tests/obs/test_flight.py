@@ -1,11 +1,13 @@
 """The flight recorder: triggers, snapshot content, bounds."""
 
 import json
+import os
 from types import SimpleNamespace
 
 import pytest
 
 from repro.check.checker import InvariantChecker
+from repro.experiments.faults_exp import build_workload
 from repro.obs import explain, flight
 from repro.obs.alerts import AlertEngine, AlertRule
 from repro.obs.flight import FlightRecorder, _jsonable
@@ -13,6 +15,7 @@ from repro.obs.runtime import ObsRun
 from repro.obs.session import Obs
 from repro.obs.timeline import Timeline
 from repro.powercap.telemetry import TelemetryRing
+from repro.sim.clock import from_msec
 from repro.sim.trace import EventTrace
 
 
@@ -42,33 +45,23 @@ def make_session(label="test", rules=None, recorder=None):
     return obs, engine
 
 
-def _returned_dumps(recorder):
-    """The list of dumps ``recorder.snapshot`` returns from now on, in
-    order, whoever calls it (a trigger site drops the return value)."""
-    returned = []
-    snapshot = recorder.snapshot
-
-    def keep(trigger):
-        dump = snapshot(trigger)
-        if dump is not None:
-            returned.append(dump)
-        return dump
-
-    recorder.snapshot = keep
-    return returned
+def _load(path):
+    """The dump a recorder wrote to ``path``."""
+    with open(path) as handle:
+        return json.load(handle)
 
 
 class TestAlertTrigger:
-    def test_fired_alert_snapshots(self):
+    def test_fired_alert_snapshots(self, tmp_path):
         rule = AlertRule("hot", series="w", op=">", threshold=1.0)
-        run = ObsRun(tracing=True, telemetry=True, rules=[rule], flight=True)
+        run = ObsRun(tracing=True, telemetry=True, rules=[rule],
+                     flight_dir=str(tmp_path))
         obs = run.install(FakeSim(), label="test")
         assert obs.flight is run.flight
         obs.sim.now = 50
         obs.timeline.record("w", 50, 2.0)
-        recorder = run.flight
-        assert len(recorder.dumps) == 1
-        dump = recorder.dumps[0]
+        (path,) = run.flight.paths
+        dump = _load(path)
         assert dump["trigger"]["type"] == "alert"
         assert dump["trigger"]["rule"] == "hot"
         assert dump["alerts"][0]["rule"] == "hot"
@@ -86,92 +79,103 @@ class TestAlertTrigger:
 
 
 class TestViolationTrigger:
-    def test_checker_flag_snapshots(self):
-        run = ObsRun(flight=True)
+    def test_checker_flag_snapshots(self, tmp_path):
+        run = ObsRun(flight_dir=str(tmp_path))
         checker = InvariantChecker(FakeKernel(FakeSim()))
         run.install(checker.sim)
         checker.sim.now = 77
         checker._flag("balloon.exclusive", "smp", "cosched", "intruder")
-        recorder = run.flight
-        assert len(recorder.dumps) == 1
-        trigger = recorder.dumps[0]["trigger"]
+        (path,) = run.flight.paths
+        trigger = _load(path)["trigger"]
         assert trigger["type"] == "violation"
         assert trigger["invariant"] == "balloon.exclusive"
         assert trigger["t_ns"] == 77
 
 
 class TestSnapshotBounds:
-    def test_max_dumps_then_suppressed(self):
-        recorder = FlightRecorder(max_dumps=2)
-        for i in range(5):
-            recorder.snapshot({"type": "test", "i": i})
-        assert len(recorder.dumps) == 2
+    def test_max_dumps_then_suppressed(self, tmp_path):
+        recorder = FlightRecorder(str(tmp_path), max_dumps=2)
+        paths = [recorder.snapshot({"type": "test", "i": i})
+                 for i in range(5)]
+        assert paths == recorder.paths + [None] * 3
+        assert sorted(os.listdir(tmp_path)) == ["flight-000.json",
+                                                "flight-001.json"]
         assert recorder.suppressed == 3
 
-    def test_series_tail_window(self):
-        recorder = FlightRecorder(series_tail=3)
+    def test_series_tail_window(self, tmp_path):
+        recorder = FlightRecorder(str(tmp_path), series_tail=3)
         obs, _ = make_session(recorder=recorder)
         for i in range(10):
             obs.timeline.record("w", i, float(i))
-        dump = recorder.snapshot({"type": "test"})
+        dump = _load(recorder.snapshot({"type": "test"}))
         (series,) = dump["sessions"][0]["series"]
         assert series["points"] == [[7, 7.0], [8, 8.0], [9, 9.0]]
 
-    def test_instants_tail_window(self):
-        recorder = FlightRecorder(events_tail=2)
+    def test_instants_tail_window(self, tmp_path):
+        recorder = FlightRecorder(str(tmp_path), events_tail=2)
         obs, _ = make_session(recorder=recorder)
         for i in range(5):
             obs.tracer.instant("e{}".format(i), track="t")
-        dump = recorder.snapshot({"type": "test"})
+        dump = _load(recorder.snapshot({"type": "test"}))
         names = [row[2] for row in dump["sessions"][0]["instants"]]
         assert names == ["e3", "e4"]
 
-    def test_log_and_injection_tails(self):
-        recorder = FlightRecorder(events_tail=3)
+    def test_log_and_injection_tails(self, tmp_path):
+        recorder = FlightRecorder(str(tmp_path), events_tail=3)
         obs, _ = make_session(recorder=recorder)
-        unbounded, ring = EventTrace("smp"), EventTrace("gpu.sched", 4)
+        smp_log, gpu_log = EventTrace("smp"), EventTrace("gpu.sched")
         for i in range(6):
-            unbounded.add((i, ("pick", "task", "seq"), i, 100 + i))
-            ring.add((i, ("unit", "n"), i))
-        obs.bind_kernel(_Kernel(unbounded, ring))
+            smp_log.add((i, ("pick", "task", "seq"), i, 100 + i))
+            gpu_log.add((i, ("unit", "n"), i))
+        obs.bind_kernel(_Kernel(smp_log, gpu_log))
         obs.sim.faults = SimpleNamespace(log=EventTrace("faults"))
         for i in range(6):
             obs.sim.faults.log.add((10 * i, ("inject" if i % 2 else "arm",
                                              "site"), "s{}".format(i)))
-        session = recorder.snapshot({"type": "test"})["sessions"][0]
+        session = _load(recorder.snapshot({"type": "test"}))["sessions"][0]
         smp, gpu = session["logs"]["smp"], session["logs"]["gpu.sched"]
         assert smp["tail"] == [[i, "pick", {"task": i}] for i in (3, 4, 5)]
         assert (smp["retained"], smp["dropped"]) == (6, 0)
         assert gpu["tail"] == [[i, "unit", {"n": i}] for i in (3, 4, 5)]
-        assert (gpu["retained"], gpu["dropped"]) == (4, 2)
+        assert (gpu["retained"], gpu["dropped"]) == (6, 0)
         # injections come from the log's last three records, then filtered
         assert session["injections"] == [{"site": "s3", "t_ns": 30},
                                          {"site": "s5", "t_ns": 50}]
 
 
 class TestActionRings:
-    def test_note_ring_dedups_and_labels(self):
-        recorder = FlightRecorder()
-        ring = TelemetryRing()
-        ring.record(10, "t0.web", 1.0, 2.0, "throttle", 0.25)
-        recorder.note_ring(ring, "node00")
-        recorder.note_ring(ring, "other-label")   # same object: ignored
-        dump = recorder.snapshot({"type": "test"})
-        (action,) = dump["actions"]
-        assert action["session"] == "node00"
-        assert action["node"] == "t0.web"
-        assert action["action"] == "throttle"
+    def test_actions_are_each_sessions_powercap_ring_tail(self, tmp_path):
+        # the sessions are installed after their boots ran and carry no
+        # recorder, so no site hands it a ring: it reads each session's
+        recorder = FlightRecorder(str(tmp_path), events_tail=8)
+        rings = {}
+        for label, seed in (("node00", 0), ("bare", None), ("node01", 1)):
+            if seed is None:          # no kernel, so no controller
+                obs = Obs(FakeSim(), label=label).install()
+            else:
+                work = build_workload("powercap", seed)
+                work.platform.sim.run(until=from_msec(300))
+                obs = Obs(work.platform.sim, label=label).install()
+                obs.bind_kernel(work.kernel)
+                rings[label] = list(work.kernel.powercap.telemetry)
+                assert len(rings[label]) > recorder.events_tail
+            assert obs.flight is None
+            recorder.sessions.append(obs)
+        dump = _load(recorder.snapshot({"type": "test"}))
+        assert dump["actions"] == [
+            dict(entry, session=label)
+            for label in ("node00", "node01")
+            for entry in rings[label][-recorder.events_tail:]]
 
 
 class TestPersistence:
     def test_dump_files_and_manifest(self, tmp_path):
         out = tmp_path / "flight"
-        recorder = FlightRecorder(out_dir=str(out), max_dumps=2)
-        returned = _returned_dumps(recorder)
+        recorder = FlightRecorder(str(out), max_dumps=2)
         rule = AlertRule("hot", series="w", op=">", threshold=1.0)
         obs, _engine = make_session(rules=[rule], recorder=recorder)
         ring = TelemetryRing()
-        recorder.note_ring(ring, "node00")
+        obs.bind_kernel(_Kernel(ring=ring))
         for i in range(8):
             obs.sim.now = 100 * i
             obs.tracer.instant("tick", track="t", i=i)
@@ -187,22 +191,25 @@ class TestPersistence:
                          "manifest.json"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["dumps"] == ["flight-000.json", "flight-001.json"]
+        assert [os.path.basename(path) for path in recorder.paths] \
+            == manifest["dumps"]
         assert manifest["suppressed"] == 1
-        assert manifest["triggers"] == [dump["trigger"] for dump in returned]
-        assert returned[0]["trigger"]["rule"] == "hot"
-        assert returned[0]["format"] == flight.FORMAT
-        # each file is one compact line that loads back to the dump itself
-        for name, dump in zip(manifest["dumps"], returned):
-            with open(out / name) as handle:
-                assert json.load(handle) == dump
+        dumps = [_load(path) for path in recorder.paths]
+        assert manifest["triggers"] == [dump["trigger"] for dump in dumps]
+        assert dumps[0]["trigger"]["rule"] == "hot"
+        assert dumps[0]["format"] == flight.FORMAT
+        assert [(a["session"], a["t"]) for a in dumps[0]["actions"]] == [
+            ("test", 100 * i) for i in range(7)]
+        # each file is one compact line, the dump's canonical text
+        for name in manifest["dumps"]:
             text = (out / name).read_text()
-            assert text == json.dumps(dump, sort_keys=True) + "\n"
+            assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
         # the same dump in the old indented layout explains byte-identically
         # (same path, so the report's "source" matches too)
         path = str(out / "flight-000.json")
         compact = explain.render_json(explain.explain(explain.load(path)))
         with open(path, "w") as handle:
-            json.dump(returned[0], handle, indent=1, sort_keys=True)
+            json.dump(dumps[0], handle, indent=1, sort_keys=True)
             handle.write("\n")
         indented = explain.render_json(explain.explain(explain.load(path)))
         assert indented == compact
@@ -210,23 +217,26 @@ class TestPersistence:
 
     def test_flush_without_dumps_writes_nothing(self, tmp_path):
         out = tmp_path / "flight"
-        recorder = FlightRecorder(out_dir=str(out))
+        recorder = FlightRecorder(str(out))
         assert recorder.flush() == 0
         assert not out.exists()
 
 
 class _Kernel:
-    """The one thing a snapshot reads from a kernel: its logs."""
+    """What a snapshot reads from a kernel: its logs, and the decision
+    ring of its powercap controller (``ring``), if it has one."""
 
-    def __init__(self, *logs):
+    def __init__(self, *logs, ring=None):
         self._logs = list(logs)
+        self.powercap = (None if ring is None
+                         else SimpleNamespace(telemetry=ring))
 
     def logs(self):
         return list(self._logs)
 
 
-def _log(name, capacity, *records):
-    log = EventTrace(name, capacity)
+def _log(name, *records):
+    log = EventTrace(name)
     for t, kind, payload in records:
         log.add((t, (kind, *payload), *payload.values()))
     return log
@@ -235,9 +245,8 @@ def _log(name, capacity, *records):
 def _world(label, recorder):
     """A session with every source a snapshot reads, none of them empty.
 
-    Series ``w`` holds 2 points of 3, the kernel's ``smp`` log is
-    unbounded and its ``gpu.sched`` ring is full (2 of 2), and the fault
-    log holds 2 records of 3.
+    Series ``w`` holds 2 points of 3, the kernel has an ``smp`` and a
+    ``gpu.sched`` log, and the fault log holds 2 records.
     """
     obs, _ = make_session(label, recorder=recorder)
     obs.timeline = Timeline(capacity=3)
@@ -245,10 +254,10 @@ def _world(label, recorder):
     obs.timeline.record("w", 20, 2.0)
     obs.tracer.instant("boot", track="t", n=1)
     obs.bind_kernel(_Kernel(
-        _log("smp", None, (5, "pick", {"task": 1, "seq": 9})),
-        _log("gpu.sched", 2, (6, "unit", {"n": 1}), (7, "unit", {"n": 2}))))
+        _log("smp", (5, "pick", {"task": 1, "seq": 9})),
+        _log("gpu.sched", (6, "unit", {"n": 1}), (7, "unit", {"n": 2}))))
     obs.sim.faults = SimpleNamespace(log=_log(
-        "faults", 3, (8, "inject", {"site": "s0"}), (9, "arm", {})))
+        "faults", (8, "inject", {"site": "s0"}), (9, "arm", {})))
     obs.sim.now = 30
     return obs
 
@@ -266,25 +275,19 @@ def _swap_timeline(obs):
 def _swap_kernel(obs):
     """Logs of the same names and counts, other records."""
     obs.bind_kernel(_Kernel(*(
-        _log(log.name, log.capacity,
-             *((t + 1, kind, payload) for t, kind, payload in log))
+        _log(log.name, *((t + 1, kind, payload) for t, kind, payload in log))
         for log in obs.kernel.logs())))
 
 
 def _swap_faults(obs):
     log = obs.sim.faults.log
     obs.sim.faults = SimpleNamespace(log=_log(
-        log.name, log.capacity,
-        *((t, kind, dict(payload, site="other"))
-          for t, kind, payload in log)))
+        log.name, *((t, kind, dict(payload, site="other"))
+                    for t, kind, payload in log)))
 
 
 def _fill_series(obs):
     obs.timeline.record("w", 25, 2.5)
-
-
-def _fill_faults(obs):
-    obs.sim.faults.log.add((9, ("arm",)))
 
 
 def _unbind_kernel(obs):
@@ -308,19 +311,12 @@ _CHANGES = {
     "kernel log record": (
         None,
         lambda obs: obs.kernel.logs()[0].add((30, ("pick", "task"), 2))),
-    # the gpu ring is full: only its dropped moves
-    "full kernel ring record": (
-        None, lambda obs: obs.kernel.logs()[1].add((30, ("unit", "n"), 3))),
     "fault injection": (
         None,
         lambda obs: obs.sim.faults.log.add((30, ("inject", "site"), "s1"))),
-    "full fault ring injection": (
-        _fill_faults,
-        lambda obs: obs.sim.faults.log.add((30, ("inject", "site"), "s1"))),
     "sim.now advances": (None, lambda obs: setattr(obs.sim, "now", 40)),
     "kernel bound late": (
-        _unbind_kernel,
-        lambda obs: obs.bind_kernel(_Kernel(_log("smp", None)))),
+        _unbind_kernel, lambda obs: obs.bind_kernel(_Kernel(_log("smp")))),
     "label renamed": (None, lambda obs: setattr(obs, "label", "a2")),
     "timeline swapped": (None, _swap_timeline),
     "kernel swapped": (None, _swap_kernel),
@@ -332,64 +328,52 @@ class TestSessionReuse:
     """Unchanged sessions are reused; a changed one is never served stale."""
 
     @staticmethod
-    def _assert_files_are_the_dumps(recorder, dumps):
-        assert len(recorder.paths) == len(dumps)
-        for path, dump in zip(recorder.paths, dumps):
+    def _texts(recorder, sessions):
+        """The text the recorder keeps for each session, in order."""
+        return [recorder._cache[obs][1] for obs in sessions]
+
+    @staticmethod
+    def _assert_files_hold(recorder, texts):
+        """Each file is its dump's canonical text, with the last one's
+        sessions written as ``texts``."""
+        for path in recorder.paths:
             with open(path) as handle:
-                assert handle.read() == json.dumps(dump, sort_keys=True) + "\n"
+                text = handle.read()
+            assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+        assert '"sessions": [{}]'.format(", ".join(texts)) in text
 
     @pytest.mark.parametrize("change", sorted(_CHANGES))
     def test_a_change_rebuilds_only_its_session(self, tmp_path, change):
         prepare, apply = _CHANGES[change]
-        recorder = FlightRecorder(out_dir=str(tmp_path), series_tail=2,
+        recorder = FlightRecorder(str(tmp_path), series_tail=2,
                                   events_tail=2)
-        changing = _world("a", recorder)
-        _world("b", recorder)              # never changes
+        sessions = [_world("a", recorder),
+                    _world("b", recorder)]     # b never changes
         if prepare is not None:
-            prepare(changing)
-        dumps = [recorder.snapshot({"type": "test", "i": 1})]
-        first = dumps[0]["sessions"]
-        apply(changing)
-        fresh = recorder._session_snapshot(changing)
-        dumps.append(recorder.snapshot({"type": "test", "i": 2}))
-        second = dumps[1]["sessions"]
-        assert second[0] is not first[0]
+            prepare(sessions[0])
+        recorder.snapshot({"type": "test", "i": 1})
+        first = self._texts(recorder, sessions)
+        apply(sessions[0])
+        fresh = json.dumps(recorder._session_snapshot(sessions[0]),
+                           sort_keys=True)
+        recorder.snapshot({"type": "test", "i": 2})
+        second = self._texts(recorder, sessions)
         assert second[0] == fresh != first[0]
         assert second[1] is first[1]
-        self._assert_files_are_the_dumps(recorder, dumps)
+        self._assert_files_hold(recorder, second)
 
     def test_nothing_changed_shares_every_session(self, tmp_path):
-        recorder = FlightRecorder(out_dir=str(tmp_path))
+        recorder = FlightRecorder(str(tmp_path))
         sessions = [_world("a", recorder), _world("b", recorder)]
-        first = recorder.snapshot({"type": "test", "i": 1})
-        second = recorder.snapshot({"type": "test", "i": 2})
-        assert all(a is b for a, b in zip(first["sessions"],
-                                          second["sessions"]))
-        assert second["sessions"] == [recorder._session_snapshot(obs)
-                                      for obs in sessions]
-        self._assert_files_are_the_dumps(recorder, [first, second])
-        # and an in-memory recorder keeps the same dumps
-        memory = FlightRecorder(sessions=sessions)
-        memory.snapshot({"type": "test", "i": 1})
-        memory.snapshot({"type": "test", "i": 2})
-        assert memory.dumps == [first, second]
-
-    def test_a_writing_recorder_keeps_files_and_a_memory_one_dicts(
-            self, tmp_path):
-        writing = FlightRecorder(out_dir=str(tmp_path))
-        sessions = [_world("a", writing), _world("b", writing)]
-        memory = FlightRecorder(sessions=sessions)
-        for i in range(3):
-            sessions[0].timeline.record("w", 30 + i, float(i))
-            trigger = {"type": "test", "i": i}
-            assert writing.snapshot(trigger) == memory.snapshot(trigger)
-        assert writing.dumps == [] and memory.paths == []
-        assert len(writing.paths) == len(memory.dumps) == 3
-        assert writing.triggers == memory.triggers == [
-            {"type": "test", "i": i} for i in range(3)]
-        # the files hold the bytes the in-memory dumps encode to
-        self._assert_files_are_the_dumps(writing, memory.dumps)
-        assert writing.flush() == memory.flush() == 3
+        recorder.snapshot({"type": "test", "i": 1})
+        first = self._texts(recorder, sessions)
+        recorder.snapshot({"type": "test", "i": 2})
+        second = self._texts(recorder, sessions)
+        assert all(a is b for a, b in zip(first, second))
+        assert second == [
+            json.dumps(recorder._session_snapshot(obs), sort_keys=True)
+            for obs in sessions]
+        self._assert_files_hold(recorder, second)
 
 
 class TestJsonable:

@@ -261,32 +261,43 @@ def test_a_new_session_on_one_simulator_binds_its_own_handles():
                for name in set(at_end) - set(after))
 
 
-def test_a_shut_down_boot_reads_as_it_did_live():
+def _flight_reads(recorder):
+    """A new dump's sessions and actions, as ``recorder`` wrote them."""
+    with open(recorder.snapshot({"type": "test"})) as handle:
+        dump = json.load(handle)
+    return dump["sessions"], dump["actions"]
+
+
+def test_a_shut_down_boot_reads_as_it_did_live(tmp_path):
     """``Kernel.shutdown`` has the session let go of the boot, and every
     reader of what it kept answers as it did while the kernel was bound:
-    log stats, the powercap actions, and a flight snapshot, whose stamp
-    does not move (the cached session is served again)."""
+    log stats, the powercap actions, and a flight dump, whose stamp does
+    not move (the cached session text is served again) and whose actions
+    come from the kept ring."""
     work = build_workload("powercap", 0)
-    run = ObsRun(tracing=True, telemetry=True, flight=True)
+    run = ObsRun(tracing=True, telemetry=True,
+                 flight_dir=str(tmp_path / "run"))
     obs = run.install(work.platform.sim, kernel=work.kernel)
     work.platform.sim.run(until=from_msec(600))
     assert obs.instruments
 
     def reads():
         return (obs.log_stats(), events_jsonl_lines([obs]),
-                run.flight.snapshot({"type": "test"})["sessions"])
+                _flight_reads(run.flight))
 
     live = reads()
-    assert live[1] and any(stats["retained"] > run.flight.events_tail
-                           for stats in live[0].values())
+    text = run.flight._cache[obs][1]
+    assert live[1] and live[2][1] and any(
+        stats["retained"] > run.flight.events_tail
+        for stats in live[0].values())
     work.kernel.shutdown()
     assert obs.kernel is None and not obs.instruments
     released = reads()
     assert released == live
-    assert released[2][0] is live[2][0]
-    # rebuilt from what the session kept, the snapshot is the same
-    assert FlightRecorder(sessions=[obs]).snapshot(
-        {"type": "test"})["sessions"] == live[2]
+    assert run.flight._cache[obs][1] is text
+    # rebuilt from what the session kept, the dump is the same
+    assert _flight_reads(FlightRecorder(str(tmp_path / "fresh"),
+                                        sessions=[obs])) == live[2]
     work.kernel.shutdown()
     assert reads() == live
 

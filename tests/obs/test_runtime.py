@@ -41,8 +41,8 @@ def test_install_outside_a_run_is_a_no_op():
     assert sim.obs is None
 
 
-def test_a_run_wires_its_engine_and_recorder_into_every_session():
-    run = ObsRun(tracing=True, telemetry=True, flight=True)
+def test_a_run_wires_its_engine_and_recorder_into_every_session(tmp_path):
+    run = ObsRun(tracing=True, telemetry=True, flight_dir=str(tmp_path))
     first = run.install(Simulator())
     second = run.install(Simulator(), label="cap-loop")
     assert run.sessions == [first, second]

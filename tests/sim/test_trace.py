@@ -285,35 +285,12 @@ def test_add_accumulates_deltas_exactly(steps):
     assert tr.value_at(t + 1) == pytest.approx(total)
 
 
-def test_event_trace_ring_keeps_newest_and_counts_drops():
-    log = EventTrace("ring", capacity=3)
-    for i in range(5):
-        log.add((i, ("k", "n"), i))
-    assert len(log) == 3
-    assert log.dropped == 2
-    assert [p["n"] for _t, _k, p in log] == [2, 3, 4]
-    assert log.times() == [2, 3, 4]
-    # filter() works on the ring contents only.
-    assert log.filter(t0=0, t1=3) == [(2, "k", {"n": 2})]
-
-
-def test_event_trace_ring_subscribers_see_every_record():
-    log = EventTrace("ring", capacity=2)
-    seen = []
-    log.subscribe(lambda t, k, p: seen.append(t))
-    for i in range(6):
-        log.add((i, ("k",)))
-    assert seen == list(range(6))
-    assert len(log) == 2 and log.dropped == 4
-
-
 def test_event_trace_unbounded_never_drops():
     log = EventTrace()
     for i in range(100):
         log.add((i, ("k",)))
     assert len(log) == 100
     assert log.dropped == 0
-    assert log.capacity is None
 
 
 #: what the reference test draws a record's kind, fields and values from
@@ -345,7 +322,6 @@ def _event_records(draw):
 
 @given(
     records=_event_records(),
-    capacity=st.one_of(st.none(), st.integers(1, 6)),
     kind=st.one_of(st.none(), st.sampled_from(_KINDS)),
     t0=st.one_of(st.none(), st.integers(0, 20)),
     t1=st.one_of(st.none(), st.integers(0, 20)),
@@ -353,10 +329,10 @@ def _event_records(draw):
                           max_size=2),
 )
 @settings(max_examples=150, deadline=None)
-def test_event_trace_matches_a_list_of_dict_records(records, capacity, kind,
-                                                    t0, t1, match):
+def test_event_trace_matches_a_list_of_dict_records(records, kind, t0, t1,
+                                                    match):
     """``EventTrace`` answers as a plain list of ``(t, kind, dict)`` does."""
-    log = EventTrace("ref", capacity)
+    log = EventTrace("ref")
     seen = []
     log.subscribe(lambda t, k, payload: seen.append((t, k, payload)))
     model = []
@@ -364,16 +340,14 @@ def test_event_trace_matches_a_list_of_dict_records(records, capacity, kind,
         log.add((t, shape) + values)
         model.append((t, shape[0], dict(zip(shape[1:], values))))
     assert seen == model
-    kept = model if capacity is None else model[max(len(model) - capacity,
-                                                    0):]
-    assert len(log) == len(kept)
-    assert log.dropped == len(model) - len(kept)
-    assert list(log) == kept
+    assert len(log) == len(model)
+    assert log.dropped == 0
+    assert list(log) == model
     for _t, _k, payload in log:
         payload["mutated"] = True       # each read gets a fresh dict
-    assert list(log) == kept
-    for n in (0, 1, len(kept), len(kept) + 3):
-        assert log.tail(n) == (kept[max(len(kept) - n, 0):] if n else [])
+    assert list(log) == model
+    for n in (0, 1, len(model), len(model) + 3):
+        assert log.tail(n) == (model[max(len(model) - n, 0):] if n else [])
 
     def wanted(t, k, payload, lo=None, hi=None):
         return ((kind is None or k == kind)
@@ -382,11 +356,5 @@ def test_event_trace_matches_a_list_of_dict_records(records, capacity, kind,
                             for key, value in match.items()))
 
     assert log.filter(kind, t0, t1, **match) == [
-        r for r in kept if wanted(*r, t0, t1)]
-    assert log.times(kind, **match) == [r[0] for r in kept if wanted(*r)]
-
-
-def test_event_trace_rejects_bad_capacity():
-    with pytest.raises(ValueError):
-        EventTrace(capacity=0)
-    assert EventTrace(capacity=1).capacity == 1
+        r for r in model if wanted(*r, t0, t1)]
+    assert log.times(kind, **match) == [r[0] for r in model if wanted(*r)]
