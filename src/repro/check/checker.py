@@ -72,7 +72,7 @@ class InvariantChecker:
         self._drain_since = {}       # device name -> drain phase start t
         self._flagged_cosched = set()
         self._energy_checked_to = 0
-        self._powercap = None        # (controller, tolerance, settle)
+        self._powercap = None        # the watched PowerCapController
         self._cap_checked_to = None
 
     # -- lifecycle ------------------------------------------------------------
@@ -107,13 +107,10 @@ class InvariantChecker:
             self._tick_event.cancel()
             self._tick_event = None
 
-    def watch_powercap(self, controller, tolerance=None, settle=None):
-        """Also assert the controller's root cap on rolling windows."""
-        self._powercap = (
-            controller,
-            self.config.cap_tolerance if tolerance is None else tolerance,
-            self.config.cap_settle if settle is None else settle,
-        )
+    def watch_powercap(self, controller):
+        """Also assert the controller's root cap on rolling windows
+        (``config.cap_tolerance``, after ``config.cap_settle``)."""
+        self._powercap = controller
         return self
 
     def _subscribe(self, trace, fn):
@@ -411,10 +408,12 @@ class InvariantChecker:
     def _check_cap_compliance(self):
         if self._powercap is None:
             return
-        controller, tolerance, settle = self._powercap
+        controller = self._powercap
+        tolerance = self.config.cap_tolerance
         root = controller.tree.root
         now = self.sim.now
-        if not controller.running or root.cap_w is None or now < settle:
+        if (not controller.running or root.cap_w is None
+                or now < self.config.cap_settle):
             return
         if self._cap_checked_to is None:
             self._cap_checked_to = now

@@ -217,11 +217,11 @@ class Node:
 
         The node's cap loop stops first: the simulator kills the powercap
         daemon where it stands, before any kernel part goes, and no
-        actuator is released, so the controller's ring and every kernel
-        log read as the run left them.  Then :meth:`Kernel.shutdown`
+        actuator is released, so the controller's decision log and every
+        kernel log read as the run left them.  Then :meth:`Kernel.shutdown`
         cuts the boot's cycles, and the node is freed by reference
         counting once its owner drops it.  Reads (rails, logs, the
-        controller's ring and leaf states) still work; advancing does
+        controller's log and leaf states) still work; advancing does
         not.  A second call does nothing.
         """
         self.kernel.shutdown()
@@ -277,8 +277,8 @@ class Node:
         """Actuator applications the node's daemon performed so far."""
         if self.controller is None:
             return 0
-        return sum(1 for entry in self.controller.telemetry.records()
-                   if entry["action"] in ("throttle", "relax"))
+        return sum(1 for _t, _k, payload in self.controller.log
+                   if payload["action"] in ("throttle", "relax"))
 
     def mean_power_series(self, epoch_ns, horizon_ns):
         """Per-epoch mean aggregate draw — the calibration payload."""

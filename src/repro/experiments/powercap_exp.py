@@ -19,6 +19,7 @@ platform cap of 70% of that peak.  The run demonstrates the three claims:
    fixed seed reproduces the telemetry bit for bit.
 """
 
+import json
 from dataclasses import dataclass
 
 from repro.analysis.report import format_table
@@ -49,7 +50,7 @@ class PowercapResult:
     tenant_a_gain_w: float       # A's grant growth from B's freed slack
     tenant_b_idle_w: float       # B's residual measured draw when idle
     throttle_actions: int        # actuator applications over the run
-    telemetry_json: str          # exported ring (for determinism checks)
+    telemetry_json: str          # exported decision log (determinism checks)
 
 
 #: windows (in seconds) used by the analysis below
@@ -119,13 +120,13 @@ def build_bindings(kernel, apps, boxes):
     ]
 
 
-def _mean_grants(telemetry, nodes, t0, t1):
+def _mean_grants(log, nodes, t0, t1):
     grants = {}
     for node in nodes:
-        entries = telemetry.records(node=node, t0=t0, t1=t1)
+        entries = log.filter(t0=t0, t1=t1, node=node)
         grants[node] = (
-            sum(entry["budget_w"] for entry in entries) / len(entries)
-            if entries else 0.0
+            sum(payload["budget_w"] for _t, _k, payload in entries)
+            / len(entries) if entries else 0.0
         )
     return grants
 
@@ -153,18 +154,17 @@ def run_powercap(seed=11, cap_fraction=0.70, horizon_s=HORIZON_S):
     steady_w = _aggregate(platform, lo, hi)
     relaxed_w = _aggregate(platform, relax_lo, relax_hi)
     leaves = ["a.cpu", "a.gpu", "b.cpu", "b.net"]
-    grants_contended = _mean_grants(controller.telemetry, leaves, lo, hi)
-    grants_relaxed = _mean_grants(controller.telemetry, leaves,
-                                  relax_lo, relax_hi)
-    b_idle_entries = controller.telemetry.records(node="b.cpu", t0=relax_lo,
-                                                  t1=relax_hi)
+    log = controller.log
+    grants_contended = _mean_grants(log, leaves, lo, hi)
+    grants_relaxed = _mean_grants(log, leaves, relax_lo, relax_hi)
+    b_idle_entries = log.filter(t0=relax_lo, t1=relax_hi, node="b.cpu")
     tenant_b_idle_w = (
-        sum(e["measured_w"] for e in b_idle_entries) / len(b_idle_entries)
-        if b_idle_entries else 0.0
+        sum(payload["measured_w"] for _t, _k, payload in b_idle_entries)
+        / len(b_idle_entries) if b_idle_entries else 0.0
     )
     throttle_actions = sum(
-        1 for entry in controller.telemetry.records()
-        if entry["action"] in ("throttle", "relax")
+        1 for _t, _k, payload in log
+        if payload["action"] in ("throttle", "relax")
     )
     result = PowercapResult(
         uncapped_w=uncapped_w,
@@ -180,7 +180,9 @@ def run_powercap(seed=11, cap_fraction=0.70, horizon_s=HORIZON_S):
         ),
         tenant_b_idle_w=tenant_b_idle_w,
         throttle_actions=throttle_actions,
-        telemetry_json=controller.telemetry.to_json(),
+        telemetry_json=json.dumps([dict(payload, t=t)
+                                   for t, _k, payload in log],
+                                  sort_keys=True),
     )
     kernel.shutdown()
     return result

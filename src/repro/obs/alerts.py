@@ -2,11 +2,11 @@
 
 A rule is pure data — *which* series, *what* condition, *how long* it must
 persist — and the :class:`AlertEngine` interprets it as samples stream off
-the :class:`~repro.obs.timeline.Timeline`.  Streaming evaluation matters
-twice: ring buffers evict old samples (a post-hoc scan could miss a breach
-the window already lost), and firing *during* the run lets the engine drop
-a tracer instant at the exact virtual time the SLO broke — so the alert
-lines up with its cause on the Perfetto timeline.
+the :class:`~repro.obs.timeline.Timeline`.  Streaming evaluation lets
+the engine fire *during* the run and drop a tracer instant at the exact
+virtual time the SLO broke — so the alert lines up with its cause on the
+Perfetto timeline, and the flight recorder dumps while the breach is
+the newest evidence.
 
 Semantics:
 
@@ -105,39 +105,37 @@ class Alert:
         }
 
 
-def default_rules(compliance_band=0.01, compliance_epochs=4,
-                  drop_rate=0.05, starvation_w=0.02, starvation_epochs=4):
+def default_rules():
     """The stock SLO set the ``--telemetry``/``--report`` CLI arms.
 
     * ``cap.compliance`` — the global cap loop's aggregate outside the
-      ±``compliance_band`` band for more than ``compliance_epochs``
-      consecutive epochs (nvPAX's compliance-over-time framing);
+      ±1% band for more than 4 consecutive epochs (nvPAX's
+      compliance-over-time framing);
     * ``node.cap.compliance`` — same property one level down, on a node
-      daemon's own root cap (longer fuse: node caps are rewritten every
-      epoch, so transients are expected);
+      daemon's own root cap, for 16 samples (longer fuse: node caps are
+      rewritten every epoch, so transients are expected);
     * ``placement.drop_rate`` — the placement engine dropped more than
-      ``drop_rate`` of all instances (provisioning failure);
+      5% of all instances (provisioning failure);
     * ``tenant.starvation`` — a tenant with live users whose total grant
-      stayed under ``starvation_w`` watts for ``starvation_epochs``
-      consecutive epochs;
+      stayed under 0.02 W for 4 consecutive epochs;
     * ``trace.unfinished_spans`` — spans still open at trace end (a
       liveness bug: dropped IPI, stuck drain), evaluated at finalize.
     """
     return [
         AlertRule("cap.compliance", series="cluster.compliance_err",
-                  op="abs>", threshold=compliance_band,
-                  for_samples=compliance_epochs, severity="critical",
+                  op="abs>", threshold=0.01, for_samples=4,
+                  severity="critical",
                   description="cluster aggregate outside the cap band"),
         AlertRule("node.cap.compliance", series="powercap.compliance_err",
-                  op="abs>", threshold=compliance_band,
-                  for_samples=4 * compliance_epochs, severity="warning",
+                  op="abs>", threshold=0.01, for_samples=16,
+                  severity="warning",
                   description="node aggregate outside its root-cap band"),
         AlertRule("placement.drop_rate", series="placement.drop_rate",
-                  op=">", threshold=drop_rate, severity="critical",
+                  op=">", threshold=0.05, severity="critical",
                   description="placement dropped too many instances"),
         AlertRule("tenant.starvation", series="cluster.tenant_grant_w",
-                  op="<", threshold=starvation_w,
-                  for_samples=starvation_epochs, severity="critical",
+                  op="<", threshold=0.02, for_samples=4,
+                  severity="critical",
                   description="active tenant granted almost no power"),
         AlertRule("trace.unfinished_spans", series="obs.unfinished_spans",
                   op=">", threshold=0.0, at_end=True,

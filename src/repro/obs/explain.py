@@ -17,8 +17,9 @@ produces one structured **incident report** per alert episode:
    :func:`repro.accounting.incident.attribute_window`, naming the top
    contributing tenants (cluster evidence) and sandboxes (per-node
    leaf series) in the paper's own accounting semantics;
-4. **discrete causes** — the actuator actions and injected faults that
-   landed inside the window, with injection sites grouped and counted.
+4. **discrete causes** — the actuator actions (from each powercap
+   controller's decision log) and injected faults that landed inside
+   the window, with injection sites grouped and counted.
 
 Reports render three ways: canonical JSON (:func:`render_json` — byte
 deterministic, the CI-asserted artifact), an aligned-text digest
@@ -36,6 +37,7 @@ import os
 
 from repro.accounting.incident import attribute_window, hold_resample
 from repro.analysis.report import format_table
+from repro.obs.timeline import series_key
 
 #: window sizing when a breached series has too few points to estimate
 #: its cadence (ns) — one cluster epoch
@@ -64,9 +66,9 @@ class Evidence:
     One shape regardless of source.  ``series`` entries are dicts with
     ``session``/``name``/``labels``/``points``; ``alerts`` are
     :meth:`~repro.obs.alerts.Alert.to_dict` dicts; ``actions`` are
-    :class:`~repro.powercap.telemetry.TelemetryRing` entries (plus
-    ``session``); ``injections`` are fault-plan log payloads (plus
-    ``session``/``t_ns``).
+    powercap decision payloads (``node``, ``measured_w``, ``budget_w``,
+    ``action``, ``level``) and ``injections`` fault-plan log payloads,
+    each plus ``session``/``t_ns``.
     """
 
     def __init__(self, source, kind):
@@ -102,13 +104,6 @@ class Evidence:
         points = [p for entry in entries for p in entry["points"]]
         points.sort()
         return points
-
-
-def series_key(name, labels):
-    if not labels:
-        return name
-    return "{}{{{}}}".format(name, ",".join(
-        "{}={}".format(k, labels[k]) for k in sorted(labels)))
 
 
 # -- loaders -----------------------------------------------------------------------
@@ -246,7 +241,8 @@ def _correlated(evidence, breached, grid, breached_values, t0, t1):
             continue
         scored.append({
             "session": entry["session"],
-            "series": series_key(entry["name"], entry["labels"]),
+            "series": series_key(entry["name"],
+                                 sorted(entry["labels"].items())),
             "r": round(r, 4),
         })
     scored.sort(key=lambda row: (-abs(row["r"]), row["session"],
@@ -394,7 +390,8 @@ def _incident(evidence, alert, seq):
         values = [v for _t, v in in_window]
         incident["breached"] = {
             "session": breached["session"],
-            "series": series_key(breached["name"], breached["labels"]),
+            "series": series_key(breached["name"],
+                                 sorted(breached["labels"].items())),
             "points_in_window": len(in_window),
             "min": round(min(values), 6) if values else None,
             "max": round(max(values), 6) if values else None,

@@ -325,11 +325,11 @@ def export_metrics(sessions, path, registries=None):
 def timeline_jsonl_lines(sessions):
     """One JSON document per line, one line per (session, series).
 
-    Each line carries the session label, the series name and labels, the
-    retained ``[t_ns, value]`` points (oldest first), and the ring's
-    dropped- and disordered-sample counts — so a consumer can both replay
-    the window and know exactly how much history it is missing (and
-    whether any sampler fed it out of order).  Sessions keep boot order;
+    Each line carries the session label, the series name and labels,
+    every ``[t_ns, value]`` point (oldest first), the dropped-sample
+    count (always 0: a series keeps every sample) and the
+    disordered-sample count — so a consumer can replay the run and see
+    whether any sampler fed it out of order.  Sessions keep boot order;
     series within a session are sorted by (name, labels), so the dump is
     deterministic.
     """
@@ -367,21 +367,20 @@ def events_jsonl_lines(sessions):
     """One JSON document per line: actuator actions and fault injections.
 
     The timeline dump carries the continuous signals; this surface carries
-    the discrete causes — every retained powercap actuator decision
-    (``kind: "action"``, from each kernel's
-    :class:`~repro.powercap.telemetry.TelemetryRing`) and every fault the
+    the discrete causes — every powercap controller decision
+    (``kind: "action"``, from each session's
+    :meth:`~repro.obs.session.Obs.powercap_log`) and every fault the
     installed :class:`~repro.faults.plan.FaultPlan` injected
     (``kind: "inject"``).  The explain engine joins these against breached
     series windows to name *why* an alert fired.  Order is deterministic:
-    sessions in boot order, each session's rings oldest-first.
+    sessions in boot order, each session's logs oldest-first.
     """
     lines = []
     for obs in sessions:
-        ring = obs.powercap_ring()
-        if ring is not None:
-            for entry in ring.records():
-                doc = dict(entry, session=obs.label, kind="action")
-                doc["t_ns"] = doc.pop("t")
+        log = obs.powercap_log()
+        if log is not None:
+            for t, _kind, payload in log:
+                doc = dict(payload, session=obs.label, kind="action", t_ns=t)
                 lines.append(json.dumps(doc, sort_keys=True))
         plan = getattr(obs.sim, "faults", None)
         if plan is not None:

@@ -1,14 +1,13 @@
 """The flight recorder: an always-on black box that dumps on trouble.
 
-Production power stacks keep a bounded "flight recorder" running at all
-times: rings of recent events, actuator decisions, fault injections, and
-the tail of every telemetry series.  Nothing is written while the run is
-healthy; the moment an :class:`~repro.obs.alerts.AlertRule` fires or the
+Production power stacks keep a "flight recorder" running at all times:
+recent events, actuator decisions, fault injections, and the tail of
+every telemetry series.  Nothing is written while the run is healthy;
+the moment an :class:`~repro.obs.alerts.AlertRule` fires or the
 :class:`~repro.check.checker.InvariantChecker` records a violation, the
-recorder writes everything it can see into one self-contained JSON dump
-— the evidence the :mod:`repro.obs.explain` engine later turns into a
-root-cause incident report, even when the live rings have long since
-evicted the breach.
+recorder writes the tails of everything it can see into one
+self-contained JSON dump — the evidence the :mod:`repro.obs.explain`
+engine later turns into a root-cause incident report.
 
 A recorder belongs to one observed run
 (:class:`~repro.obs.runtime.ObsRun`), and every session of that run
@@ -23,13 +22,12 @@ sites are:
 
 Nothing else touches it.  Its sources are the run's sessions and what
 each already keeps: series, the tracer's instants, the kernel's event
-logs, the fault log, and the powercap decision ring
-(:meth:`~repro.obs.session.Obs.powercap_ring`, the
-:class:`~repro.powercap.telemetry.TelemetryRing` of actuator actions),
-live or kept past ``Kernel.shutdown``.
+logs, the fault log, and the powercap controller's decision log
+(:meth:`~repro.obs.session.Obs.powercap_log`), live or kept past
+``Kernel.shutdown``.
 
 Everything the recorder does is read-only with respect to the simulation:
-it draws no RNG, schedules no events, and only ever reads rings that
+it draws no RNG, schedules no events, and only ever reads records that
 already exist — so flight-recorder-on runs stay sha256 bit-identical to
 bare ones (asserted by the differential matrix's ``flight-on`` column).
 """
@@ -64,14 +62,13 @@ def _jsonable(value):
     return "<{}>".format(type(value).__name__)
 
 
-def _tail(ring, n):
-    """An iterator over the last ``n`` items of a sized iterable, oldest
-    first.
+def _tail(series, n):
+    """An iterator over the last ``n`` points of a series, oldest first.
 
     Nothing is copied: ``islice`` steps over the head in C, and the
-    caller converts each tail item as it reads it.
+    caller converts each tail point as it reads it.
     """
-    return islice(ring, max(len(ring) - n, 0), None)
+    return islice(series, max(len(series) - n, 0), None)
 
 
 def _stamp(obs):
@@ -79,12 +76,12 @@ def _stamp(obs):
 
     The identity and counts of everything
     :meth:`FlightRecorder._session_snapshot` reads.  Series, the tracer's
-    instants and every log only append: an append grows a log's ``len``,
-    and a series' ``len`` or, once its ring is full, ``dropped``.  So
-    equal counts on the same objects mean equal content.  The kernel's
-    part is the session's ``kernel_logs`` list, which one bound kernel
-    keeps from bind to release (in place), never the kernel itself: a
-    stamp must not keep a finished boot alive.
+    instants and every log only append, and an append grows their
+    ``len``.  So equal counts on the same objects mean equal content; a
+    series' ``disordered`` count is read too, so it is stamped too.  The
+    kernel's part is the session's ``kernel_logs`` list, which one bound
+    kernel keeps from bind to release (in place), never the kernel
+    itself: a stamp must not keep a finished boot alive.
     """
     timeline = getattr(obs, "timeline", None)
     tracer = getattr(obs, "tracer", None)
@@ -93,8 +90,7 @@ def _stamp(obs):
     return (
         obs.label, obs.sim.now, timeline, logs, plan,
         None if timeline is None else [
-            (len(series), series.dropped, series.disordered)
-            for series in timeline.all()],
+            (len(series), series.disordered) for series in timeline.all()],
         None if tracer is None else len(tracer.instant_t),
         [len(log) for log in logs],
         None if plan is None else len(plan.log),
@@ -175,7 +171,7 @@ class FlightRecorder:
     def snapshot(self, trigger):
         """Write one self-contained dump; returns its path (None if capped).
 
-        Read-only against the simulation: every ring it copies already
+        Read-only against the simulation: every record it copies already
         exists, and nothing here draws RNG or schedules events.
         """
         if len(self.triggers) >= self.max_dumps:
@@ -270,18 +266,18 @@ class FlightRecorder:
         return snap
 
     def _actions_snapshot(self):
-        """Actuator decisions: the tail of each session's powercap ring,
-        in session order."""
+        """Controller decisions: the tail of each session's powercap log,
+        in session order.  Each view's payload is fresh and all scalars,
+        so it becomes the action in place."""
         out = []
         for obs in self.sessions:
-            ring = obs.powercap_ring()
-            if ring is None:
+            log = obs.powercap_log()
+            if log is None:
                 continue
-            for entry in _tail(ring, self.events_tail):
-                action = {str(k): v if type(v) in _SCALARS else _jsonable(v)
-                          for k, v in entry.items()}
-                action["session"] = obs.label
-                out.append(action)
+            for t, _kind, payload in log.tail(self.events_tail):
+                payload["t"] = t
+                payload["session"] = obs.label
+                out.append(payload)
         return out
 
     def _write(self, dump):

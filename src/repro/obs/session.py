@@ -8,7 +8,7 @@ differential tests and the BENCH_obs benchmark bound.
 
 A session is also the one place its run's readers look: the exports and
 the flight recorder read its tracer, metrics, timeline, the bound
-kernel's event logs and its powercap decision ring through it, before
+kernel's event logs and its powercap decision log through it, before
 and after the boot shuts down.  No site hands them a copy.
 """
 
@@ -80,7 +80,7 @@ class Obs:
     ``kernel`` is the bound kernel while its boot runs.  At
     ``Kernel.shutdown`` the session lets go of it (:meth:`release`), so
     a finished boot is freed while its run goes on; ``kernel_logs`` and
-    :meth:`powercap_ring` answer the same for a live boot and a
+    :meth:`powercap_log` answer the same for a live boot and a
     released one.
     """
 
@@ -97,7 +97,7 @@ class Obs:
         #: the bound kernel's event logs: its EventTraces while it runs,
         #: a KeptLog of each once it has shut down
         self.kernel_logs = []
-        self._kept_ring = None
+        self._kept_log = None
         self.instruments = _Bindings(self)
 
     def install(self):
@@ -118,23 +118,23 @@ class Obs:
         components.  If ``kernel`` is the bound one, it goes too: each
         of its logs becomes a :class:`~repro.sim.trace.KeptLog` with the
         flight recorder's ``events_tail`` records (none without one), and
-        the powercap ring is kept.  ``kernel_logs`` is rewritten in place
-        because a flight stamp holds the list: the stamp still matches,
-        and pins no log.
+        the whole powercap decision log is kept.  ``kernel_logs`` is
+        rewritten in place because a flight stamp holds the list: the
+        stamp still matches, and pins no log.
         """
         self.instruments.clear()
         if kernel is not self.kernel:
             return
         tail = 0 if self.flight is None else self.flight.events_tail
         self.kernel_logs[:] = [KeptLog(log, tail) for log in self.kernel_logs]
-        self._kept_ring = self.powercap_ring()
+        self._kept_log = self.powercap_log()
         self.kernel = None
 
-    def powercap_ring(self):
-        """The bound kernel's powercap
-        :class:`~repro.powercap.telemetry.TelemetryRing`, or None."""
+    def powercap_log(self):
+        """The decision log (an :class:`~repro.sim.trace.EventTrace`) of
+        the bound kernel's powercap controller, or None."""
         controller = getattr(self.kernel, "powercap", None)
-        return self._kept_ring if controller is None else controller.telemetry
+        return self._kept_log if controller is None else controller.log
 
     def log_stats(self):
         """Retention/drop stats of the bound kernel's event logs."""

@@ -1,10 +1,9 @@
 """The virtual-time series store: labeled series of ``(t_ns, value)``.
 
 Metrics (:mod:`repro.obs.metrics`) answer "how much, in total"; the
-timeline answers "when, and how it evolved".  A :class:`Series` is a
-bounded ring of ``(t_ns, value)`` samples: a fixed capacity keeps
-samplers O(1) memory over arbitrarily long runs, and ``dropped`` counts
-what the window lost, so nothing is discarded silently.
+timeline answers "when, and how it evolved".  A :class:`Series` keeps
+every ``(t_ns, value)`` sample of its run, oldest first, so a window
+query or an export sees the whole run.
 
 Samplers publish through the same ``sim.obs`` guard as the tracer and the
 metrics registry (``obs.timeline`` is None unless telemetry was armed), so
@@ -18,10 +17,8 @@ draws RNG, so telemetry-on runs fingerprint bit-identical to bare ones
 
 Subscribers (the :mod:`repro.obs.alerts` engine) see every sample as it is
 recorded — streaming evaluation, not post-hoc scans — which is what lets
-SLO rules fire mid-run even after the ring has evicted the evidence.
+SLO rules fire mid-run, at the virtual time the breach happens.
 """
-
-from collections import deque
 
 
 def canonical_labels(labels):
@@ -31,24 +28,31 @@ def canonical_labels(labels):
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
+def series_key(name, labels):
+    """A series' identity text, ``name{k=v,...}``, from its sorted
+    ``((key, value), ...)`` label pairs; just ``name`` without labels."""
+    if not labels:
+        return name
+    return "{}{{{}}}".format(name, ",".join(
+        "{}={}".format(k, v) for k, v in labels))
+
+
 class Series:
-    """One labeled series: a bounded ring of ``(t_ns, value)`` samples."""
+    """One labeled series: every ``(t_ns, value)`` sample, oldest first."""
 
-    __slots__ = ("name", "labels", "capacity", "dropped", "disordered",
-                 "_points")
+    __slots__ = ("name", "labels", "disordered", "_points")
 
-    def __init__(self, name, labels=(), capacity=4096):
-        if capacity < 1:
-            raise ValueError("series capacity must be >= 1")
+    #: always 0: a series keeps every sample (the exports report it)
+    dropped = 0
+
+    def __init__(self, name, labels=()):
         self.name = name
         self.labels = canonical_labels(dict(labels))
-        self.capacity = capacity
-        self.dropped = 0
         self.disordered = 0
-        self._points = deque(maxlen=capacity)
+        self._points = []
 
     def append(self, t_ns, value):
-        """Record one sample; evicts the oldest when the ring is full.
+        """Record one sample.
 
         Samples are expected in nondecreasing virtual-time order; an
         out-of-order timestamp is still kept (the sampler knows best)
@@ -56,15 +60,13 @@ class Series:
         the exports instead of silently corrupting window queries.
         """
         t_ns = int(t_ns)
-        if self._points:
-            if len(self._points) == self.capacity:
-                self.dropped += 1
-            if t_ns < self._points[-1][0]:
-                self.disordered += 1
-        self._points.append((t_ns, float(value)))
+        points = self._points
+        if points and t_ns < points[-1][0]:
+            self.disordered += 1
+        points.append((t_ns, float(value)))
 
     def points(self):
-        """The retained ``(t_ns, value)`` samples, oldest first."""
+        """The ``(t_ns, value)`` samples, oldest first."""
         return list(self._points)
 
     def times(self):
@@ -74,7 +76,7 @@ class Series:
         return [v for _t, v in self._points]
 
     def last(self):
-        """The newest retained sample, or None when empty."""
+        """The newest sample, or None when empty."""
         return self._points[-1] if self._points else None
 
     def __len__(self):
@@ -84,23 +86,18 @@ class Series:
         return iter(self._points)
 
     def __repr__(self):
-        return "Series({!r}, {} points, {} dropped)".format(
-            self.key, len(self._points), self.dropped)
+        return "Series({!r}, {} points)".format(self.key, len(self._points))
 
     @property
     def key(self):
         """The series identity: name plus canonical labels."""
-        if not self.labels:
-            return self.name
-        return "{}{{{}}}".format(self.name, ",".join(
-            "{}={}".format(k, v) for k, v in self.labels))
+        return series_key(self.name, self.labels)
 
 
 class Timeline:
     """Create-on-first-use store of labeled series for one session."""
 
-    def __init__(self, capacity=4096):
-        self.capacity = capacity
+    def __init__(self):
         self._series = {}        # (name, labels tuple) -> Series
         self._subscribers = []
 
@@ -109,8 +106,7 @@ class Timeline:
         key = (name, canonical_labels(labels))
         series = self._series.get(key)
         if series is None:
-            series = self._series[key] = Series(
-                name, labels=key[1], capacity=self.capacity)
+            series = self._series[key] = Series(name, labels=key[1])
         return series
 
     def record(self, name, t_ns, value, **labels):
@@ -142,9 +138,6 @@ class Timeline:
 
     def names(self):
         return sorted({name for name, _labels in self._series})
-
-    def total_dropped(self):
-        return sum(series.dropped for series in self._series.values())
 
     def total_disordered(self):
         return sum(series.disordered for series in self._series.values())

@@ -25,7 +25,6 @@ from repro.powercap.controller import (
     LeafBinding,
     PowerCapController,
 )
-from repro.powercap.telemetry import TelemetryRing
 
 __all__ = [
     "Actuator",
@@ -37,6 +36,5 @@ __all__ = [
     "GovernorClampActuator",
     "LeafBinding",
     "PowerCapController",
-    "TelemetryRing",
     "waterfill",
 ]

@@ -19,8 +19,13 @@ regulated to the cap, not just the sum of the managed apps.
 from dataclasses import dataclass
 
 from repro.core.manager import PsboxManager
-from repro.powercap.telemetry import TelemetryRing
 from repro.sim.clock import from_msec
+from repro.sim.trace import EventTrace
+
+#: one decision record: per leaf its measured watts, grant, action and
+#: level; for the root its aggregate watts, cap (None when uncapped),
+#: ``"aggregate"`` and 0.0
+_DECISION = ("decision", "node", "measured_w", "budget_w", "action", "level")
 
 
 @dataclass
@@ -59,16 +64,20 @@ class ControllerConfig:
 
 
 class PowerCapController:
-    """Hierarchical multi-tenant power-budget enforcement daemon."""
+    """Hierarchical multi-tenant power-budget enforcement daemon.
 
-    def __init__(self, kernel, tree, bindings, config=None, telemetry=None):
+    ``log`` keeps every decision for the boot's life, the per-tick
+    record of cap compliance: one ``decision`` record per leaf, then one
+    for the root, each number rounded to 6 places.
+    """
+
+    def __init__(self, kernel, tree, bindings, config=None):
         self.kernel = kernel
         self.sim = kernel.sim
         self.tree = tree
         self.bindings = list(bindings)
         self.config = config or ControllerConfig()
-        self.telemetry = (telemetry if telemetry is not None
-                          else TelemetryRing())
+        self.log = EventTrace("powercap")
         self.manager = PsboxManager.for_kernel(kernel)
         for binding in self.bindings:
             leaf = tree.node(binding.node)
@@ -101,7 +110,7 @@ class PowerCapController:
         self._proc = None
         self.ticks = 0
         # Backref so readers of the session (events export, flight dumps)
-        # find this kernel's actuator-decision ring: Obs.powercap_ring.
+        # find this kernel's decision log: Obs.powercap_log.
         kernel.powercap = self
 
     # -- lifecycle ---------------------------------------------------------------
@@ -251,10 +260,10 @@ class PowerCapController:
                 state.level = level
             state.measured_w = measured[binding.node]
             state.grant_w = grant
-            self.telemetry.record(
-                t1, binding.node, measured[binding.node], grant, action,
-                state.level,
-            )
+            self.log.add((t1, _DECISION, binding.node,
+                          round(float(measured[binding.node]), 6),
+                          round(float(grant), 6), action,
+                          round(float(state.level), 6)))
             if obs is not None:
                 if action != "hold":
                     instruments[action].value += 1
@@ -269,9 +278,11 @@ class PowerCapController:
                     timeline.add(instruments["leaf_grant_w", node], t1, grant)
                     timeline.add(instruments["leaf_measured_w", node], t1,
                                  measured[node])
-        self.telemetry.record(
-            t1, root.name, aggregate, root.cap_w, "aggregate", 0.0
-        )
+        self.log.add((t1, _DECISION, root.name,
+                      round(float(aggregate), 6),
+                      None if root.cap_w is None
+                      else round(float(root.cap_w), 6),
+                      "aggregate", 0.0))
         if obs is not None:
             instruments["aggregate_w"].set(aggregate)
             if tracer is not None:

@@ -314,13 +314,17 @@ def test_cluster_telemetry_report_writes_the_bundle(tmp_path, capsys,
 
 #: observed figure runs pinned byte for byte like the cluster evidence:
 #: pin file -> argv.  fig6's trace holds the balloon and IPI async
-#: groups; sec63 writes ``--trace`` beside ``--telemetry``.  Regenerate a
+#: groups; powercap's flight dumps (``actions``) and ``events.jsonl``
+#: carry a live controller's decision log; sec63 writes ``--trace``
+#: beside ``--telemetry``.  Regenerate a
 #: pin (only for a change meant to alter the output) by running its
 #: command in an empty directory, then ``sha256sum`` over its stdout
 #: (listed as ``stdout``) and every file it wrote
 OBSERVED_PINS = {
     "fig6_observed.sha256": ["fig6", "--trace", "t.json",
                              "--metrics", "m.json"],
+    "powercap_observed.sha256": ["powercap", "--telemetry", "tele",
+                                 "--report", "--flight", "fl"],
     "sec63_observed.sha256": ["sec63", "--trace", "t.json",
                               "--telemetry", "tele"],
 }

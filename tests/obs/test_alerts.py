@@ -167,19 +167,6 @@ class TestStreamingEvaluation:
         names = [name for _t, _track, name, _c, _a in obs.tracer.instants]
         assert "alert.hot" in names
 
-    def test_fires_even_after_ring_evicted_evidence(self):
-        # the ring holds 2 samples but the rule needs 3 consecutive —
-        # streaming evaluation still sees all of them
-        rule = AlertRule("hot", series="w", op=">", threshold=1.0,
-                         for_samples=3)
-        obs = Obs(FakeSim(), label="t", timeline=Timeline(capacity=2))
-        obs.install()
-        engine = AlertEngine([rule])
-        engine.watch(obs)
-        for t in range(3):
-            obs.timeline.record("w", t, 2.0)
-        assert len(engine.alerts) == 1
-
 
 class TestFinalize:
     def test_at_end_rule_sees_last_sample_only(self):

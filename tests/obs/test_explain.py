@@ -12,9 +12,9 @@ from repro.obs.explain import (
     load_bundle,
     overlay_trace_events,
     render_json,
-    series_key,
     write_reports,
 )
+from repro.obs.timeline import canonical_labels, series_key
 
 # a 1 kHz-ish cadence so windows stay in easy integers: gap = 100 ns
 GAP = 100
@@ -74,12 +74,17 @@ def _evidence():
 
 
 class TestSeriesKey:
+    """The one formatter of a series' identity, as explain's ``series``
+    fields and ``Series.key`` write it."""
+
     def test_bare_name(self):
-        assert series_key("power.w", {}) == "power.w"
+        assert series_key("power.w", ()) == "power.w"
 
     def test_labels_sorted_into_braces(self):
-        key = series_key("power.w", {"node": "n0", "app": "web"})
+        labels = {"node": "n0", "app": "web"}
+        key = series_key("power.w", canonical_labels(labels))
         assert key == "power.w{app=web,node=n0}"
+        assert key == series_key("power.w", sorted(labels.items()))
 
 
 class TestIncidentWalk:

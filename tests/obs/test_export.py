@@ -513,9 +513,9 @@ def test_metrics_snapshot_counts_unfinished_spans():
 
 def test_timeline_jsonl_dump(tmp_path):
     sim = Simulator(0)
-    obs = Obs(sim, label="tl", timeline=Timeline(capacity=2)).install()
+    obs = Obs(sim, label="tl", timeline=Timeline()).install()
     bare = Obs(Simulator(0), label="bare").install()   # no timeline: skipped
-    for i in range(3):
+    for i in range(5000):
         obs.timeline.record("power.w", i * 100, float(i), node="n0")
     obs.timeline.record("users", 50, 7.0)
     lines = timeline_jsonl_lines([obs, bare])
@@ -524,8 +524,9 @@ def test_timeline_jsonl_dump(tmp_path):
     power = docs[0]
     assert power["session"] == "tl"
     assert power["labels"] == {"node": "n0"}
-    assert power["points"] == [[100, 1.0], [200, 2.0]]   # ring kept last 2
-    assert power["dropped"] == 1
+    # every point is kept, first to last
+    assert power["points"] == [[i * 100, float(i)] for i in range(5000)]
+    assert power["dropped"] == 0
     assert power["disordered"] == 0
     assert docs[1]["disordered"] == 0
     path = tmp_path / "series.jsonl"

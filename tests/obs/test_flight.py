@@ -14,7 +14,6 @@ from repro.obs.flight import FlightRecorder, _jsonable
 from repro.obs.runtime import ObsRun
 from repro.obs.session import Obs
 from repro.obs.timeline import Timeline
-from repro.powercap.telemetry import TelemetryRing
 from repro.sim.clock import from_msec
 from repro.sim.trace import EventTrace
 
@@ -146,9 +145,9 @@ class TestSnapshotBounds:
 class TestActionRings:
     def test_actions_are_each_sessions_powercap_ring_tail(self, tmp_path):
         # the sessions are installed after their boots ran and carry no
-        # recorder, so no site hands it a ring: it reads each session's
+        # recorder, so no site hands it a log: it reads each session's
         recorder = FlightRecorder(str(tmp_path), events_tail=8)
-        rings = {}
+        decisions = {}
         for label, seed in (("node00", 0), ("bare", None), ("node01", 1)):
             if seed is None:          # no kernel, so no controller
                 obs = Obs(FakeSim(), label=label).install()
@@ -157,15 +156,15 @@ class TestActionRings:
                 work.platform.sim.run(until=from_msec(300))
                 obs = Obs(work.platform.sim, label=label).install()
                 obs.bind_kernel(work.kernel)
-                rings[label] = list(work.kernel.powercap.telemetry)
-                assert len(rings[label]) > recorder.events_tail
+                decisions[label] = list(work.kernel.powercap.log)
+                assert len(decisions[label]) > recorder.events_tail
             assert obs.flight is None
             recorder.sessions.append(obs)
         dump = _load(recorder.snapshot({"type": "test"}))
         assert dump["actions"] == [
-            dict(entry, session=label)
+            dict(payload, t=t, session=label)
             for label in ("node00", "node01")
-            for entry in rings[label][-recorder.events_tail:]]
+            for t, _kind, payload in decisions[label][-recorder.events_tail:]]
 
 
 class TestPersistence:
@@ -174,13 +173,13 @@ class TestPersistence:
         recorder = FlightRecorder(str(out), max_dumps=2)
         rule = AlertRule("hot", series="w", op=">", threshold=1.0)
         obs, _engine = make_session(rules=[rule], recorder=recorder)
-        ring = TelemetryRing()
-        obs.bind_kernel(_Kernel(ring=ring))
+        decisions = EventTrace("powercap")
+        obs.bind_kernel(_Kernel(powercap_log=decisions))
         for i in range(8):
             obs.sim.now = 100 * i
             obs.tracer.instant("tick", track="t", i=i)
-            ring.record(obs.sim.now, "t0.web", 1.0, 0.25 * i, "throttle",
-                        0.1 * i)
+            decisions.add((obs.sim.now, _DECISION, "t0.web", 1.0, 0.25 * i,
+                           "throttle", 0.1 * i))
             obs.timeline.record("x", obs.sim.now, 0.3 * i, node="n0")
             obs.timeline.record("w", obs.sim.now, 0.2 * i)   # fires at 600
         recorder.snapshot({"type": "test", "i": 1})
@@ -222,14 +221,18 @@ class TestPersistence:
         assert not out.exists()
 
 
+#: the shape of a powercap controller's decision records
+_DECISION = ("decision", "node", "measured_w", "budget_w", "action", "level")
+
+
 class _Kernel:
     """What a snapshot reads from a kernel: its logs, and the decision
-    ring of its powercap controller (``ring``), if it has one."""
+    log of its powercap controller (``powercap_log``), if it has one."""
 
-    def __init__(self, *logs, ring=None):
+    def __init__(self, *logs, powercap_log=None):
         self._logs = list(logs)
-        self.powercap = (None if ring is None
-                         else SimpleNamespace(telemetry=ring))
+        self.powercap = (None if powercap_log is None
+                         else SimpleNamespace(log=powercap_log))
 
     def logs(self):
         return list(self._logs)
@@ -245,11 +248,10 @@ def _log(name, *records):
 def _world(label, recorder):
     """A session with every source a snapshot reads, none of them empty.
 
-    Series ``w`` holds 2 points of 3, the kernel has an ``smp`` and a
+    Series ``w`` holds 2 points, the kernel has an ``smp`` and a
     ``gpu.sched`` log, and the fault log holds 2 records.
     """
     obs, _ = make_session(label, recorder=recorder)
-    obs.timeline = Timeline(capacity=3)
     obs.timeline.record("w", 10, 1.0)
     obs.timeline.record("w", 20, 2.0)
     obs.tracer.instant("boot", track="t", n=1)
@@ -264,7 +266,7 @@ def _world(label, recorder):
 
 def _swap_timeline(obs):
     """Same series, same counts, other values: only identity moves."""
-    timeline = Timeline(capacity=3)
+    timeline = Timeline()
     for series in obs.timeline.all():
         for t, value in series.points():
             timeline.record(series.name, t, value + 1.0,
@@ -298,7 +300,8 @@ def _unbind_kernel(obs):
 #: name -> (prepare before the first dump or None, the one change)
 _CHANGES = {
     "series append": (None, lambda obs: obs.timeline.record("w", 30, 3.0)),
-    # the ring is full: len stays 3, only dropped moves
+    # past the dump's 2-point series tail: the tail keeps 2 points, and
+    # only the series' len moves
     "full series append": (
         _fill_series, lambda obs: obs.timeline.record("w", 30, 3.0)),
     "disordered append": (

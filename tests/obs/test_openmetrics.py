@@ -170,13 +170,14 @@ class TestDocument:
         assert lines[-1] == "# EOF"
 
     def test_dropped_samples_counter_reflects_ring(self):
+        """A series keeps every sample, so the dropped counter reads 0
+        however many were recorded."""
         obs = make_session(timeline=True)
-        obs.timeline = Timeline(capacity=2)
-        for i in range(5):
+        for i in range(5000):
             obs.timeline.record("s", i, float(i))
         _families, samples = parse(render_openmetrics([obs]))
         table = {name: value for name, _l, value in samples}
-        assert table["repro_timeline_dropped_samples_total"] == 3.0
+        assert table["repro_timeline_dropped_samples_total"] == 0.0
         assert table["repro_timeline_disordered_samples_total"] == 0.0
 
     def test_disordered_samples_counter_reflects_ring(self):

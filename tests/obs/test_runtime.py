@@ -187,7 +187,7 @@ def test_current_is_the_only_module_state_and_only_observe_sets_it():
     assigned = {target.id for node in tree.body
                 if isinstance(node, ast.Assign)
                 for target in node.targets}
-    assert assigned == {"TIMELINE_CAPACITY", "current"}
+    assert assigned == {"current"}
     declared = {(function.name, name)
                 for function in ast.walk(tree)
                 if isinstance(function, ast.FunctionDef)

@@ -1,8 +1,6 @@
-"""The virtual-time series store: rings, labels, subscribers."""
+"""The virtual-time series store: series, labels, subscribers."""
 
-import pytest
-
-from repro.obs.timeline import Series, Timeline, canonical_labels
+from repro.obs.timeline import Series, Timeline, canonical_labels, series_key
 
 
 class TestCanonicalLabels:
@@ -35,14 +33,6 @@ class TestSeries:
         t, v = series.last()
         assert isinstance(t, int) and isinstance(v, float)
 
-    def test_ring_evicts_oldest_and_counts_drops(self):
-        series = Series("s", capacity=3)
-        for i in range(5):
-            series.append(i, float(i))
-        assert series.points() == [(2, 2.0), (3, 3.0), (4, 4.0)]
-        assert series.dropped == 2
-        assert len(series) == 3
-
     def test_empty_series(self):
         series = Series("s")
         assert series.last() is None
@@ -60,20 +50,20 @@ class TestSeries:
         assert len(series) == 4    # the samples themselves are kept
 
     def test_monotone_appends_never_count_as_disordered(self):
-        series = Series("s", capacity=3)
-        for i in range(10):
+        series = Series("s")
+        for i in range(5000):
             series.append(i, float(i))
         assert series.disordered == 0
-        assert series.dropped == 7
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Series("s", capacity=0)
+        # every sample is kept, first to last
+        assert len(series) == 5000 and series.dropped == 0
+        assert series.points()[0] == (0, 0.0)
 
     def test_key_includes_canonical_labels(self):
         assert Series("s").key == "s"
         series = Series("s", labels={"node": "n1", "app": "web"})
         assert series.key == "s{app=web,node=n1}"
+        assert series.key == series_key("s", series.labels)
+        assert series_key("s", ()) == "s"
 
 
 class TestTimeline:
@@ -100,14 +90,6 @@ class TestTimeline:
         timeline.record("a", 0, 1.0, x="1")
         assert [s.key for s in timeline.all()] == ["a{x=1}", "a{x=2}", "b"]
         assert timeline.names() == ["a", "b"]
-
-    def test_capacity_flows_to_series(self):
-        timeline = Timeline(capacity=2)
-        for i in range(4):
-            timeline.record("s", i, float(i))
-        series = timeline.series("s")
-        assert series.dropped == 2
-        assert timeline.total_dropped() == 2
 
     def test_total_disordered_sums_series(self):
         timeline = Timeline()

@@ -7,12 +7,12 @@ from repro.kernel.kernel import Kernel
 from repro.powercap import (
     BudgetTree,
     CfsBandwidthActuator,
+    ControllerConfig,
     GovernorClampActuator,
     LeafBinding,
     PowerCapController,
-    TelemetryRing,
 )
-from repro.sim.clock import SEC
+from repro.sim.clock import SEC, from_msec
 
 from tests.kernel.test_smp import spinner
 
@@ -30,7 +30,7 @@ def aggregate(platform, t0, t1):
     return sum(rail.mean_power(t0, t1) for rail in platform.rails.values())
 
 
-def make_controller(kernel, app, box, cap_w, telemetry=None):
+def make_controller(kernel, app, box, cap_w, config=None):
     tree = BudgetTree.from_spec({
         "name": "root", "cap_w": cap_w,
         "children": [{"name": "hog"}],
@@ -39,7 +39,7 @@ def make_controller(kernel, app, box, cap_w, telemetry=None):
         GovernorClampActuator(kernel.cpu_governor, (box.ctx_key,)),
         CfsBandwidthActuator(kernel.smp, app),
     ))]
-    return PowerCapController(kernel, tree, bindings, telemetry=telemetry)
+    return PowerCapController(kernel, tree, bindings, config=config)
 
 
 def uncapped_peak(seed=5):
@@ -103,24 +103,36 @@ def test_telemetry_records_decisions():
     platform, kernel, app, box = boot_hog()
     controller = make_controller(kernel, app, box, cap_w).start()
     platform.sim.run(until=SEC)
-    entries = controller.telemetry.records(node="hog")
+    entries = controller.log.filter("decision", node="hog")
     assert entries
-    assert {"throttle", "hold"} & {e["action"] for e in entries}
-    root_rows = controller.telemetry.records(node="root")
-    assert all(row["action"] == "aggregate" for row in root_rows)
+    assert {"throttle", "hold"} & {p["action"] for _t, _k, p in entries}
+    root_rows = controller.log.filter("decision", node="root")
+    assert root_rows
+    for _t, _kind, row in root_rows:
+        assert row["action"] == "aggregate"
+        assert row["budget_w"] == round(cap_w, 6)
+        assert row["level"] == 0.0
+    # one leaf and one root decision per tick, in tick order
+    assert len(controller.log) == 2 * controller.ticks
+    assert controller.log.times() == sorted(controller.log.times())
 
 
-def test_controller_keeps_the_ring_it_is_given():
-    """Regression: ``telemetry or TelemetryRing()`` swapped a caller's
-    ring, empty and so falsy, for a default one."""
+def test_the_log_keeps_every_decision_of_a_long_run():
+    """5,000 decisions, none evicted: a window over the run's first
+    second, which the powercap experiment's windowed means read, holds
+    every tick of that second.  A 4,096-entry ring dropped the oldest
+    904 and answered the window ``[0, 1 s)`` with 47 of its 499 ticks."""
+    period = from_msec(2)
     platform, kernel, app, box = boot_hog()
-    ring = TelemetryRing(capacity=8)
     controller = make_controller(kernel, app, box, cap_w=1.0,
-                                 telemetry=ring)
-    assert controller.telemetry is ring
+                                 config=ControllerConfig(period=period))
     controller.start()
-    platform.sim.run(until=SEC // 4)
-    assert len(ring) == 8 and ring.dropped > 0
+    platform.sim.run(until=5 * SEC)
+    assert len(controller.log) == 5000
+    first_second = [t for t in controller.log.times(node="hog") if t <= SEC]
+    assert first_second == list(range(period, SEC + 1, period))
+    assert len(first_second) == 500
+    assert len(controller.log.filter(t1=SEC, node="hog")) == 499
 
 
 def test_start_is_idempotent():
@@ -130,3 +142,14 @@ def test_start_is_idempotent():
     proc = controller._proc
     controller.start()
     assert controller._proc is proc
+
+
+def test_an_uncapped_root_logs_no_budget():
+    platform, kernel, app, box = boot_hog()
+    controller = make_controller(kernel, app, box, cap_w=None).start()
+    platform.sim.run(until=SEC // 4)
+    root_rows = controller.log.filter(node="root")
+    assert root_rows
+    assert {row["budget_w"] for _t, _k, row in root_rows} == {None}
+    assert all(row["budget_w"] is not None
+               for _t, _k, row in controller.log.filter(node="hog"))
