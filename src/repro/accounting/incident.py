@@ -93,7 +93,8 @@ def attribute_window(total_points, entity_points, t0_ns, t1_ns, n_bins=24):
     return out
 
 
-def top_entity(attribution, policy="per_sample"):
-    """The top-ranked entity under ``policy``, or None (empty window)."""
-    ranked = attribution["policies"].get(policy) or []
+def top_entity(attribution):
+    """The top-ranked entity under the per-sample policy, or None (empty
+    window)."""
+    ranked = attribution["policies"].get("per_sample")
     return ranked[0]["entity"] if ranked else None

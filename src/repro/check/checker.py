@@ -422,7 +422,7 @@ class InvariantChecker:
             return
         t0, self._cap_checked_to = self._cap_checked_to, now
         self.report.checks += 1
-        aggregate = controller.aggregate_power(t0, now)
+        aggregate = controller.kernel.platform.aggregate_power(t0, now)
         if aggregate > root.cap_w * (1.0 + tolerance):
             self._flag(
                 "cap_compliance", "powercap", "aggregate",

@@ -109,7 +109,7 @@ class Cluster:
             telemetry = [
                 NodeTelemetry(
                     name=node.name,
-                    measured_w=node.aggregate_power(t, end),
+                    measured_w=node.platform.aggregate_power(t, end),
                     demand_w=node.demand_w(t, end),
                     cap_w=node.cap_w,
                     weight=node.spec.weight,

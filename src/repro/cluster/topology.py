@@ -2,13 +2,15 @@
 
 A :class:`NodeSpec` is pure data (JSON-able — calibration cells ship it to
 ``repro.par`` workers); a :class:`Node` is the running thing: one full
-:class:`~repro.sim.engine.Simulator` board booted from the spec, the
+:class:`~repro.hw.platform.Platform` board booted from the spec, the
 placed workload instances as live apps in entered psboxes, and — unless
-booted bare for calibration — a per-node budget tree enforced by the
-existing :class:`~repro.powercap.PowerCapController`.  The cluster's
-global loop only ever talks to a node through :meth:`Node.advance`,
-:meth:`Node.telemetry` and :meth:`Node.set_cap`; everything below those
-three calls is the single-board machinery of PRs 1–5, unchanged.
+booted bare for calibration — a per-node budget tree enforced by a
+:class:`~repro.powercap.PowerCapController`, each leaf wired by
+:func:`~repro.powercap.component_actuators`.  The cluster's global loop
+advances a node (:meth:`Node.advance`), reads its draw from the board
+(:meth:`Platform.aggregate_power`) and its demand (:meth:`Node.demand_w`),
+and installs its cap (:meth:`Node.set_cap`); everything below those calls
+is the single-board machinery, unchanged.
 """
 
 from dataclasses import dataclass, field
@@ -18,14 +20,12 @@ from repro.hw.platform import Platform
 from repro.kernel.kernel import Kernel, KernelConfig
 from repro.obs import runtime as obs_runtime
 from repro.powercap import (
-    BalloonAdmissionActuator,
     BudgetTree,
-    CfsBandwidthActuator,
-    GovernorClampActuator,
     LeafBinding,
     PowerCapController,
+    component_actuators,
 )
-from repro.sim.clock import SEC, from_msec
+from repro.sim.clock import SEC
 
 #: seconds between a workload's end and its psbox leaving — covers the
 #: service loop's final burst draining past its deadline
@@ -183,32 +183,11 @@ class Node:
         return BudgetTree.from_spec(spec)
 
     def _build_bindings(self):
-        kernel = self.kernel
-        bindings = []
-        for workload in self.workloads:
-            app = self.apps[workload.name]
-            box = self.boxes[workload.name]
-            if workload.component == "cpu":
-                actuators = (
-                    GovernorClampActuator(kernel.cpu_governor,
-                                          (box.ctx_key,)),
-                    CfsBandwidthActuator(kernel.smp, app),
-                )
-            elif workload.component == "gpu":
-                actuators = (
-                    GovernorClampActuator(kernel.gpu_governor,
-                                          (box.ctx_key,)),
-                    BalloonAdmissionActuator(kernel.gpu_sched, app,
-                                             period=from_msec(40)),
-                )
-            else:
-                actuators = (
-                    BalloonAdmissionActuator(kernel.net_sched, app,
-                                             period=from_msec(60)),
-                )
-            bindings.append(LeafBinding(workload.name, box,
-                                        actuators=actuators))
-        return bindings
+        return [
+            LeafBinding(name, box, actuators=component_actuators(
+                self.kernel, self.apps[name], box))
+            for name, box in self.boxes.items()
+        ]
 
     # -- the cluster-facing surface ------------------------------------------------
 
@@ -240,34 +219,25 @@ class Node:
     def cap_w(self):
         return None if self.tree is None else self.tree.root.cap_w
 
-    def aggregate_power(self, t0, t1):
-        """True node draw: mean over every rail in [t0, t1)."""
-        if t1 <= t0:
-            return 0.0
-        return sum(rail.mean_power(t0, t1)
-                   for rail in self.platform.rails.values())
-
     def demand_w(self, t0, t1):
         """The node's unthrottled-demand estimate for the global loop.
 
-        Per-leaf estimates invert the actuator attenuation exactly the way
-        the node controller does (same config constants), plus whatever
+        Each leaf's estimate is the node controller's own
+        (:meth:`PowerCapController.leaf_demand_w`), plus whatever
         aggregate draw the managed leaves do not account for (idle floors,
         unmanaged world) — so a fully idle node still demands its floor.
         """
-        aggregate = self.aggregate_power(t0, t1)
-        if self.controller is None:
+        aggregate = self.platform.aggregate_power(t0, t1)
+        controller = self.controller
+        if controller is None:
             return aggregate
-        cfg = self.controller.config
         managed = 0.0
         demand = 0.0
         for workload in self.workloads:
-            state = self.controller.leaf_state(workload.name)
-            attainable = max(1.0 - cfg.throttle_strength * state["level"],
-                             0.1)
+            state = controller.leaf_state(workload.name)
             managed += state["measured_w"]
-            demand += (state["measured_w"] * (1.0 + cfg.demand_headroom)
-                       / attainable)
+            demand += controller.leaf_demand_w(state["measured_w"],
+                                               state["level"])
         return demand + max(0.0, aggregate - managed)
 
     def active_workloads(self, t0_s, t1_s):
@@ -286,7 +256,7 @@ class Node:
         t = 0
         while t < horizon_ns:
             end = min(t + epoch_ns, horizon_ns)
-            series.append(round(self.aggregate_power(t, end), 6))
+            series.append(round(self.platform.aggregate_power(t, end), 6))
             t = end
         return series
 

@@ -131,10 +131,8 @@ def _uncapped_aggregate(seed):
     """
     platform, kernel, _apps, _boxes = _powercap_scenario(seed)
     platform.sim.run(until=int(POWERCAP_MEASURE_S * SEC))
-    aggregate = sum(
-        rail.mean_power(int(1.0 * SEC), int(POWERCAP_MEASURE_S * SEC))
-        for rail in platform.rails.values()
-    )
+    aggregate = platform.aggregate_power(int(1.0 * SEC),
+                                         int(POWERCAP_MEASURE_S * SEC))
     kernel.shutdown()
     return aggregate
 

@@ -28,14 +28,12 @@ from repro.apps.gpu_apps import magic
 from repro.apps.wifi_apps import scp
 from repro.experiments.common import boot
 from repro.powercap import (
-    BalloonAdmissionActuator,
     BudgetTree,
-    CfsBandwidthActuator,
-    GovernorClampActuator,
     LeafBinding,
     PowerCapController,
+    component_actuators,
 )
-from repro.sim.clock import SEC, from_msec
+from repro.sim.clock import SEC
 
 
 @dataclass
@@ -53,6 +51,8 @@ class PowercapResult:
     telemetry_json: str          # exported decision log (determinism checks)
 
 
+#: the budget tree's leaves, in binding order
+LEAVES = ("a.cpu", "a.gpu", "b.cpu", "b.net")
 #: windows (in seconds) used by the analysis below
 CONTENDED_WINDOW = (2.5, 4.0)
 RELAXED_WINDOW = (6.0, 7.5)
@@ -78,10 +78,6 @@ def _scenario(seed):
     return platform, kernel, apps, boxes
 
 
-def _aggregate(platform, t0, t1):
-    return sum(rail.mean_power(t0, t1) for rail in platform.rails.values())
-
-
 def build_budget_tree(cap_w, tenant_fraction=0.75):
     """Platform cap with two oversubscribed tenant caps beneath it."""
     return BudgetTree.from_spec({
@@ -97,26 +93,9 @@ def build_budget_tree(cap_w, tenant_fraction=0.75):
 def build_bindings(kernel, apps, boxes):
     """Wire each leaf to its psbox and component-appropriate actuators."""
     return [
-        LeafBinding("a.cpu", boxes["a.cpu"], actuators=(
-            GovernorClampActuator(kernel.cpu_governor,
-                                  (boxes["a.cpu"].ctx_key,)),
-            CfsBandwidthActuator(kernel.smp, apps["a.cpu"]),
-        )),
-        LeafBinding("a.gpu", boxes["a.gpu"], actuators=(
-            GovernorClampActuator(kernel.gpu_governor,
-                                  (boxes["a.gpu"].ctx_key,)),
-            BalloonAdmissionActuator(kernel.gpu_sched, apps["a.gpu"],
-                                     period=from_msec(40)),
-        )),
-        LeafBinding("b.cpu", boxes["b.cpu"], actuators=(
-            GovernorClampActuator(kernel.cpu_governor,
-                                  (boxes["b.cpu"].ctx_key,)),
-            CfsBandwidthActuator(kernel.smp, apps["b.cpu"]),
-        )),
-        LeafBinding("b.net", boxes["b.net"], actuators=(
-            BalloonAdmissionActuator(kernel.net_sched, apps["b.net"],
-                                     period=from_msec(60)),
-        )),
+        LeafBinding(leaf, boxes[leaf], actuators=component_actuators(
+            kernel, apps[leaf], boxes[leaf]))
+        for leaf in LEAVES
     ]
 
 
@@ -139,7 +118,7 @@ def run_powercap(seed=11, cap_fraction=0.70, horizon_s=HORIZON_S):
     # Phase 1 — uncapped peak over the contended window.
     platform, kernel, _apps, _boxes = _scenario(seed)
     platform.sim.run(until=horizon_s * SEC)
-    uncapped_w = _aggregate(platform, lo, hi)
+    uncapped_w = platform.aggregate_power(lo, hi)
     kernel.shutdown()
 
     # Phase 2 — identical scenario under the daemon.
@@ -151,12 +130,11 @@ def run_powercap(seed=11, cap_fraction=0.70, horizon_s=HORIZON_S):
     ).start()
     platform.sim.run(until=horizon_s * SEC)
 
-    steady_w = _aggregate(platform, lo, hi)
-    relaxed_w = _aggregate(platform, relax_lo, relax_hi)
-    leaves = ["a.cpu", "a.gpu", "b.cpu", "b.net"]
+    steady_w = platform.aggregate_power(lo, hi)
+    relaxed_w = platform.aggregate_power(relax_lo, relax_hi)
     log = controller.log
-    grants_contended = _mean_grants(log, leaves, lo, hi)
-    grants_relaxed = _mean_grants(log, leaves, relax_lo, relax_hi)
+    grants_contended = _mean_grants(log, LEAVES, lo, hi)
+    grants_relaxed = _mean_grants(log, LEAVES, relax_lo, relax_hi)
     b_idle_entries = log.filter(t0=relax_lo, t1=relax_hi, node="b.cpu")
     tenant_b_idle_w = (
         sum(payload["measured_w"] for _t, _k, payload in b_idle_entries)

@@ -1,5 +1,6 @@
 """DVFS frequency domains with snapshot/restore for power-state virtualization."""
 
+from repro.sim.process import Signal
 from repro.sim.trace import StepTrace
 
 
@@ -20,7 +21,7 @@ class FreqDomain:
         self.opps = tuple(sorted(opps, key=lambda p: p.freq_hz))
         self.index = initial_index
         self.freq_trace = StepTrace(self.opps[initial_index].freq_hz, name=name)
-        self.changed = sim.signal(name + ".freq_changed")
+        self.changed = Signal(name + ".freq_changed")
 
     @property
     def opp(self):

@@ -16,6 +16,7 @@ matter for the reproduction:
 import itertools
 
 from repro.sim.clock import SEC, from_msec, from_usec
+from repro.sim.process import Signal
 from repro.sim.trace import EventTrace, StepTrace
 
 PSM = "psm"
@@ -97,7 +98,7 @@ class WifiNic:
         self._pending_completions = []
         self._flush_event = None
 
-        self.space = sim.signal(name + ".space")
+        self.space = Signal(name + ".space")
         self.log = EventTrace(name + ".packets")
         # numbers this NIC's packets, sent and received: seq labels count
         # per boot

@@ -86,6 +86,13 @@ class Platform:
         self.rails[name] = rail
         return rail
 
+    def aggregate_power(self, t0, t1):
+        """True board draw: every rail's mean over [t0, t1), summed in
+        rail order; 0.0 for an empty window."""
+        if t1 <= t0:
+            return 0.0
+        return sum(rail.mean_power(t0, t1) for rail in self.rails.values())
+
     def component(self, name):
         """Look a component up by rail name."""
         mapping = {CPU: self.cpu, GPU: self.gpu, DSP: self.dsp,

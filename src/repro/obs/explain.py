@@ -35,7 +35,11 @@ import json
 import math
 import os
 
-from repro.accounting.incident import attribute_window, hold_resample
+from repro.accounting.incident import (
+    attribute_window,
+    hold_resample,
+    top_entity,
+)
 from repro.analysis.report import format_table
 from repro.obs.timeline import series_key
 
@@ -302,11 +306,6 @@ def _attribution(evidence, alert, t0, t1):
     return out
 
 
-def _top(attribution, group):
-    ranked = attribution.get(group, {}).get("policies", {}).get("per_sample")
-    return ranked[0]["entity"] if ranked else None
-
-
 def _grouped_injections(injections):
     groups = {}
     for inj in injections:
@@ -404,7 +403,7 @@ def _incident(evidence, alert, seq):
 
     incident["attribution"] = _attribution(evidence, alert, t0, t1)
     incident["top"] = {
-        group: _top(incident["attribution"], group)
+        group: top_entity(incident["attribution"][group])
         for group in sorted(incident["attribution"])
     }
 

@@ -18,6 +18,7 @@ from repro.powercap.actuators import (
     BalloonAdmissionActuator,
     CfsBandwidthActuator,
     GovernorClampActuator,
+    component_actuators,
 )
 from repro.powercap.budget import BudgetNode, BudgetTree, waterfill
 from repro.powercap.controller import (
@@ -36,5 +37,6 @@ __all__ = [
     "GovernorClampActuator",
     "LeafBinding",
     "PowerCapController",
+    "component_actuators",
     "waterfill",
 ]

@@ -13,7 +13,8 @@ existing kernel mechanism:
   NIC), bounding its device occupancy.
 
 ``apply(0.0)`` always restores the untouched mechanism, so a stopped daemon
-leaves no residue.
+leaves no residue.  :func:`component_actuators` is the one wiring of a
+single-component psbox to its actuators.
 """
 
 from repro.sim.clock import from_msec
@@ -109,3 +110,23 @@ class BalloonAdmissionActuator(Actuator):
             self.sched.admission.clear(self.app.id)
         else:
             self.sched.admission.set(self.app.id, fraction, self.period)
+
+
+def component_actuators(kernel, app, box):
+    """The actuators that throttle ``app`` on its psbox's one component.
+
+    CPU: the box context's OPP clamp, then CFS bandwidth; GPU: the OPP
+    clamp, then admission in 40 ms cycles; WiFi: admission in 60 ms cycles.
+    """
+    (component,) = box.components
+    if component == "cpu":
+        return (GovernorClampActuator(kernel.cpu_governor, (box.ctx_key,)),
+                CfsBandwidthActuator(kernel.smp, app))
+    if component == "gpu":
+        return (GovernorClampActuator(kernel.gpu_governor, (box.ctx_key,)),
+                BalloonAdmissionActuator(kernel.gpu_sched, app,
+                                         period=from_msec(40)))
+    if component == "wifi":
+        return (BalloonAdmissionActuator(kernel.net_sched, app,
+                                         period=from_msec(60)),)
+    raise ValueError("no actuators for component {!r}".format(component))

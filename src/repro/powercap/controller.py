@@ -1,9 +1,9 @@
 """The power-cap daemon: a periodic closed-loop controller.
 
-Every tick (a ``sim.Process``), the daemon reads each bound app's metered
-power through :meth:`PsboxManager.read_power`, estimates demand, asks the
-budget tree for grants, and drives each leaf's throttle level with a PI
-controller:
+The daemon is a ``sim.Process`` ("powercapd") that sleeps one period per
+tick.  Each tick it reads each bound app's metered power through
+:meth:`PsboxManager.read_power`, estimates demand, asks the budget tree
+for grants, and drives each leaf's throttle level with a PI controller:
 
 * the proportional term reacts to the current overshoot;
 * the integrator accumulates persistent overshoot (and unwinds on
@@ -158,15 +158,6 @@ class PowerCapController:
 
     # -- readout -----------------------------------------------------------------
 
-    def aggregate_power(self, t0, t1):
-        """True platform draw: mean of every rail over [t0, t1)."""
-        if t1 <= t0:
-            return 0.0
-        return sum(
-            rail.mean_power(t0, t1)
-            for rail in self.kernel.platform.rails.values()
-        )
-
     def leaf_state(self, node):
         """The controller's last decision state for one leaf (read-only)."""
         state = self._states[node]
@@ -175,6 +166,20 @@ class PowerCapController:
             "measured_w": state.measured_w,
             "grant_w": state.grant_w,
         }
+
+    def leaf_demand_w(self, watts, level):
+        """What a leaf drawing ``watts`` at throttle ``level`` would draw
+        unthrottled, plus headroom.
+
+        The measured power of a throttled app understates its demand by
+        roughly the actuators' attenuation, so invert that model (a leaf
+        at full throttle keeps ~(1 - throttle_strength) of its draw) and
+        add a fixed headroom — grants then track above measurement and
+        release cleanly when the tree has slack.
+        """
+        cfg = self.config
+        attainable = max(1.0 - cfg.throttle_strength * level, 0.1)
+        return watts * (1.0 + cfg.demand_headroom) / attainable
 
     # -- the control law -----------------------------------------------------------
 
@@ -206,18 +211,9 @@ class PowerCapController:
                 # reading this tick, so the daemon reuses the previous one.
                 watts = state.measured_w
             measured[binding.node] = watts
-            # Demand estimate: what the app would draw unthrottled.  The
-            # measured power of a throttled app understates it by roughly
-            # the actuators' attenuation, so invert that model (a leaf at
-            # full throttle keeps ~(1 - throttle_strength) of its draw) and
-            # add a fixed headroom — grants then track above measurement
-            # and release cleanly when the tree has slack.
-            attainable = max(1.0 - cfg.throttle_strength * state.level, 0.1)
-            demands[binding.node] = (
-                watts * (1.0 + cfg.demand_headroom) / attainable
-            )
+            demands[binding.node] = self.leaf_demand_w(watts, state.level)
 
-        aggregate = self.aggregate_power(t0, t1)
+        aggregate = self.kernel.platform.aggregate_power(t0, t1)
         root = self.tree.root
         if root.cap_w is not None:
             # Whatever the managed apps do not account for still drains the

@@ -1,8 +1,10 @@
 """Discrete-event simulation engine used by every substrate in this repo.
 
-The engine is intentionally small: an event heap over an integer-nanosecond
-clock, generator-based processes, deterministic named RNG streams, and
-piecewise-constant signal traces (the representation of power rails).
+The engine is intentionally small: a simulator that is its own event
+queue (a head slot plus a heap) over an integer-nanosecond clock,
+generator processes that yield int delays, subscriber-list signals,
+deterministic named RNG streams, and piecewise-constant signal traces
+(the representation of power rails).
 """
 
 from repro.sim.clock import (
@@ -15,8 +17,7 @@ from repro.sim.clock import (
     from_usec,
     seconds,
 )
-from repro.sim.engine import Simulator
-from repro.sim.events import Event
+from repro.sim.engine import Event, Simulator
 from repro.sim.process import Process, Signal
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import EventTrace, StepTrace

@@ -58,7 +58,7 @@ def test_calibration_node_runs_uncapped():
     with pytest.raises(RuntimeError, match="calibration"):
         node.set_cap(1.0)
     node.advance(int(0.6e9))
-    aggregate = node.aggregate_power(0, int(0.6e9))
+    aggregate = node.platform.aggregate_power(0, int(0.6e9))
     assert aggregate > 0.3                       # busy web instance + idle
     # No controller: the demand estimate is just the measured draw.
     assert node.demand_w(0, int(0.6e9)) == pytest.approx(aggregate)
@@ -155,5 +155,5 @@ def test_distinct_node_seeds_give_distinct_boards():
     ]
     for node in nodes:
         node.advance(int(0.4e9))
-    draws = [node.aggregate_power(0, int(0.4e9)) for node in nodes]
+    draws = [node.platform.aggregate_power(0, int(0.4e9)) for node in nodes]
     assert draws[0] != draws[1]

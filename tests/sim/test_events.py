@@ -1,179 +1,164 @@
-"""Unit tests for the event queue."""
+"""Unit cases of the simulator's event queue.
+
+Each case drives ``Simulator`` through its public API: a push is ``at``,
+a pop is an event firing inside ``run`` (``run(until=t)`` pops what is
+due by ``t``), and the queue's length is ``pending()``.
+``tests/sim/test_property_queue.py`` checks the same queue against a
+push-ordered list.
+"""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.events import Event, EventQueue
+from repro.sim.engine import Simulator
 
 
-def make_queue():
-    return EventQueue()
+def _queue(*times):
+    """A simulator with one event per time, each recording its index."""
+    sim = Simulator()
+    fired = []
+    handles = [sim.at(t, fired.append, i) for i, t in enumerate(times)]
+    return sim, fired, handles
 
 
 def test_pop_in_time_order():
-    q = make_queue()
-    fired = []
-    q.push(30, fired.append, (3,))
-    q.push(10, fired.append, (1,))
-    q.push(20, fired.append, (2,))
-    times = []
-    while True:
-        ev = q.pop()
-        if ev is None:
-            break
-        times.append(ev.time)
-    assert times == [10, 20, 30]
+    sim, fired, _ = _queue(30, 10, 20)
+    sim.run()
+    assert fired == [1, 2, 0]
 
 
 def test_fifo_among_ties():
-    q = make_queue()
-    first = q.push(5, lambda: None, ())
-    second = q.push(5, lambda: None, ())
-    assert q.pop() is first
-    assert q.pop() is second
+    """Ties fire in push order, also for an event that an earlier time
+    displaced from the head slot, twice."""
+    sim, fired, _ = _queue(5, 5, 3)
+    sim.run(until=3)                 # event 0 is back in the head slot
+    sim.at(4, fired.append, 3)       # and is displaced again
+    sim.at(5, fired.append, 4)
+    sim.run()
+    assert fired == [2, 3, 0, 1, 4]
 
 
 def test_cancelled_events_are_skipped():
-    q = make_queue()
-    ev = q.push(1, lambda: None, ())
-    keep = q.push(2, lambda: None, ())
-    ev.cancel()
-    assert q.pop() is keep
-    assert q.pop() is None
+    sim, fired, (dead, _keep) = _queue(1, 2)
+    dead.cancel()
+    sim.run()
+    assert fired == [1]
 
 
 def test_peek_time_prunes_cancelled():
-    q = make_queue()
-    ev = q.push(1, lambda: None, ())
-    q.push(7, lambda: None, ())
-    ev.cancel()
-    assert q.peek_time() == 7
+    """A cancelled head hides nothing: the next live event is still due
+    at its own time."""
+    sim, fired, (dead, _keep) = _queue(1, 7)
+    dead.cancel()
+    sim.run(until=6)
+    assert fired == []
+    sim.run(until=7)
+    assert fired == [1]
 
 
 def test_len_counts_pushed_events():
-    q = make_queue()
-    q.push(1, lambda: None, ())
-    q.push(2, lambda: None, ())
-    assert len(q) == 2
+    sim, _fired, _handles = _queue(1, 2)
+    assert sim.pending() == 2
 
 
 def test_len_excludes_cancelled_events():
     """Regression: cancelled-but-unpruned events must not count as live."""
-    q = make_queue()
-    ev = q.push(1, lambda: None, ())
-    q.push(2, lambda: None, ())
-    ev.cancel()
-    assert len(q) == 1
-    ev.cancel()                      # idempotent: no double decrement
-    assert len(q) == 1
+    sim, _fired, (event, _keep) = _queue(1, 2)
+    event.cancel()
+    assert sim.pending() == 1
+    event.cancel()                   # idempotent: no double decrement
+    assert sim.pending() == 1
 
 
 def test_len_survives_lazy_prune():
-    """The prune in pop/peek_time drops corpses already discounted."""
-    q = make_queue()
-    dead = [q.push(t, lambda: None, ()) for t in (1, 2, 3)]
-    keep = q.push(4, lambda: None, ())
-    for ev in dead:
-        ev.cancel()
-    assert len(q) == 1
-    assert q.peek_time() == 4        # prunes the three corpses
-    assert len(q) == 1
-    assert q.pop() is keep
-    assert len(q) == 0
+    """The run loop drops corpses already discounted."""
+    sim, fired, handles = _queue(1, 2, 3, 4)
+    for event in handles[:3]:
+        event.cancel()
+    assert sim.pending() == 1
+    sim.run(until=3)                 # prunes the three corpses
+    assert sim.pending() == 1
+    sim.run()
+    assert fired == [3]
+    assert sim.pending() == 0
 
 
 def test_pop_decrements_len():
-    q = make_queue()
-    q.push(1, lambda: None, ())
-    q.push(2, lambda: None, ())
-    q.pop()
-    assert len(q) == 1
-    q.pop()
-    assert len(q) == 0
+    sim, _fired, _handles = _queue(1, 2)
+    sim.run(until=1)
+    assert sim.pending() == 1
+    sim.run()
+    assert sim.pending() == 0
 
 
 def test_cancel_after_pop_does_not_underflow():
-    q = make_queue()
-    ev = q.push(1, lambda: None, ())
-    q.push(2, lambda: None, ())
-    assert q.pop() is ev
-    ev.cancel()                      # already fired: count must not move
-    assert len(q) == 1
+    sim, fired, (event, _keep) = _queue(1, 2)
+    sim.run(until=1)
+    assert fired == [0]
+    event.cancel()                   # already fired: count must not move
+    assert sim.pending() == 1
 
 
 def test_cancel_is_idempotent():
-    q = make_queue()
-    ev = q.push(1, lambda: None, ())
-    ev.cancel()
-    ev.cancel()
-    assert q.pop() is None
+    sim, fired, (event,) = _queue(1)
+    event.cancel()
+    event.cancel()
+    sim.run()
+    assert fired == []
+    assert sim.pending() == 0
 
 
 def test_pop_due_respects_limit():
-    q = make_queue()
-    early = q.push(5, lambda: None, ())
-    q.push(10, lambda: None, ())
-    assert q.pop_due(4) is None       # nothing due yet
-    assert q.pop_due(5) is early      # inclusive limit
-    assert q.pop_due(9) is None       # next event still queued
-    assert len(q) == 1
+    """``until`` is inclusive: an event at exactly ``until`` fires."""
+    sim, fired, _ = _queue(5, 10)
+    sim.run(until=4)                 # nothing due yet
+    assert fired == []
+    sim.run(until=5)
+    assert fired == [0]
+    sim.run(until=9)                 # next event still queued
+    assert fired == [0]
+    assert sim.pending() == 1
 
 
 def test_pop_due_skips_cancelled_up_to_limit():
-    q = make_queue()
-    dead = q.push(1, lambda: None, ())
-    keep = q.push(2, lambda: None, ())
+    sim, fired, (dead, _keep) = _queue(1, 2)
     dead.cancel()
-    assert q.pop_due(2) is keep
-    assert q.pop_due(2) is None
+    sim.run(until=2)
+    assert fired == [1]
+    assert sim.pending() == 0
 
 
 def test_pop_due_with_cancelled_head_past_limit():
-    """A cancelled head beyond the limit must not hide a due event —
-    impossible by construction (the head is the queue minimum), so the
-    contract is simply: nothing due, nothing popped, corpse still lazy."""
-    q = make_queue()
-    dead = q.push(9, lambda: None, ())
+    """A cancelled head beyond the limit stays queued as a corpse; the
+    clock still reaches the limit."""
+    sim, fired, (dead,) = _queue(9)
     dead.cancel()
-    assert q.pop_due(5) is None
-    assert q.pop_due(9) is None
-    assert q.pop() is None
+    sim.run(until=5)
+    assert sim.now == 5
+    sim.run()
+    assert fired == []
+    assert sim.now == 5
+    assert sim.pending() == 0
 
 
 def test_pop_due_fifo_among_ties():
-    q = make_queue()
-    first = q.push(3, lambda: None, ())
-    second = q.push(3, lambda: None, ())
-    assert q.pop_due(3) is first
-    assert q.pop_due(3) is second
-
-
-def test_event_ordering_operator():
-    a = Event(1, 0, None, ())
-    b = Event(1, 1, None, ())
-    c = Event(2, 0, None, ())
-    assert a < b < c
+    sim, fired, _ = _queue(3, 3, 4)
+    sim.run(until=3)
+    assert fired == [0, 1]
 
 
 def test_empty_queue_pop_and_peek():
-    q = make_queue()
-    assert q.pop() is None
-    assert q.peek_time() is None
+    sim = Simulator()
+    assert sim.run() == 0
+    assert sim.pending() == 0
 
 
 @given(st.lists(st.integers(min_value=0, max_value=20), max_size=50))
 def test_pop_order_is_stable_sort_by_time(times):
-    """Property: popping everything yields the pushed events stable-sorted
-    by timestamp — i.e. equal-timestamp events come out FIFO."""
-    q = make_queue()
-    pushed = [q.push(t, lambda: None, ()) for t in times]
-    popped = []
-    while True:
-        ev = q.pop()
-        if ev is None:
-            break
-        popped.append(ev)
-    # Python's sort is stable and ``pushed`` is in insertion order, so this
-    # is exactly "time-ordered, FIFO among ties".
-    expected = sorted(pushed, key=lambda ev: ev.time)
-    assert [id(ev) for ev in popped] == [id(ev) for ev in expected]
+    """Property: everything fires stable-sorted by timestamp — i.e.
+    equal-timestamp events come out FIFO."""
+    sim, fired, _ = _queue(*times)
+    sim.run()
+    # Python's sort is stable and indices are in push order, so this is
+    # exactly "time-ordered, FIFO among ties".
+    assert fired == sorted(range(len(times)), key=lambda i: times[i])

@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.clock import MSEC
 from repro.sim.engine import Simulator
+from repro.sim.process import Signal
 
 
 def test_process_sleeps_for_yielded_delay():
@@ -20,68 +21,25 @@ def test_process_sleeps_for_yielded_delay():
     assert marks == [0, 2 * MSEC]
 
 
-def test_process_result_and_done_signal():
-    sim = Simulator()
-    results = []
-
-    def proc():
-        yield MSEC
-        return 42
-
-    p = sim.spawn(proc())
-    p.done.subscribe(results.append)
-    sim.run()
-    assert p.finished
-    assert p.result == 42
-    assert results == [42]
-
-
-def test_signal_wakes_waiting_process_with_payload():
-    sim = Simulator()
-    sig = sim.signal("data")
-    got = []
-
-    def consumer():
-        payload = yield sig
-        got.append(payload)
-
-    sim.spawn(consumer())
-    sim.call_later(3 * MSEC, sig.fire, "hello")
-    sim.run()
-    assert got == ["hello"]
-
-
 def test_signal_has_no_memory():
-    sim = Simulator()
-    sig = sim.signal()
+    """A subscriber hears only the fires after it subscribed, also when it
+    subscribes while a fire runs."""
+    sig = Signal()
     got = []
-
-    def late_consumer():
-        yield 2 * MSEC      # the fire happens at 1 ms, before we wait
-        payload = yield sig
-        got.append(payload)
-
-    sim.spawn(late_consumer())
-    sim.call_later(1 * MSEC, sig.fire, "early")
-    sim.call_later(5 * MSEC, sig.fire, "late")
-    sim.run()
+    sig.fire("early")
+    sig.subscribe(lambda _payload: sig.subscribe(got.append))
+    sig.fire("during")
+    sig.fire("late")
     assert got == ["late"]
 
 
 def test_signal_broadcasts_to_all_waiters():
-    sim = Simulator()
-    sig = sim.signal()
+    sig = Signal()
     got = []
-
-    def consumer(tag):
-        payload = yield sig
-        got.append((tag, payload))
-
-    sim.spawn(consumer("a"))
-    sim.spawn(consumer("b"))
-    sim.call_later(MSEC, sig.fire, 7)
-    sim.run()
-    assert sorted(got) == [("a", 7), ("b", 7)]
+    sig.subscribe(lambda payload: got.append(("a", payload)))
+    sig.subscribe(lambda payload: got.append(("b", payload)))
+    sig.fire(7)
+    assert got == [("a", 7), ("b", 7)]
 
 
 def test_negative_delay_rejected():
@@ -115,20 +73,8 @@ def test_kill_stops_process_without_done_signal():
         fired.append("ran")
 
     p = sim.spawn(proc())
-    p.done.subscribe(lambda _p: fired.append("done"))
     sim.run(until=MSEC // 2)
     p.kill()
     sim.run()
     assert fired == []
     assert p.finished
-
-
-def test_unsubscribe_stops_callbacks():
-    sim = Simulator()
-    sig = sim.signal()
-    seen = []
-    sig.subscribe(seen.append)
-    sig.fire(1)
-    sig.unsubscribe(seen.append)
-    sig.fire(2)
-    assert seen == [1]
